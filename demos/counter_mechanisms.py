@@ -11,13 +11,13 @@ import numpy as np
 
 from contcount import (
     FTSum,
+    MonotoneWrapper,
     PerfectCounter,
     RandomSource,
     TreeSum,
+    UnderestimatorWrapper,
+    ZeroFailureWrapper,
     envelope_check,
-    wrap_monotone,
-    wrap_underestimator,
-    wrap_zero_failure,
 )
 
 N, M, EPS = 256, 1, 1.0
@@ -66,9 +66,9 @@ def main():
     print("\nwrappers on a clamped tree counter (target envelope (1.5, 3)):")
     from contcount import AccuracyEnvelope
     inner = TreeSum(N, M, EPS, RandomSource(SEED, 4))
-    clamped = wrap_zero_failure(inner, AccuracyEnvelope(1.5, 3.0, 0.0))
-    under = wrap_underestimator(clamped)
-    mono = wrap_monotone(under)
+    clamped = ZeroFailureWrapper(inner, AccuracyEnvelope(1.5, 3.0, 0.0))
+    under = UnderestimatorWrapper(clamped)
+    mono = MonotoneWrapper(under)
     true = 0.0
     print(f"  {'t':>4} {'true':>7} {'clamp->under->mono':>20}  (never above true, integral)")
     for t, a in enumerate(stream, start=1):

@@ -7,15 +7,13 @@ from .counters import (
     AccuracyEnvelope,
     EmptyCounter,
     FTSum,
+    MonotoneWrapper,
     PerfectCounter,
     PrivacyBudget,
     TreeSum,
-    empty_counter,
+    UnderestimatorWrapper,
+    ZeroFailureWrapper,
     envelope_check,
-    perfect_counter,
-    wrap_monotone,
-    wrap_underestimator,
-    wrap_zero_failure,
 )
 from .errors import (
     ContcountError,
@@ -28,11 +26,13 @@ from .errors import (
 from .games import (
     CostSharingInstance,
     CutInstance,
+    GameRule,
     PlayTrace,
     ResourceSharingInstance,
     SchedulingInstance,
     ValueCurve,
     curve_smoothness,
+    play,
     play_cost_sharing,
     play_cut,
     play_future_dependent,

@@ -152,18 +152,9 @@ def _cmd_game_run(args) -> int:
 
 
 def _cmd_opt(args) -> int:
-    rng = RandomSource(args.seed)
-    instance = instances.resolve_instance(args.game, args.instance, rng)
-    from . import optimal
-    solvers = {
-        "resource": optimal.opt_resource_sharing,
-        "future": optimal.opt_future_dependent,
-        "market": optimal.opt_future_dependent,
-        "cut": optimal.opt_cut,
-        "scheduling": optimal.opt_scheduling,
-        "costshare": optimal.opt_cost_sharing,
-    }
-    result = solvers[args.game](instance)
+    _, solver, rule = harness._ENGINES[args.game]
+    instance = instances.resolve_instance(rule.kind, args.instance, RandomSource(args.seed))
+    result = solver(instance)
     print(f"value = {result.value!r}")
     print(f"method = {result.method}")
     print(f"witness = {result.witness}")
@@ -199,6 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Private counter vectors under continual observation and "
                     "a sequential-game simulation laboratory.")
     sub = parser.add_subparsers(dest="command", required=True)
+    games = sorted(harness._ENGINES)
 
     counter = sub.add_parser("counter", help="counter mechanisms")
     counter_sub = counter.add_subparsers(dest="subcommand", required=True)
@@ -213,9 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     game = sub.add_parser("game", help="sequential games")
     game_sub = game.add_subparsers(dest="subcommand", required=True)
     grun = game_sub.add_parser("run", help="play a game against a counter mechanism")
-    grun.add_argument("--game", default=None,
-                      choices=["resource", "future", "market", "cut", "scheduling",
-                               "costshare"])
+    grun.add_argument("--game", default=None, choices=games)
     grun.add_argument("--instance", default=None,
                       help="instance file, paper:<name>, or random:<kind>")
     grun.add_argument("--strategy", default="greedy",
@@ -237,9 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     grun.set_defaults(fn=_cmd_game_run)
 
     opt = sub.add_parser("opt", help="exact optimum of an instance")
-    opt.add_argument("--game", required=True,
-                     choices=["resource", "future", "market", "cut", "scheduling",
-                              "costshare"])
+    opt.add_argument("--game", required=True, choices=games)
     opt.add_argument("--instance", required=True)
     opt.add_argument("--seed", type=int, default=0)
     opt.set_defaults(fn=_cmd_opt)

@@ -17,8 +17,8 @@ Mechanisms:
 * ``PerfectCounter`` / ``EmptyCounter`` -- exact and all-zero baselines.
 
 Wrappers reshape releases while updating the declared envelope:
-``wrap_underestimator`` (never exceeds the true count), ``wrap_monotone``
-(integral, unit steps), ``wrap_zero_failure`` (clamps into the envelope using
+``UnderestimatorWrapper`` (never exceeds the true count), ``MonotoneWrapper``
+(integral, unit steps), ``ZeroFailureWrapper`` (clamps into the envelope using
 the true count, trading the failure mass gamma into the privacy delta).
 
 All logarithms here are base 2, matching the binary-tree depth.
@@ -370,14 +370,6 @@ class EmptyCounter(CounterMechanism):
         return np.zeros(self.dim)
 
 
-def perfect_counter(n: int, m: int, update_bound: float = 1.0) -> PerfectCounter:
-    return PerfectCounter(n, m, update_bound)
-
-
-def empty_counter(n: int, m: int, update_bound: float = 1.0) -> EmptyCounter:
-    return EmptyCounter(n, m, update_bound)
-
-
 class _Wrapper(CounterMechanism):
     """Base for wrappers: feeds the inner mechanism, transforms its releases."""
 
@@ -406,7 +398,7 @@ class UnderestimatorWrapper(_Wrapper):
         if env.gamma != 0.0:
             raise ParameterError(
                 "underestimator wrapper needs a zero-failure (gamma = 0) envelope; "
-                "apply wrap_zero_failure first")
+                "apply ZeroFailureWrapper first")
         self._shift_alpha = env.alpha
         self._shift_beta = env.beta
         super().__init__(inner, AccuracyEnvelope(env.alpha ** 2, 2.0 * env.beta / env.alpha, 0.0))
@@ -446,9 +438,14 @@ class MonotoneWrapper(_Wrapper):
 
 
 class ZeroFailureWrapper(_Wrapper):
-    """Clamp each release into the envelope using the true count, making the
-    accuracy guarantee hold with probability 1; the privacy delta absorbs the
-    inner failure mass gamma."""
+    """Clamp each release into ``envelope`` (default: the inner mechanism's
+    declared one) using the true count, making the accuracy guarantee hold
+    with probability 1; the privacy delta absorbs the inner failure mass gamma.
+
+    Passing a tighter target envelope is allowed: clamping enforces it
+    deterministically, which is how experiments realize counters with chosen
+    small (alpha, beta) instead of the loose analytic constants.
+    """
 
     def __init__(self, inner: CounterMechanism, envelope: AccuracyEnvelope | None = None):
         env = envelope or inner.envelope
@@ -460,25 +457,6 @@ class ZeroFailureWrapper(_Wrapper):
     def _transform(self, y: np.ndarray) -> np.ndarray:
         x = self._true if self.t > 0 else np.zeros(self.dim)
         return np.clip(y, self.envelope.lower(x), self.envelope.upper(x))
-
-
-def wrap_underestimator(mech: CounterMechanism) -> UnderestimatorWrapper:
-    return UnderestimatorWrapper(mech)
-
-
-def wrap_monotone(mech: CounterMechanism) -> MonotoneWrapper:
-    return MonotoneWrapper(mech)
-
-
-def wrap_zero_failure(mech: CounterMechanism,
-                      envelope: AccuracyEnvelope | None = None) -> ZeroFailureWrapper:
-    """Clamp into ``envelope`` (default: the mechanism's declared one).
-
-    Passing a tighter target envelope is allowed: clamping enforces it
-    deterministically, which is how experiments realize counters with chosen
-    small (alpha, beta) instead of the loose analytic constants.
-    """
-    return ZeroFailureWrapper(mech, envelope)
 
 
 def envelope_check(true_xs, released_ys, env: AccuracyEnvelope, tol: float = 1e-12):
@@ -509,13 +487,8 @@ __all__ = [
     "FTSum",
     "PerfectCounter",
     "EmptyCounter",
-    "perfect_counter",
-    "empty_counter",
     "UnderestimatorWrapper",
     "MonotoneWrapper",
     "ZeroFailureWrapper",
-    "wrap_underestimator",
-    "wrap_monotone",
-    "wrap_zero_failure",
     "envelope_check",
 ]

@@ -1,17 +1,23 @@
-"""Sequential game definitions and play engines.
+"""Sequential games and the one loop that plays them.
 
-One engine per game class steps players in arrival order, shows each player
-the current release of a counter mechanism, applies a strategy, feeds the
-chosen action back into the counter, and records a :class:`PlayTrace` with
-realized utilities (from true counts) and perceived utilities (from displayed
-counts).
+Every game runs the same loop, :func:`play`: players arrive in order, each
+sees her slice of the counter mechanism's current release, a strategy picks
+an action, and the action's update vector is fed back into the counter. A
+:class:`GameRule` supplies what differs between games: the counter dimension
+and update bound, each player's actions in tie-break order, her slice of the
+release, the update vector of an action, the perceived utility, the realized
+utilities from the final true counts, the final usage and metrics, and
+whether the metric is maximized or minimized. Adding a game means one rule
+here plus one ``harness._ENGINES`` entry.
 
-Conventions shared by all engines:
+Each play returns a :class:`PlayTrace` with realized utilities (from true
+counts) and perceived utilities (from displayed counts). Conventions shared
+by all games:
 
 * Displayed counts are real-valued; value-curve lookups floor them and clamp
   into the curve's index range (``ValueCurve.value_at``).
-* Greedy ties break toward the lowest resource/machine/set/color index, so
-  runs are deterministic.
+* Greedy ties break toward the first action in the rule's order, the lowest
+  resource/machine/set/color index, so runs are deterministic.
 * Realized social welfare is the sum of realized utilities (``math.fsum``, so
   bookkeeping identities hold exactly); perceived social welfare is the same
   sum over perceived utilities.
@@ -38,6 +44,8 @@ class ValueCurve:
         vals = np.asarray(values, dtype=float)
         if vals.ndim != 1 or vals.size == 0:
             raise ParameterError("value curve needs at least one entry")
+        if not np.all(np.isfinite(vals)):
+            raise ParameterError("value curve entries must be finite")
         if np.any(vals < 0):
             raise ParameterError("value curve entries must be nonnegative")
         if np.any(np.diff(vals) > _MONOTONE_TOL):
@@ -132,6 +140,8 @@ class SchedulingInstance:
         self.costs = np.asarray(self.costs, dtype=float)
         if self.costs.ndim != 2 or self.costs.size == 0:
             raise ParameterError("cost matrix must be 2-D and nonempty")
+        if not np.all(np.isfinite(self.costs)):
+            raise ParameterError("job sizes must be finite")
         if np.any(self.costs < 0):
             raise ParameterError("job sizes must be nonnegative")
 
@@ -163,6 +173,8 @@ class CostSharingInstance:
 
     def __post_init__(self):
         self.set_costs = np.asarray(self.set_costs, dtype=float)
+        if not np.all(np.isfinite(self.set_costs)):
+            raise ParameterError("set costs must be finite")
         if np.any(self.set_costs <= 0):
             raise ParameterError("set costs must be positive")
         for i, sets in enumerate(self.allowed):
@@ -195,7 +207,7 @@ class PlayerRecord:
 class PlayTrace:
     """Full record of one sequential play."""
 
-    game: str
+    rule: GameRule
     records: list
     final_usage: np.ndarray
     social_welfare: float
@@ -213,7 +225,7 @@ class PlayTrace:
         return np.array([rec.true_before for rec in self.records])
 
 
-def _check_mechanism(mech: CounterMechanism, dim: int, horizon: int, bound: float = 1.0):
+def _check_mechanism(mech: CounterMechanism, dim: int, horizon: int, bound: float):
     if mech.dim != dim:
         raise ValidationError(f"counter dimension {mech.dim} != required {dim}")
     if mech.horizon < horizon:
@@ -225,235 +237,285 @@ def _check_mechanism(mech: CounterMechanism, dim: int, horizon: int, bound: floa
         raise ValidationError("counter has already consumed updates")
 
 
-def play_resource_sharing(inst: ResourceSharingInstance, mech: CounterMechanism,
-                          strategy) -> PlayTrace:
-    """Future-independent play: player i's realized value is v_r at the true
-    number of earlier choosers of her resource."""
-    _check_mechanism(mech, inst.m, inst.n)
-    strategy.start("resource", inst)
-    true = np.zeros(inst.m)
-    records = []
-    for i in range(inst.n):
-        displayed = mech.current
-        r = strategy.choose_resource(i, inst.action_sets[i], displayed, inst.curves)
-        if r not in inst.action_sets[i]:
-            raise ValidationError(f"strategy chose resource {r} outside A_{i}")
-        realized = inst.curves[r].value_at(true[r])
-        perceived = inst.curves[r].value_at(displayed[r])
-        records.append(PlayerRecord(i, r, displayed, true.copy(), realized, perceived))
-        action = np.zeros(inst.m)
-        action[r] = 1.0
-        mech.update(action)
-        true[r] += 1.0
-    return PlayTrace(
-        game="resource",
-        records=records,
-        final_usage=true,
-        social_welfare=math.fsum(rec.realized for rec in records),
-        perceived_welfare=math.fsum(rec.perceived for rec in records),
-    )
+class GameRule:
+    """The facts of one game that :func:`play`, the strategies and the harness use.
+
+    The defaults are unit-demand resource sharing: one counter coordinate per
+    resource, unit updates, and player i's utility v_r at the number of
+    earlier choosers of her resource r. Players are ``inst.n`` in arrival order.
+    """
+
+    name = "resource"           # passed to Strategy.start
+    kind = "resource"           # instance shape: file format and named instances
+    sense = "max"               # metric(trace) is a welfare ("max") or a cost ("min")
+    utility_is_cost = False     # players minimize utility() instead of maximizing it
+
+    def dim(self, inst) -> int:
+        return inst.m
+
+    def bound(self, inst) -> float:
+        """l1 bound of one player's update."""
+        return 1.0
+
+    def actions(self, inst, player) -> list:
+        """The player's actions in tie-break order."""
+        return sorted(inst.action_sets[player])
+
+    def view(self, counts, player):
+        """The player's slice of a counter vector."""
+        return counts
+
+    def add_update(self, update, inst, player, action, weight) -> None:
+        """Add ``weight`` times the counter update of ``action`` to ``update``."""
+        update[action] += weight
+
+    def utility(self, inst, player, action, counts) -> float:
+        """Utility of ``action`` when ``counts`` is the player's view before her move."""
+        return inst.curves[action].value_at(counts[action])
+
+    def settle(self, inst, actions, final):
+        """Realized utilities from the final true counts, or None when the
+        utility at the true counts of each player's move stands."""
+        return None
+
+    def outcome(self, inst, actions, final):
+        """(final usage, metrics) of a finished play."""
+        return final, {}
+
+    def metric(self, trace) -> float:
+        """The objective compared against the exact optimum."""
+        return trace.social_welfare
+
+    def verify(self, trace, inst) -> None:
+        """Raise ValidationError unless the trace's bookkeeping identities hold."""
+        if "splits" in trace.metrics:
+            if int(round(float(trace.final_usage.sum()))) != len(trace.records):
+                raise ValidationError("fractional allocations do not sum to the player count")
+            return
+        vals = [inst.curves[r].value_at(j)
+                for r in range(inst.m) for j in range(int(trace.final_usage[r]))]
+        if math.fsum(vals) != trace.social_welfare:
+            raise ValidationError("resource-sharing welfare does not match final usages")
 
 
-def play_resource_sharing_fractional(inst: ResourceSharingInstance,
-                                     mech: CounterMechanism, strategy,
-                                     splits: int) -> PlayTrace:
-    """Discretized continuous investments.
+class FutureDependentRule(GameRule):
+    """Every player on a resource with final usage w gets the value of its
+    w-th chooser."""
 
-    Each player splits her unit budget into ``splits`` increments of
-    1/splits; every increment is placed by the strategy at the player's
-    displayed counts plus her own running allocation, and utilities are
-    Riemann sums of curve values over the invested range. ``splits=1``
-    reduces to unit-demand play. The counter sees one combined fractional
-    update per player (still inside the simplex).
+    name = "future"
+
+    def settle(self, inst, actions, final):
+        return [inst.curves[r].value_at(final[r] - 1.0) for r in actions]
+
+    def verify(self, trace, inst) -> None:
+        vals = [inst.curves[r].value_at(trace.final_usage[r] - 1.0)
+                for r in range(inst.m) for _ in range(int(trace.final_usage[r]))]
+        if math.fsum(vals) != trace.social_welfare:
+            raise ValidationError("future-dependent welfare does not match final usages")
+
+
+class CutRule(GameRule):
+    """Max-cut coloring, red = 0 and blue = 1; utility is the number of
+    oppositely colored neighbors at game end, so the welfare is twice the cut.
+
+    The counter carries two coordinates per node (red and blue counts of that
+    node's neighborhood); a player's color feeds that coordinate of every
+    incident node, so updates have l1 norm up to the maximum degree.
+    """
+
+    name = "cut"
+    kind = "cut"
+
+    def dim(self, inst) -> int:
+        return 2 * inst.n
+
+    def bound(self, inst) -> float:
+        return float(max(inst.max_degree, 1))
+
+    def actions(self, inst, player) -> list:
+        return [0, 1]
+
+    def view(self, counts, player):
+        return counts[2 * player: 2 * player + 2]
+
+    def add_update(self, update, inst, player, action, weight) -> None:
+        for j in inst.neighbors(player):
+            update[2 * j + action] += weight
+
+    def utility(self, inst, player, action, counts) -> float:
+        return float(counts[1 - action])
+
+    def settle(self, inst, actions, final):
+        return [float(sum(1 for j in inst.neighbors(i) if actions[j] != actions[i]))
+                for i in range(inst.n)]
+
+    def outcome(self, inst, actions, final):
+        usage = np.array([float(actions.count(0)), float(actions.count(1))])
+        cut_edges = sum(1 for u, v in inst.edges if actions[u] != actions[v])
+        return usage, {"cut_edges": cut_edges, "colors": actions}
+
+    def verify(self, trace, inst) -> None:
+        if trace.social_welfare != 2.0 * trace.metrics["cut_edges"]:
+            raise ValidationError("cut welfare != 2 * cut edges")
+
+
+class SchedulingRule(GameRule):
+    """Load balancing on unrelated machines; utility is the negative final
+    load of the chosen machine and the metric is the makespan. Updates carry
+    job sizes, so the counter's update bound must cover the largest size."""
+
+    name = "scheduling"
+    kind = "scheduling"
+    sense = "min"
+
+    def bound(self, inst) -> float:
+        return max(float(inst.costs.max()), 1e-12)
+
+    def actions(self, inst, player) -> list:
+        return list(range(inst.m))
+
+    def add_update(self, update, inst, player, action, weight) -> None:
+        update[action] += weight * inst.costs[player, action]
+
+    def utility(self, inst, player, action, counts) -> float:
+        return -(float(counts[action]) + float(inst.costs[player, action]))
+
+    def settle(self, inst, actions, final):
+        return [-float(final[q]) for q in actions]
+
+    def outcome(self, inst, actions, final):
+        return final, {"makespan": float(final.max())}
+
+    def metric(self, trace) -> float:
+        return trace.metrics["makespan"]
+
+    def verify(self, trace, inst) -> None:
+        if abs(-min(rec.realized for rec in trace.records) - trace.metrics["makespan"]) > 1e-9:
+            raise ValidationError("makespan does not match the worst realized load")
+
+
+class CostSharingRule(GameRule):
+    """Fair cost sharing: a player's cost is her set's cost over the number of
+    its users (herself included); at the move that number is the displayed
+    count plus one, at game end the final true count. The metric sums the
+    distinct chosen sets' costs."""
+
+    name = "costshare"
+    kind = "costshare"
+    sense = "min"
+    utility_is_cost = True
+
+    def actions(self, inst, player) -> list:
+        return sorted(inst.allowed[player])
+
+    def utility(self, inst, player, action, counts) -> float:
+        return float(inst.set_costs[action]) / (max(float(counts[action]), 0.0) + 1.0)
+
+    def settle(self, inst, actions, final):
+        return [float(inst.set_costs[s]) / float(final[s]) for s in actions]
+
+    def outcome(self, inst, actions, final):
+        return final, {"total_cost": math.fsum(inst.set_costs[s] for s in sorted(set(actions)))}
+
+    def metric(self, trace) -> float:
+        return trace.metrics["total_cost"]
+
+    def verify(self, trace, inst) -> None:
+        if abs(trace.social_welfare - trace.metrics["total_cost"]) > 1e-9:
+            raise ValidationError("per-player costs do not sum to the set-cost total")
+
+
+RESOURCE = GameRule()
+FUTURE_DEPENDENT = FutureDependentRule()
+CUT = CutRule()
+SCHEDULING = SchedulingRule()
+COST_SHARING = CostSharingRule()
+
+
+def play(rule: GameRule, inst, mech: CounterMechanism, strategy, splits: int = 1) -> PlayTrace:
+    """Play one game in arrival order against a counter mechanism.
+
+    Each player sees her slice of the current release, the strategy picks an
+    action, and the action's update is fed to the counter. With ``splits`` > 1
+    (discretized continuous investments) a player places ``splits``
+    increments of 1/splits, each at her displayed counts plus her own running
+    allocation; her utilities are the Riemann sums of the increments and the
+    counter sees one combined update. ``splits=1`` is unit-demand play.
     """
     if splits < 1:
         raise ParameterError(f"splits must be >= 1, got {splits}")
-    _check_mechanism(mech, inst.m, inst.n)
-    strategy.start("resource", inst)
+    dim = rule.dim(inst)
+    _check_mechanism(mech, dim, inst.n, rule.bound(inst))
+    strategy.start(rule.name, inst)
     step = 1.0 / splits
-    true = np.zeros(inst.m)
+    true = np.zeros(dim)
     records = []
     for i in range(inst.n):
-        displayed = mech.current
-        alloc = np.zeros(inst.m)
-        realized_parts = []
-        perceived_parts = []
-        for _ in range(splits):
-            r = strategy.choose_resource(i, inst.action_sets[i],
-                                         displayed + alloc, inst.curves)
-            if r not in inst.action_sets[i]:
-                raise ValidationError(f"strategy chose resource {r} outside A_{i}")
-            realized_parts.append(step * inst.curves[r].value_at(true[r] + alloc[r]))
-            perceived_parts.append(step * inst.curves[r].value_at(displayed[r] + alloc[r]))
-            alloc[r] += step
-        realized = math.fsum(realized_parts)
-        perceived = math.fsum(perceived_parts)
-        dominant = int(np.argmax(alloc))
-        rec = PlayerRecord(i, dominant, displayed, true.copy(), realized, perceived)
-        records.append(rec)
-        mech.update(alloc)
-        true += alloc
-    trace = PlayTrace(
-        game="resource-frac",
-        records=records,
-        final_usage=true,
-        social_welfare=math.fsum(rec.realized for rec in records),
-        perceived_welfare=math.fsum(rec.perceived for rec in records),
-        metrics={"splits": splits},
-    )
-    return trace
-
-
-def play_future_dependent(inst: ResourceSharingInstance, mech: CounterMechanism,
-                          strategy) -> PlayTrace:
-    """Future-dependent play: every player on a resource with final usage w
-    gets the value of its w-th chooser; utilities are recomputed at game end."""
-    _check_mechanism(mech, inst.m, inst.n)
-    strategy.start("future", inst)
-    true = np.zeros(inst.m)
-    picks = []
-    records = []
-    for i in range(inst.n):
-        displayed = mech.current
-        r = strategy.choose_future(i, inst.action_sets[i], displayed, inst.curves)
-        if r not in inst.action_sets[i]:
-            raise ValidationError(f"strategy chose resource {r} outside A_{i}")
-        perceived = inst.curves[r].value_at(displayed[r])
-        records.append(PlayerRecord(i, r, displayed, true.copy(), 0.0, perceived))
-        picks.append(r)
-        action = np.zeros(inst.m)
-        action[r] = 1.0
-        mech.update(action)
-        true[r] += 1.0
-    for rec, r in zip(records, picks):
-        rec.realized = inst.curves[r].value_at(true[r] - 1.0)
+        displayed = rule.view(mech.current, i)
+        before = rule.view(true, i).copy()
+        actions = rule.actions(inst, i)
+        update = np.zeros(dim)
+        seen, at_true = displayed, before
+        picks, perceived, realized = [], [], []
+        for part in range(splits):
+            if part:
+                own = rule.view(update, i)
+                seen, at_true = displayed + own, before + own
+            a = strategy.choose_action(rule, inst, i, actions, seen)
+            if a not in actions:
+                raise ValidationError(f"strategy chose action {a} outside player {i}'s "
+                                      f"actions {actions}")
+            picks.append(a)
+            perceived.append(step * rule.utility(inst, i, a, seen))
+            realized.append(step * rule.utility(inst, i, a, at_true))
+            rule.add_update(update, inst, i, a, step)
+        # the action the player invested in most, ties to the lowest index
+        action = max(sorted(set(picks)), key=picks.count)
+        records.append(PlayerRecord(i, action, displayed, before,
+                                    math.fsum(realized), math.fsum(perceived)))
+        mech.update(update)
+        true += update
+    actions = [rec.action for rec in records]
+    settled = rule.settle(inst, actions, true)
+    if settled is not None:
+        for rec, value in zip(records, settled):
+            rec.realized = value
+    usage, metrics = rule.outcome(inst, actions, true)
+    if splits > 1:
+        metrics["splits"] = splits
     return PlayTrace(
-        game="future",
-        records=records,
-        final_usage=true,
-        social_welfare=math.fsum(rec.realized for rec in records),
-        perceived_welfare=math.fsum(rec.perceived for rec in records),
-    )
-
-
-def play_cut(inst: CutInstance, mech: CounterMechanism, strategy) -> PlayTrace:
-    """Sequential max-cut coloring; utility is the number of oppositely colored
-    neighbors at game end, so the social welfare is twice the cut size.
-
-    The counter carries two coordinates per node (red and blue counts of that
-    node's neighborhood); a player's action feeds her color coordinate of every
-    incident node, so updates have l1 norm up to the maximum degree.
-    """
-    n = inst.n
-    _check_mechanism(mech, 2 * n, n, float(max(inst.max_degree, 1)))
-    strategy.start("cut", inst)
-    colors = [-1] * n
-    records = []
-    for i in range(n):
-        displayed = mech.current[2 * i: 2 * i + 2]
-        uncolored = sum(1 for j in inst.neighbors(i) if colors[j] < 0)
-        c = strategy.choose_color(i, displayed, uncolored)
-        if c not in (0, 1):
-            raise ValidationError(f"color must be 0 (red) or 1 (blue), got {c}")
-        true_before = np.array([
-            float(sum(1 for j in inst.neighbors(i) if colors[j] == 0)),
-            float(sum(1 for j in inst.neighbors(i) if colors[j] == 1)),
-        ])
-        perceived = float(displayed[1 - c])
-        colors[i] = c
-        records.append(PlayerRecord(i, c, np.asarray(displayed, dtype=float),
-                                    true_before, 0.0, perceived))
-        action = np.zeros(2 * n)
-        for j in inst.neighbors(i):
-            action[2 * j + c] += 1.0
-        mech.update(action)
-    for i in range(n):
-        records[i].realized = float(sum(1 for j in inst.neighbors(i)
-                                        if colors[j] != colors[i]))
-    cut_edges = sum(1 for u, v in inst.edges if colors[u] != colors[v])
-    usage = np.zeros(2)
-    usage[0] = colors.count(0)
-    usage[1] = colors.count(1)
-    return PlayTrace(
-        game="cut",
+        rule=rule,
         records=records,
         final_usage=usage,
         social_welfare=math.fsum(rec.realized for rec in records),
         perceived_welfare=math.fsum(rec.perceived for rec in records),
-        metrics={"cut_edges": cut_edges, "colors": colors},
+        metrics=metrics,
     )
 
 
-def play_scheduling(inst: SchedulingInstance, mech: CounterMechanism, strategy) -> PlayTrace:
-    """Sequential load balancing; utility is the negative final load of the
-    chosen machine and the reported metric is the makespan. Load updates carry
-    job sizes, so the counter's update bound must cover the largest size."""
-    bound = float(inst.costs.max()) if inst.costs.size else 1.0
-    _check_mechanism(mech, inst.m, inst.n, max(bound, 1e-12))
-    strategy.start("scheduling", inst)
-    loads = np.zeros(inst.m)
-    records = []
-    picks = []
-    for k in range(inst.n):
-        displayed = mech.current
-        q = strategy.choose_machine(k, displayed, inst.costs[k])
-        if not 0 <= q < inst.m:
-            raise ValidationError(f"machine index {q} out of range")
-        perceived = -(float(displayed[q]) + float(inst.costs[k, q]))
-        records.append(PlayerRecord(k, q, displayed, loads.copy(), 0.0, perceived))
-        picks.append(q)
-        action = np.zeros(inst.m)
-        action[q] = inst.costs[k, q]
-        mech.update(action)
-        loads[q] += inst.costs[k, q]
-    for rec, q in zip(records, picks):
-        rec.realized = -float(loads[q])
-    return PlayTrace(
-        game="scheduling",
-        records=records,
-        final_usage=loads,
-        social_welfare=math.fsum(rec.realized for rec in records),
-        perceived_welfare=math.fsum(rec.perceived for rec in records),
-        metrics={"makespan": float(loads.max()) if inst.m else 0.0},
-    )
+def play_resource_sharing(inst: ResourceSharingInstance, mech, strategy) -> PlayTrace:
+    return play(RESOURCE, inst, mech, strategy)
 
 
-def play_cost_sharing(inst: CostSharingInstance, mech: CounterMechanism, strategy) -> PlayTrace:
-    """Sequential fair cost sharing (cost minimization).
+def play_resource_sharing_fractional(inst: ResourceSharingInstance, mech, strategy,
+                                     splits: int) -> PlayTrace:
+    return play(RESOURCE, inst, mech, strategy, splits)
 
-    A greedy player picks the allowed set minimizing cost/(displayed count + 1)
-    (counting herself); each player's realized cost is recomputed at game end
-    as cost/(final true count). The reported total cost sums the distinct
-    chosen sets' costs; lower is better.
-    """
-    _check_mechanism(mech, inst.m, inst.n)
-    strategy.start("costshare", inst)
-    counts = np.zeros(inst.m)
-    records = []
-    picks = []
-    for i in range(inst.n):
-        displayed = mech.current
-        s = strategy.choose_set(i, inst.allowed[i], displayed, inst.set_costs)
-        if s not in inst.allowed[i]:
-            raise ValidationError(f"strategy chose set {s} outside player {i}'s adjacency")
-        perceived = float(inst.set_costs[s]) / (max(float(displayed[s]), 0.0) + 1.0)
-        records.append(PlayerRecord(i, s, displayed, counts.copy(), 0.0, perceived))
-        picks.append(s)
-        action = np.zeros(inst.m)
-        action[s] = 1.0
-        mech.update(action)
-        counts[s] += 1.0
-    for rec, s in zip(records, picks):
-        rec.realized = float(inst.set_costs[s]) / float(counts[s])
-    total_cost = math.fsum(inst.set_costs[s] for s in sorted(set(picks)))
-    return PlayTrace(
-        game="costshare",
-        records=records,
-        final_usage=counts,
-        social_welfare=math.fsum(rec.realized for rec in records),
-        perceived_welfare=math.fsum(rec.perceived for rec in records),
-        metrics={"total_cost": total_cost},
-    )
+
+def play_future_dependent(inst: ResourceSharingInstance, mech, strategy) -> PlayTrace:
+    return play(FUTURE_DEPENDENT, inst, mech, strategy)
+
+
+def play_cut(inst: CutInstance, mech, strategy) -> PlayTrace:
+    return play(CUT, inst, mech, strategy)
+
+
+def play_scheduling(inst: SchedulingInstance, mech, strategy) -> PlayTrace:
+    return play(SCHEDULING, inst, mech, strategy)
+
+
+def play_cost_sharing(inst: CostSharingInstance, mech, strategy) -> PlayTrace:
+    return play(COST_SHARING, inst, mech, strategy)
 
 
 def verify_trace(trace: PlayTrace, inst) -> None:
@@ -464,28 +526,7 @@ def verify_trace(trace: PlayTrace, inst) -> None:
     fsum); cut welfare must equal twice the cut size; cost-sharing per-player
     costs must sum to the distinct-set total within float tolerance.
     """
-    if trace.game == "resource":
-        vals = [inst.curves[r].value_at(j)
-                for r in range(inst.m) for j in range(int(trace.final_usage[r]))]
-        if math.fsum(vals) != trace.social_welfare:
-            raise ValidationError("resource-sharing welfare does not match final usages")
-    elif trace.game == "future":
-        vals = [inst.curves[r].value_at(trace.final_usage[r] - 1.0)
-                for r in range(inst.m) for _ in range(int(trace.final_usage[r]))]
-        if math.fsum(vals) != trace.social_welfare:
-            raise ValidationError("future-dependent welfare does not match final usages")
-    elif trace.game == "resource-frac":
-        if int(round(float(trace.final_usage.sum()))) != len(trace.records):
-            raise ValidationError("fractional allocations do not sum to the player count")
-    elif trace.game == "cut":
-        if trace.social_welfare != 2.0 * trace.metrics["cut_edges"]:
-            raise ValidationError("cut welfare != 2 * cut edges")
-    elif trace.game == "scheduling":
-        if abs(-min(rec.realized for rec in trace.records) - trace.metrics["makespan"]) > 1e-9:
-            raise ValidationError("makespan does not match the worst realized load")
-    elif trace.game == "costshare":
-        if abs(trace.social_welfare - trace.metrics["total_cost"]) > 1e-9:
-            raise ValidationError("per-player costs do not sum to the set-cost total")
+    trace.rule.verify(trace, inst)
 
 
 def shallow_check(curve: ValueCurve, w: float, l: int) -> bool:
@@ -533,6 +574,13 @@ __all__ = [
     "CostSharingInstance",
     "PlayerRecord",
     "PlayTrace",
+    "GameRule",
+    "RESOURCE",
+    "FUTURE_DEPENDENT",
+    "CUT",
+    "SCHEDULING",
+    "COST_SHARING",
+    "play",
     "play_resource_sharing",
     "play_resource_sharing_fractional",
     "play_future_dependent",

@@ -25,15 +25,20 @@ from .counters import (
     CounterMechanism,
     EmptyCounter,
     FTSum,
+    MonotoneWrapper,
     PerfectCounter,
     TreeSum,
+    UnderestimatorWrapper,
+    ZeroFailureWrapper,
     envelope_check,
-    wrap_monotone,
-    wrap_underestimator,
-    wrap_zero_failure,
 )
 from .errors import ParameterError, UnknownScenarioError
 from .games import (
+    COST_SHARING,
+    CUT,
+    FUTURE_DEPENDENT,
+    RESOURCE,
+    SCHEDULING,
     play_cost_sharing,
     play_cut,
     play_future_dependent,
@@ -82,23 +87,28 @@ class MechanismSpec:
                 if self.clamp_alpha is not None or self.clamp_beta is not None:
                     target = AccuracyEnvelope(self.clamp_alpha or 1.0,
                                               self.clamp_beta or 0.0, 0.0)
-                mech = wrap_zero_failure(mech, target)
+                mech = ZeroFailureWrapper(mech, target)
             elif wrap == "under":
-                mech = wrap_underestimator(mech)
+                mech = UnderestimatorWrapper(mech)
             elif wrap == "mono":
-                mech = wrap_monotone(mech)
+                mech = MonotoneWrapper(mech)
             else:
                 raise ParameterError(f"unknown wrapper '{wrap}'")
         return mech
 
+    def build_for(self, rule, instance, rng: RandomSource) -> CounterMechanism:
+        """A counter shaped for one play of ``rule`` on ``instance``."""
+        return self.build(instance.n, rule.dim(instance), rng, rule.bound(instance))
 
+
+# game name -> (play function, exact solver, rule): the one per-game table
 _ENGINES = {
-    "resource": (play_resource_sharing, optimal.opt_resource_sharing, "max"),
-    "future": (play_future_dependent, optimal.opt_future_dependent, "max"),
-    "market": (play_future_dependent, optimal.opt_future_dependent, "max"),
-    "cut": (play_cut, optimal.opt_cut, "max"),
-    "scheduling": (play_scheduling, optimal.opt_scheduling, "min"),
-    "costshare": (play_cost_sharing, optimal.opt_cost_sharing, "min"),
+    "resource": (play_resource_sharing, optimal.opt_resource_sharing, RESOURCE),
+    "future": (play_future_dependent, optimal.opt_future_dependent, FUTURE_DEPENDENT),
+    "market": (play_future_dependent, optimal.opt_future_dependent, FUTURE_DEPENDENT),
+    "cut": (play_cut, optimal.opt_cut, CUT),
+    "scheduling": (play_scheduling, optimal.opt_scheduling, SCHEDULING),
+    "costshare": (play_cost_sharing, optimal.opt_cost_sharing, COST_SHARING),
 }
 
 
@@ -140,23 +150,6 @@ class TrialResult:
     final_counts: np.ndarray
 
 
-def _game_dims(game: str, instance):
-    if game == "cut":
-        return instance.n, 2 * instance.n, float(max(instance.max_degree, 1))
-    if game == "scheduling":
-        bound = float(instance.costs.max()) if instance.costs.size else 1.0
-        return instance.n, instance.m, max(bound, 1e-12)
-    return instance.n, instance.m, 1.0
-
-
-def _alg_metric(game: str, trace) -> float:
-    if game == "scheduling":
-        return trace.metrics["makespan"]
-    if game == "costshare":
-        return trace.metrics["total_cost"]
-    return trace.social_welfare
-
-
 def _ratio(sense: str, alg: float, opt: float) -> float:
     if sense == "max":
         better, worse = opt, alg
@@ -168,26 +161,25 @@ def _ratio(sense: str, alg: float, opt: float) -> float:
 
 
 def run_trial(config: ExperimentConfig, trial: int, cached_opt: float | None = None):
-    engine, opt_solver, sense = _ENGINES[config.game]
+    play_game, opt_solver, rule = _ENGINES[config.game]
     rng = RandomSource(config.seed, 0).substream(trial)
-    instance = inst_lib.resolve_instance(config.game, config.instance,
+    instance = inst_lib.resolve_instance(rule.kind, config.instance,
                                          rng.substream(0), **config.instance_params)
-    n, dim, bound = _game_dims(config.game, instance)
-    mech = config.mechanism.build(n, dim, rng.substream(1), bound)
+    mech = config.mechanism.build_for(rule, instance, rng.substream(1))
     envelope = mech.envelope
     strategy = make_strategy(config.strategy)
     if config.splits > 1:
         trace = play_resource_sharing_fractional(instance, mech, strategy, config.splits)
     else:
-        trace = engine(instance, mech, strategy)
+        trace = play_game(instance, mech, strategy)
     verify_trace(trace, instance)
     if config.compute_opt:
         opt_value = cached_opt if cached_opt is not None else opt_solver(instance).value
     else:
         opt_value = math.nan
-    alg = _alg_metric(config.game, trace)
-    ratio = _ratio(sense, alg, opt_value) if config.compute_opt else math.nan
-    if (config.compute_opt and sense == "max" and config.splits == 1
+    alg = rule.metric(trace)
+    ratio = _ratio(rule.sense, alg, opt_value) if config.compute_opt else math.nan
+    if (config.compute_opt and rule.sense == "max" and config.splits == 1
             and trace.social_welfare > opt_value + 1e-9):
         raise AssertionError("simulated welfare exceeded the exact optimum")
     ok, _ = envelope_check(trace.true_matrix(), trace.displayed_matrix(), envelope)
@@ -475,14 +467,9 @@ def _perceived(seed: int = 0, trials: int = 500):
                               compute_opt=False,
                               instance_params={"n_max": 40, "m_max": 8})
     alpha, beta = 1.5 ** 2, 2.0 * 3.0 / 1.5
-    violations = 0
-    worst = 0.0
-    for trial in range(trials):
-        result, _, _, _ = run_trial(config, trial)
-        if result.psw > 2.0 * alpha * beta * result.sw + 1e-9:
-            violations += 1
-        if result.sw > 0:
-            worst = max(worst, result.psw / result.sw)
+    results, _ = run_experiment(config)
+    violations = sum(1 for r in results if r.psw > 2.0 * alpha * beta * r.sw + 1e-9)
+    worst = max([0.0] + [r.psw / r.sw for r in results if r.sw > 0])
     passed = violations == 0
     return _report("lemma:perceived", passed,
                    {"violations": violations, "max_psw_over_sw": worst,
@@ -522,7 +509,7 @@ def _polylog(seed: int = 0, trials: int = 50):
     for trial in range(trials):
         rng = RandomSource(seed, 0).substream(trial)
         instance = inst_lib.random_resource_sharing(rng.substream(0), n_max=40, m_max=6)
-        mech = spec.build(instance.n, instance.m, rng.substream(1))
+        mech = spec.build_for(RESOURCE, instance, rng.substream(1))
         # final envelope after clamp -> under -> mono on the declared FTSum one
         bound = 8.0 * mech.envelope.alpha * (mech.envelope.beta + 1e-12)
         trace = play_resource_sharing(instance, mech, Greedy())
@@ -578,8 +565,7 @@ def _cut_private(seed: int = 0, trials: int = 100, alpha: float = 2.0, beta: flo
     for trial in range(trials):
         rng = RandomSource(seed, 0).substream(trial)
         instance = inst_lib.random_cut(rng.substream(0), n_max=30, p=0.3)
-        mech = spec.build(instance.n, 2 * instance.n, rng.substream(1),
-                          float(max(instance.max_degree, 1)))
+        mech = spec.build_for(CUT, instance, rng.substream(1))
         trace = play_cut(instance, mech, Greedy())
         bound = (2.0 * len(instance.edges)) / (2.0 * alpha ** 2) \
             - 2.0 * beta * instance.n / alpha
@@ -605,15 +591,14 @@ def _scheduling(seed: int = 0, trials: int = 100, alpha: float = 1.5, beta: floa
     for trial in range(trials):
         rng = RandomSource(seed, 0).substream(trial)
         instance = inst_lib.random_scheduling(rng.substream(0), n_max=8, m_max=4)
-        bound_l1 = float(instance.costs.max())
-        mech = spec.build(instance.n, instance.m, rng.substream(1), bound_l1)
+        mech = spec.build_for(SCHEDULING, instance, rng.substream(1))
         trace = play_scheduling(instance, mech, Greedy())
         t_star_sum = float(instance.t_star.sum())
         n = instance.n
         bound = alpha ** (2 * n + 1) * (beta + 2 * n * beta + t_star_sum) + beta
         if trace.metrics["makespan"] > bound + 1e-9:
             violations += 1
-        perfect = PerfectCounter(instance.n, instance.m, bound_l1)
+        perfect = MechanismSpec(mech="perfect").build_for(SCHEDULING, instance, rng.substream(1))
         trace_p = play_scheduling(instance, perfect, Greedy())
         if trace_p.metrics["makespan"] > t_star_sum + 1e-9:
             perfect_violations += 1
@@ -739,7 +724,7 @@ def _marketlog(seed: int = 0, trials: int = 50, alpha: float = 1.5, beta: float 
         instance = inst_lib.ResourceSharingInstance(
             curves, [list(range(m)) for _ in range(n)])
         opt = math.fsum(values)
-        mech = spec.build(instance.n, instance.m, rng.substream(1))
+        mech = spec.build_for(FUTURE_DEPENDENT, instance, rng.substream(1))
         trace = play_future_dependent(instance, mech, Greedy())
         bound = (opt - 2.0 * beta * alpha * instance.n) \
             / (4.0 * (1.0 + alpha ** 2) * math.log2(max(instance.n, 2)))

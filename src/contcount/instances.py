@@ -129,6 +129,7 @@ def market_undom_exact_opt(n: int, eps: float) -> float:
     return math.fsum(values)
 
 
+# name -> (instance kind, builder); kinds are the game rules' ``kind``
 PAPER_INSTANCES = {
     "sec1.1": ("resource", illustrative_shared_vs_private),
     "noinfo": ("resource", twin_temptation),
@@ -137,8 +138,8 @@ PAPER_INSTANCES = {
     "cut-cycle": ("cut", cut_cycle),
     "sched2x2": ("scheduling", scheduling_2x2),
     "costshare-public-private": ("costshare", costshare_public_private),
-    "future-lb": ("future", future_step),
-    "marketundom": ("future", market_log_loss),
+    "future-lb": ("resource", future_step),
+    "marketundom": ("resource", market_log_loss),
 }
 
 
@@ -265,6 +266,8 @@ def parse_cut(text: str) -> CutInstance:
     try:
         n = int(lines[0])
         edges = [tuple(int(v) for v in line.split()) for line in lines[1:]]
+        if any(len(edge) != 2 for edge in edges):
+            raise ValueError("every edge line needs exactly two node indices")
     except (IndexError, ValueError) as exc:
         raise ValidationError(f"malformed cut instance: {exc}") from exc
     return CutInstance(n, edges)
@@ -299,24 +302,23 @@ def parse_cost_sharing(text: str) -> CostSharingInstance:
 
 _PARSERS = {
     "resource": parse_resource_sharing,
-    "future": parse_resource_sharing,
-    "market": parse_resource_sharing,
     "cut": parse_cut,
     "scheduling": parse_scheduling,
     "costshare": parse_cost_sharing,
 }
 
 
-def load_instance(game: str, path: str):
-    if game not in _PARSERS:
-        raise ParameterError(f"unknown game '{game}'")
+def load_instance(kind: str, path: str):
+    if kind not in _PARSERS:
+        raise ParameterError(f"unknown instance kind '{kind}'")
     with open(path, "r", encoding="utf-8") as fh:
-        return _PARSERS[game](fh.read())
+        return _PARSERS[kind](fh.read())
 
 
-def resolve_instance(game: str, spec, rng: RandomSource | None = None, **params):
-    """Resolve an instance reference: an instance object, 'paper:<name>',
-    'random:<game>' (needs rng), or a file path."""
+def resolve_instance(kind: str, spec, rng: RandomSource | None = None, **params):
+    """Resolve an instance reference of the given kind (a game rule's
+    ``kind``): an instance object, 'paper:<name>', 'random:<generator>'
+    (needs rng), or a file path."""
     if not isinstance(spec, str):
         return spec
     if spec.startswith("paper:"):
@@ -324,21 +326,18 @@ def resolve_instance(game: str, spec, rng: RandomSource | None = None, **params)
         if name not in PAPER_INSTANCES:
             raise ParameterError(f"unknown named instance '{name}' "
                                  f"(have: {', '.join(sorted(PAPER_INSTANCES))})")
-        expected_game, builder = PAPER_INSTANCES[name]
-        # resource-sharing-shaped instances drive any of the three engines
-        shared_shape = {"resource", "future", "market"}
-        allowed = shared_shape if expected_game in shared_shape else {expected_game}
-        if game not in allowed:
-            raise ParameterError(f"instance '{name}' belongs to game '{expected_game}', not '{game}'")
+        expected, builder = PAPER_INSTANCES[name]
+        if kind != expected:
+            raise ParameterError(f"instance '{name}' is a {expected} instance, not {kind}")
         return builder(**params)
     if spec.startswith("random:"):
-        kind = spec.split(":", 1)[1]
+        generator = spec.split(":", 1)[1]
         if rng is None:
             raise ParameterError("random instances need a RandomSource")
-        if kind not in RANDOM_GENERATORS:
-            raise ParameterError(f"unknown random generator '{kind}'")
-        return RANDOM_GENERATORS[kind](rng, **params)
-    return load_instance(game, spec)
+        if generator not in RANDOM_GENERATORS:
+            raise ParameterError(f"unknown random generator '{generator}'")
+        return RANDOM_GENERATORS[generator](rng, **params)
+    return load_instance(kind, spec)
 
 
 def parse_stream(text: str, m: int) -> np.ndarray:
@@ -346,7 +345,10 @@ def parse_stream(text: str, m: int) -> np.ndarray:
     '#' comments."""
     rows = []
     for line in _data_lines(text):
-        vals = [float(v) for v in line.split()]
+        try:
+            vals = [float(v) for v in line.split()]
+        except ValueError as exc:
+            raise ValidationError(f"malformed stream line {line!r}: {exc}") from exc
         if len(vals) != m:
             raise ValidationError(f"stream line has {len(vals)} values, expected {m}")
         rows.append(vals)

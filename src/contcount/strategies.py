@@ -8,8 +8,8 @@ consistent state. Scripted strategies realize the registered adversarial
 constructions behind the lower-bound scenarios; each asserts its own
 undominatedness where the construction claims it.
 
-Strategies are stateless decision functions (scripted ones bind an instance at
-game start for validation only) and can be shared freely across trials.
+Strategies are stateless decision functions (scripted ones validate the
+instance at game start) and can be shared freely across trials.
 """
 
 from __future__ import annotations
@@ -18,21 +18,16 @@ import math
 
 from .counters import AccuracyEnvelope
 from .errors import ParameterError, UnknownScenarioError, ValidationError
-from .games import CutInstance, ResourceSharingInstance, SchedulingInstance
+from .games import RESOURCE, CutInstance, ResourceSharingInstance, SchedulingInstance
 
 
 def greedy_choose(action_set, displayed, curves) -> int:
-    """Utility-maximizing resource under displayed counts; ties break to the
-    lowest index."""
+    """Greedy's resource-sharing pick: the best value under displayed counts,
+    ties to the lowest index."""
     if not action_set:
         raise ValidationError("empty action set")
-    best_r = None
-    best_v = -math.inf
-    for r in sorted(action_set):
-        v = curves[r].value_at(displayed[r])
-        if v > best_v:
-            best_r, best_v = r, v
-    return best_r
+    inst = ResourceSharingInstance(curves, [list(action_set)])
+    return Greedy().choose_action(RESOURCE, inst, 0, sorted(action_set), displayed)
 
 
 def belief_range(displayed: float, envelope: AccuracyEnvelope):
@@ -65,60 +60,34 @@ def is_undominated(action: int, action_set, displayed, envelope: AccuracyEnvelop
 
 
 class Strategy:
-    """Decision-rule interface; engines call the method matching their game."""
+    """Decision-rule interface; :func:`games.play` calls ``choose_action``
+    with the game's rule, the instance, the player, her actions in tie-break
+    order, and her displayed counts."""
 
     kind = "base"
 
     def start(self, game: str, instance) -> None:
         """Called once before play; scripted strategies validate the instance here."""
 
-    def choose_resource(self, player, action_set, displayed, curves) -> int:
-        raise NotImplementedError
-
-    def choose_future(self, player, action_set, displayed, curves) -> int:
-        raise NotImplementedError
-
-    def choose_color(self, player, displayed, uncolored_neighbors) -> int:
-        raise NotImplementedError
-
-    def choose_machine(self, player, displayed_loads, costs_row) -> int:
-        raise NotImplementedError
-
-    def choose_set(self, player, allowed, displayed_counts, set_costs) -> int:
+    def choose_action(self, rule, inst, player, actions, displayed):
         raise NotImplementedError
 
 
 class Greedy(Strategy):
-    """Greedy against displayed counts in every game; ties to the lowest index."""
+    """Best perceived utility against the displayed counts in every game
+    (least cost where the rule's utility is a cost); ties to the first
+    action in order."""
 
     kind = "greedy"
 
-    def choose_resource(self, player, action_set, displayed, curves) -> int:
-        return greedy_choose(action_set, displayed, curves)
-
-    def choose_future(self, player, action_set, displayed, curves) -> int:
-        # the displayed count plus the player herself is the usage she expects
-        # to share, which is exactly the floored-display curve lookup
-        return greedy_choose(action_set, displayed, curves)
-
-    def choose_color(self, player, displayed, uncolored_neighbors) -> int:
-        return 0 if displayed[0] <= displayed[1] else 1
-
-    def choose_machine(self, player, displayed_loads, costs_row) -> int:
-        best_q, best_c = 0, math.inf
-        for q in range(len(costs_row)):
-            c = float(displayed_loads[q]) + float(costs_row[q])
-            if c < best_c:
-                best_q, best_c = q, c
-        return best_q
-
-    def choose_set(self, player, allowed, displayed_counts, set_costs) -> int:
-        best_s, best_c = None, math.inf
-        for s in sorted(allowed):
-            c = float(set_costs[s]) / (max(float(displayed_counts[s]), 0.0) + 1.0)
-            if c < best_c:
-                best_s, best_c = s, c
-        return best_s
+    def choose_action(self, rule, inst, player, actions, displayed):
+        sign = -1.0 if rule.utility_is_cost else 1.0
+        best, best_u = None, -math.inf
+        for a in actions:
+            u = sign * rule.utility(inst, player, a, displayed)
+            if u > best_u:
+                best, best_u = a, u
+        return best
 
 
 class BeliefGreedy(Greedy):
@@ -130,20 +99,9 @@ class BeliefGreedy(Greedy):
     def __init__(self, offset: float):
         self.offset = float(offset)
 
-    def _adjust(self, displayed):
-        return [float(y) + self.offset for y in displayed]
-
-    def choose_resource(self, player, action_set, displayed, curves) -> int:
-        return super().choose_resource(player, action_set, self._adjust(displayed), curves)
-
-    def choose_future(self, player, action_set, displayed, curves) -> int:
-        return super().choose_future(player, action_set, self._adjust(displayed), curves)
-
-    def choose_machine(self, player, displayed_loads, costs_row) -> int:
-        return super().choose_machine(player, self._adjust(displayed_loads), costs_row)
-
-    def choose_set(self, player, allowed, displayed_counts, set_costs) -> int:
-        return super().choose_set(player, allowed, self._adjust(displayed_counts), set_costs)
+    def choose_action(self, rule, inst, player, actions, displayed):
+        shifted = [float(y) + self.offset for y in displayed]
+        return super().choose_action(rule, inst, player, actions, shifted)
 
 
 class _Script(Strategy):
@@ -155,7 +113,6 @@ class _Script(Strategy):
         if game != self.game:
             raise ParameterError(f"script '{self.name}' plays the {self.game} game, not {game}")
         self.check(instance)
-        self.instance = instance
 
     def check(self, instance) -> None:
         raise NotImplementedError
@@ -177,34 +134,26 @@ class FearATwin(_Script):
             raise ParameterError(
                 "fear-a-twin expects one private resource per player plus a shared last resource")
 
-    def choose_resource(self, player, action_set, displayed, curves) -> int:
-        shared = self.instance.m - 1
-        vacuous = AccuracyEnvelope(1.0, float(self.instance.n), 0.0)
-        assert is_undominated(shared, action_set, displayed, vacuous, curves), \
+    def choose_action(self, rule, inst, player, actions, displayed):
+        shared = inst.m - 1
+        vacuous = AccuracyEnvelope(1.0, float(inst.n), 0.0)
+        assert is_undominated(shared, actions, displayed, vacuous, inst.curves), \
             "shared pick unexpectedly dominated"
         return shared
 
 
-class FlatResourceTemptation(_Script):
+class FlatResourceTemptation(FearATwin):
     """All players pick the shared slowly decaying resource; since every
     private value can have fallen to the shared level, the pick is undominated
     under empty counters."""
 
     name = "flat-resource-temptation"
-    game = "resource"
 
     def check(self, instance) -> None:
         if not isinstance(instance, ResourceSharingInstance):
             raise ParameterError("flat-resource-temptation needs a resource-sharing instance")
         if instance.m != instance.n + 1:
             raise ParameterError("expected one resource per player plus a shared last resource")
-
-    def choose_resource(self, player, action_set, displayed, curves) -> int:
-        shared = self.instance.m - 1
-        vacuous = AccuracyEnvelope(1.0, float(self.instance.n), 0.0)
-        assert is_undominated(shared, action_set, displayed, vacuous, curves), \
-            "shared pick unexpectedly dominated"
-        return shared
 
 
 class AllBlueCycle(_Script):
@@ -226,11 +175,13 @@ class AllBlueCycle(_Script):
         if instance.edges != expected:
             raise ParameterError("all-blue-cycle expects exactly the cycle's edges")
 
-    def choose_color(self, player, displayed, uncolored_neighbors) -> int:
+    def choose_action(self, rule, inst, player, actions, displayed):
         # blue is dominated only when red beats it in every completion:
-        # blue's ceiling (red neighbors + uncolored) below red's floor
+        # blue's ceiling (red neighbors + uncolored) below red's floor;
+        # players arrive in index order, so the uncolored neighbors are j > i
+        uncolored = sum(1 for j in inst.neighbors(player) if j > player)
         red_count, blue_count = float(displayed[0]), float(displayed[1])
-        blue_dominated = blue_count > red_count + uncolored_neighbors
+        blue_dominated = blue_count > red_count + uncolored
         return 0 if blue_dominated else 1
 
 
@@ -241,9 +192,6 @@ class PessimisticScheduler(_Script):
     name = "pessimistic-scheduler"
     game = "scheduling"
 
-    def __init__(self):
-        self._greedy = Greedy()
-
     def check(self, instance) -> None:
         if not isinstance(instance, SchedulingInstance):
             raise ParameterError("pessimistic-scheduler needs a scheduling instance")
@@ -251,10 +199,10 @@ class PessimisticScheduler(_Script):
             raise ParameterError(
                 "pessimistic-scheduler expects player 0 to have a free first machine")
 
-    def choose_machine(self, player, displayed_loads, costs_row) -> int:
+    def choose_action(self, rule, inst, player, actions, displayed):
         if player == 0:
             return 1
-        return self._greedy.choose_machine(player, displayed_loads, costs_row)
+        return Greedy().choose_action(rule, inst, player, actions, displayed)
 
 
 class PrivateSetBeliefs(_Script):
@@ -272,11 +220,11 @@ class PrivateSetBeliefs(_Script):
             raise ParameterError(
                 "private-set-beliefs expects shared market 0 plus one private market per player")
 
-    def choose_future(self, player, action_set, displayed, curves) -> int:
-        n = self.instance.n
+    def choose_action(self, rule, inst, player, actions, displayed):
+        n = inst.n
         own = player + 1
-        c_shared = curves[0].values[0]
-        c_own = curves[own].values[0]
+        c_shared = inst.curves[0].values[0]
+        c_own = inst.curves[own].values[0]
         u_shared = c_shared / (player + 1)          # earlier players all shared market 0
         u_own = c_own / (n - player)                # believed late rush onto her market
         assert u_shared > u_own, "shared market not strictly better under the scripted belief"

@@ -16,10 +16,10 @@ from contcount.counters import (
     AccuracyEnvelope,
     EmptyCounter,
     FTSum,
+    MonotoneWrapper,
     TreeSum,
+    ZeroFailureWrapper,
     envelope_check,
-    wrap_monotone,
-    wrap_zero_failure,
 )
 from contcount.games import play_resource_sharing
 from contcount.harness import reproduce
@@ -161,7 +161,7 @@ def test_05_wrapper_contracts():
     gen = np.random.default_rng(5)
     for trial in range(50):
         inner = TreeSum(32, 2, 0.5, RandomSource(trial, 500))
-        mono = wrap_monotone(inner)
+        mono = MonotoneWrapper(inner)
         prev = np.zeros(2)
         for a in random_simplex_stream(gen, 32, 2):
             y = mono.update(a)
@@ -174,7 +174,7 @@ def test_05_wrapper_contracts():
     for trial in range(10 ** 4):
         n = 4
         env = AccuracyEnvelope(1.5, 1.0, 0.0)
-        mech = wrap_zero_failure(TreeSum(n, 1, 0.2, RandomSource(trial, 501)), env)
+        mech = ZeroFailureWrapper(TreeSum(n, 1, 0.2, RandomSource(trial, 501)), env)
         true = np.zeros(1)
         for a in random_simplex_stream(gen, n, 1):
             y = mech.update(a)

@@ -77,6 +77,23 @@ def test_opt_command(tmp_path, capsys):
     assert "method = matching" in out
 
 
+def test_opt_malformed_cut_file(tmp_path, capsys):
+    inst = tmp_path / "graph.txt"
+    inst.write_text("3\n0 1 2\n")
+    code, _, err = run_cli(capsys, "opt", "--game", "cut", "--instance", str(inst))
+    assert code == 1
+    assert err.startswith("error:")
+
+
+def test_counter_run_malformed_stream(tmp_path, capsys):
+    stream = tmp_path / "stream.txt"
+    stream.write_text("x\n")
+    code, _, err = run_cli(capsys, "counter", "run", "--n", "4", "--m", "1",
+                           "--stream", str(stream))
+    assert code == 1
+    assert err.startswith("error:")
+
+
 def test_reproduce_pass_and_fail(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "reproduce", "lemma:cut-cycle")
     assert code == 0

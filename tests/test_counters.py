@@ -294,29 +294,29 @@ def test_degenerate_single_step_horizon():
 
 
 def test_underestimator_shift_examples():
-    from contcount.counters import wrap_underestimator, wrap_zero_failure
+    from contcount.counters import UnderestimatorWrapper, ZeroFailureWrapper
 
     inner = TreeSum(8, 1, 1.0, RandomSource(0))
-    clamped = wrap_zero_failure(inner, AccuracyEnvelope(2.0, 3.0, 0.0))
-    under = wrap_underestimator(clamped)
+    clamped = ZeroFailureWrapper(inner, AccuracyEnvelope(2.0, 3.0, 0.0))
+    under = UnderestimatorWrapper(clamped)
     assert under.shift(7.0) == 2.0
     assert under.envelope.alpha == 4.0
     assert under.envelope.beta == 3.0
     assert under.is_underestimator
 
     perfect = PerfectCounter(8, 1)
-    identity = wrap_underestimator(perfect)
+    identity = UnderestimatorWrapper(perfect)
     assert identity.shift(5.0) == 5.0
     for x in (1.0, 1.0, 1.0):
         assert float(identity.update([x])[0]) == float(identity.inner.true_sums[0])
 
 
 def test_underestimator_requires_zero_failure():
-    from contcount.counters import wrap_underestimator
+    from contcount.counters import UnderestimatorWrapper
 
     noisy = TreeSum(8, 1, 1.0, RandomSource(0), gamma=0.2)
     with pytest.raises(ParameterError):
-        wrap_underestimator(noisy)
+        UnderestimatorWrapper(noisy)
 
 
 def test_underestimator_grid():
@@ -341,17 +341,17 @@ def test_monotone_wrapper_hand_example():
         def _step(self, a):
             return np.array([next(self.outputs)])
 
-    from contcount.counters import wrap_monotone
+    from contcount.counters import MonotoneWrapper
 
-    mech = wrap_monotone(Fixed(4, 1))
+    mech = MonotoneWrapper(Fixed(4, 1))
     got = [float(mech.update([1.0])[0]) for _ in range(4)]
     assert got == [0.0, 1.0, 2.0, 3.0]
 
 
 def test_monotone_wrapper_zeros_and_fuzz():
-    from contcount.counters import wrap_monotone
+    from contcount.counters import MonotoneWrapper
 
-    mech = wrap_monotone(EmptyCounter(8, 2))
+    mech = MonotoneWrapper(EmptyCounter(8, 2))
     for _ in range(8):
         assert np.all(mech.update([0.3, 0.3]) == 0.0)
 
@@ -359,7 +359,7 @@ def test_monotone_wrapper_zeros_and_fuzz():
     for trial in range(20):
         n, m = 40, 3
         inner = TreeSum(n, m, 0.8, RandomSource(trial, 2))
-        mono = wrap_monotone(inner)
+        mono = MonotoneWrapper(inner)
         prev = np.zeros(m)
         for a in random_simplex_stream(gen, n, m):
             y = mono.update(a)
@@ -371,7 +371,7 @@ def test_monotone_wrapper_zeros_and_fuzz():
 
 
 def test_zero_failure_clamp_examples():
-    from contcount.counters import wrap_zero_failure
+    from contcount.counters import ZeroFailureWrapper
 
     class Fixed(PerfectCounter):
         def __init__(self, outputs):
@@ -383,26 +383,26 @@ def test_zero_failure_clamp_examples():
 
     # x = 10 after ten unit updates, envelope (2, 1): upper bound is 21
     for raw, expected in [(20.0, 20.0), (30.0, 21.0)]:
-        mech = wrap_zero_failure(Fixed([0.0] * 9 + [raw]),
-                                 AccuracyEnvelope(2.0, 1.0, 0.0))
+        mech = ZeroFailureWrapper(Fixed([0.0] * 9 + [raw]),
+                                  AccuracyEnvelope(2.0, 1.0, 0.0))
         out = [float(mech.update([1.0])[0]) for _ in range(10)]
         assert out[-1] == expected
     # delta absorbs the failure mass
     noisy = TreeSum(8, 1, 1.0, RandomSource(0), gamma=0.25)
-    clamped = wrap_zero_failure(noisy)
+    clamped = ZeroFailureWrapper(noisy)
     assert clamped.envelope.gamma == 0.0
     assert clamped.budget.delta == pytest.approx(0.25)
 
 
 def test_zero_failure_fuzzed_never_violates():
-    from contcount.counters import wrap_zero_failure
+    from contcount.counters import ZeroFailureWrapper
 
     gen = np.random.default_rng(8)
     violations = 0
     for trial in range(200):
         n, m = int(gen.integers(1, 9)), int(gen.integers(1, 4))
         env = AccuracyEnvelope(1.0 + gen.random(), float(gen.random()), 0.0)
-        mech = wrap_zero_failure(TreeSum(n, m, 0.3, RandomSource(trial, 1)), env)
+        mech = ZeroFailureWrapper(TreeSum(n, m, 0.3, RandomSource(trial, 1)), env)
         true = np.zeros(m)
         for a in random_simplex_stream(gen, n, m):
             y = mech.update(a)

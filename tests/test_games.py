@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from contcount.counters import AccuracyEnvelope, PerfectCounter, EmptyCounter, TreeSum, \
-    wrap_zero_failure
+    ZeroFailureWrapper
 from contcount.errors import ParameterError, ValidationError
 from contcount.games import (
     CostSharingInstance,
@@ -59,6 +59,17 @@ def test_instance_validation():
         SchedulingInstance(np.array([[-1.0]]))
     with pytest.raises(ParameterError):
         CostSharingInstance(np.array([0.0]), [[0]])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("build", [
+    lambda bad: ValueCurve([bad, bad]),
+    lambda bad: SchedulingInstance(np.array([[1.0, bad]])),
+    lambda bad: CostSharingInstance(np.array([1.0, bad]), [[0]]),
+], ids=["value-curve", "scheduling", "cost-sharing"])
+def test_non_finite_numbers_rejected(build, bad):
+    with pytest.raises(ParameterError):
+        build(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +176,7 @@ def test_cut_greedy_private_bound_fuzz():
         inst = instances.random_cut(rng, n_max=18, p=0.35)
         inner = TreeSum(inst.n, 2 * inst.n, 3.0, rng.substream(1),
                         update_bound=float(max(inst.max_degree, 1)))
-        mech = wrap_zero_failure(inner, AccuracyEnvelope(alpha, beta, 0.0))
+        mech = ZeroFailureWrapper(inner, AccuracyEnvelope(alpha, beta, 0.0))
         trace = play_cut(inst, mech, Greedy())
         bound = 2 * len(inst.edges) / (2 * alpha ** 2) - 2 * beta * inst.n / alpha
         assert trace.social_welfare >= bound - 1e-9

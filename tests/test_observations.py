@@ -20,8 +20,8 @@ from contcount.counters import (
     PerfectCounter,
     PrivacyBudget,
     TreeSum,
-    wrap_underestimator,
-    wrap_zero_failure,
+    UnderestimatorWrapper,
+    ZeroFailureWrapper,
 )
 from contcount.errors import ParameterError
 from contcount.games import (
@@ -54,8 +54,8 @@ class RefinedCounter(CounterMechanism):
 
 def make_underestimator(n, m, rng):
     inner = TreeSum(n, m, 2.0, rng)
-    clamped = wrap_zero_failure(inner, AccuracyEnvelope(1.5, 3.0, 0.0))
-    return wrap_underestimator(clamped)
+    clamped = ZeroFailureWrapper(inner, AccuracyEnvelope(1.5, 3.0, 0.0))
+    return UnderestimatorWrapper(clamped)
 
 
 def test_refined_estimates_keep_the_welfare_bound():

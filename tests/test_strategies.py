@@ -3,7 +3,7 @@ import pytest
 
 from contcount.counters import AccuracyEnvelope, PerfectCounter
 from contcount.errors import ParameterError, UnknownScenarioError, ValidationError
-from contcount.games import ValueCurve, play_resource_sharing
+from contcount.games import RESOURCE, ResourceSharingInstance, ValueCurve, play_resource_sharing
 from contcount import instances
 from contcount.noise import RandomSource
 from contcount.strategies import (
@@ -130,8 +130,9 @@ def test_scripted_guard_rejects_mismatched_instance():
 def test_belief_greedy_offset():
     # optimistic offset -1 makes the crowded resource look one chooser emptier
     curves = [ValueCurve([1.0, 0.4]), ValueCurve([0.5, 0.5])]
-    plain = Greedy().choose_resource(0, [0, 1], [1.0, 0.0], curves)
-    optimistic = BeliefGreedy(-1.0).choose_resource(0, [0, 1], [1.0, 0.0], curves)
+    inst = ResourceSharingInstance(curves, [[0, 1]])
+    plain = Greedy().choose_action(RESOURCE, inst, 0, [0, 1], [1.0, 0.0])
+    optimistic = BeliefGreedy(-1.0).choose_action(RESOURCE, inst, 0, [0, 1], [1.0, 0.0])
     assert plain == 1
     assert optimistic == 0
 
