@@ -20,6 +20,8 @@ Wrappers reshape releases while updating the declared envelope:
 ``UnderestimatorWrapper`` (never exceeds the true count), ``MonotoneWrapper``
 (integral, unit steps), ``ZeroFailureWrapper`` (clamps into the envelope using
 the true count, trading the failure mass gamma into the privacy delta).
+``UniformWarmupCounter`` shows uniform noise to the first players, then the
+releases of the mechanism it wraps.
 
 All logarithms here are base 2, matching the binary-tree depth.
 """
@@ -459,6 +461,31 @@ class ZeroFailureWrapper(_Wrapper):
         return np.clip(y, self.envelope.lower(x), self.envelope.upper(x))
 
 
+class UniformWarmupCounter(CounterMechanism):
+    """Displays an independent uniform draw on [0, warmup] per coordinate to
+    each of the first `warmup` players, then the inner mechanism's releases.
+    The inner mechanism is fed every update from the start."""
+
+    def __init__(self, inner: CounterMechanism, warmup: int, rng: RandomSource):
+        env = AccuracyEnvelope(inner.envelope.alpha,
+                               inner.envelope.beta + warmup,
+                               inner.envelope.gamma)
+        super().__init__(inner.horizon, inner.dim, inner.budget, env, inner.update_bound)
+        self.inner = inner
+        self.warmup = int(warmup)
+        self._rng = rng
+        self._current = self._draw()
+
+    def _draw(self) -> np.ndarray:
+        return self.warmup * self._rng.uniform(size=self.dim)
+
+    def _step(self, a: np.ndarray) -> np.ndarray:
+        self.inner.update(a)
+        if self._t < self.warmup:
+            return self._draw()
+        return self.inner.current
+
+
 def envelope_check(true_xs, released_ys, env: AccuracyEnvelope, tol: float = 1e-12):
     """Check a whole trace against an envelope.
 
@@ -490,5 +517,6 @@ __all__ = [
     "UnderestimatorWrapper",
     "MonotoneWrapper",
     "ZeroFailureWrapper",
+    "UniformWarmupCounter",
     "envelope_check",
 ]

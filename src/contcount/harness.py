@@ -8,13 +8,17 @@ observed lower bound on the true worst case), so closed-form claims are
 checked as one-sided inequalities. Minimization games report cost ratios
 ALG/OPT, so every ratio reads ">= 1, smaller is better". Bounds of the form
 SW >= OPT/c - additive are checked in exactly that two-term form.
+
+Randomized scenarios loop run_trial over one ExperimentConfig, except
+prop:private-beats-perfect: its warm-up counter draws from trial
+substream 2, which no MechanismSpec describes.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,6 +33,7 @@ from .counters import (
     PerfectCounter,
     TreeSum,
     UnderestimatorWrapper,
+    UniformWarmupCounter,
     ZeroFailureWrapper,
     envelope_check,
 )
@@ -47,7 +52,6 @@ from .games import (
     play_scheduling,
     verify_trace,
 )
-from .instances import harmonic_number
 from .noise import RandomSource
 from .strategies import Greedy, is_undominated, make_strategy
 
@@ -95,10 +99,6 @@ class MechanismSpec:
             else:
                 raise ParameterError(f"unknown wrapper '{wrap}'")
         return mech
-
-    def build_for(self, rule, instance, rng: RandomSource) -> CounterMechanism:
-        """A counter shaped for one play of ``rule`` on ``instance``."""
-        return self.build(instance.n, rule.dim(instance), rng, rule.bound(instance))
 
 
 # game name -> (play function, exact solver, rule): the one per-game table
@@ -165,7 +165,8 @@ def run_trial(config: ExperimentConfig, trial: int, cached_opt: float | None = N
     rng = RandomSource(config.seed, 0).substream(trial)
     instance = inst_lib.resolve_instance(rule.kind, config.instance,
                                          rng.substream(0), **config.instance_params)
-    mech = config.mechanism.build_for(rule, instance, rng.substream(1))
+    mech = config.mechanism.build(instance.n, rule.dim(instance), rng.substream(1),
+                                  rule.bound(instance))
     envelope = mech.envelope
     strategy = make_strategy(config.strategy)
     if config.splits > 1:
@@ -173,10 +174,9 @@ def run_trial(config: ExperimentConfig, trial: int, cached_opt: float | None = N
     else:
         trace = play_game(instance, mech, strategy)
     verify_trace(trace, instance)
+    opt_value = math.nan
     if config.compute_opt:
         opt_value = cached_opt if cached_opt is not None else opt_solver(instance).value
-    else:
-        opt_value = math.nan
     alg = rule.metric(trace)
     ratio = _ratio(rule.sense, alg, opt_value) if config.compute_opt else math.nan
     if (config.compute_opt and rule.sense == "max" and config.splits == 1
@@ -313,31 +313,6 @@ class ScenarioReport:
     lines: list
 
 
-class UniformWarmupCounter(CounterMechanism):
-    """Displays an independent uniform draw on [0, warmup] per coordinate to
-    each of the first `warmup` players, then the inner mechanism's releases.
-    The inner mechanism is fed every update from the start."""
-
-    def __init__(self, inner: CounterMechanism, warmup: int, rng: RandomSource):
-        env = AccuracyEnvelope(inner.envelope.alpha,
-                               inner.envelope.beta + warmup,
-                               inner.envelope.gamma)
-        super().__init__(inner.horizon, inner.dim, inner.budget, env, inner.update_bound)
-        self.inner = inner
-        self.warmup = int(warmup)
-        self._rng = rng
-        self._current = self._draw()
-
-    def _draw(self) -> np.ndarray:
-        return self.warmup * self._rng.uniform(size=self.dim)
-
-    def _step(self, a: np.ndarray) -> np.ndarray:
-        self.inner.update(a)
-        if self._t < self.warmup:
-            return self._draw()
-        return self.inner.current
-
-
 _SCENARIOS: dict = {}
 
 
@@ -358,13 +333,8 @@ def reproduce(name: str, seed: int = 0, **overrides) -> ScenarioReport:
         raise UnknownScenarioError(
             f"unknown scenario '{name}' (see list-scenarios)")
     claim, fn = _SCENARIOS[name]
-    report = fn(seed=seed, **overrides)
-    report.claim = claim
-    return report
-
-
-def _report(name, passed, measured, lines):
-    return ScenarioReport(name, "", bool(passed), measured, lines)
+    passed, measured, lines = fn(seed=seed, **overrides)
+    return ScenarioReport(name, claim, bool(passed), measured, lines)
 
 
 @_scenario("thm:greedy4",
@@ -378,10 +348,10 @@ def _greedy4(seed: int = 0, trials: int = 200):
     results, summary = run_experiment(config)
     max_cr = summary["max_ratio"]
     passed = max_cr <= 4.0 + 1e-9
-    return _report("thm:greedy4", passed,
-                   {"max_cr": max_cr, "mean_cr": summary["mean_ratio"], "trials": trials},
-                   [f"max competitive ratio over {trials} random instances: {max_cr:.6f}",
-                    "bound: 4 + 1e-9"])
+    return (passed,
+            {"max_cr": max_cr, "mean_cr": summary["mean_ratio"], "trials": trials},
+            [f"max competitive ratio over {trials} random instances: {max_cr:.6f}",
+             "bound: 4 + 1e-9"])
 
 
 @_scenario("sec1.1:illustrative",
@@ -392,7 +362,7 @@ def _illustrative(seed: int = 0, n: int = 100, eps: float = 0.01):
     config = ExperimentConfig(game="resource", instance=instance,
                               mechanism=MechanismSpec(mech="empty"), seed=seed)
     result, trace, _, _ = run_trial(config, 0)
-    h_n = harmonic_number(n)
+    h_n = inst_lib.harmonic_number(n)
     benchmark = optimal.resource_assignment_value(instance, [i + 1 for i in range(n)])
     exact = result.opt
     cr_benchmark = benchmark / result.sw
@@ -400,12 +370,12 @@ def _illustrative(seed: int = 0, n: int = 100, eps: float = 0.01):
               and benchmark == n * (1.0 - eps)
               and exact >= benchmark
               and abs(cr_benchmark - benchmark / h_n) <= 1e-9)
-    return _report("sec1.1:illustrative", passed,
-                   {"sw": result.sw, "h_n": h_n, "benchmark": benchmark,
-                    "exact_opt": exact, "cr_benchmark": cr_benchmark},
-                   [f"welfare {result.sw:.6f} (harmonic sum {h_n:.6f})",
-                    f"all-private benchmark {benchmark}, exact matching optimum {exact}",
-                    f"ratio vs benchmark: {cr_benchmark:.4f}"])
+    return (passed,
+            {"sw": result.sw, "h_n": h_n, "benchmark": benchmark,
+             "exact_opt": exact, "cr_benchmark": cr_benchmark},
+            [f"welfare {result.sw:.6f} (harmonic sum {h_n:.6f})",
+             f"all-private benchmark {benchmark}, exact matching optimum {exact}",
+             f"ratio vs benchmark: {cr_benchmark:.4f}"])
 
 
 @_scenario("thm:noinfo",
@@ -418,9 +388,9 @@ def _noinfo(seed: int = 0, n: int = 10, high: float = 100.0):
                               strategy="scripted:fear-a-twin", seed=seed)
     result, _, _, _ = run_trial(config, 0)
     passed = result.sw == float(n) and result.opt == n * high
-    return _report("thm:noinfo", passed,
-                   {"sw": result.sw, "opt": result.opt, "ratio": result.ratio},
-                   [f"welfare {result.sw} vs optimum {result.opt} (ratio {result.ratio:.1f})"])
+    return (passed,
+            {"sw": result.sw, "opt": result.opt, "ratio": result.ratio},
+            [f"welfare {result.sw} vs optimum {result.opt} (ratio {result.ratio:.1f})"])
 
 
 @_scenario("thm:noinfospecial",
@@ -432,11 +402,11 @@ def _noinfospecial(seed: int = 0, n: int = 25):
                               mechanism=MechanismSpec(mech="empty"),
                               strategy="scripted:flat-resource-temptation", seed=seed)
     result, _, _, _ = run_trial(config, 0)
-    h_n = harmonic_number(n)
+    h_n = inst_lib.harmonic_number(n)
     passed = abs(result.sw - h_n) <= 1e-12 and result.opt == float(n) ** 2
-    return _report("thm:noinfospecial", passed,
-                   {"sw": result.sw, "opt": result.opt, "ratio": result.ratio},
-                   [f"welfare {result.sw:.6f} (H_{n}) vs optimum {result.opt}"])
+    return (passed,
+            {"sw": result.sw, "opt": result.opt, "ratio": result.ratio},
+            [f"welfare {result.sw:.6f} (H_{n}) vs optimum {result.opt}"])
 
 
 @_scenario("thm:lb-undom",
@@ -450,10 +420,10 @@ def _lb_undom(seed: int = 0, rho: float = 0.05, beta: float = 1.0):
     sw_spite = optimal.resource_assignment_value(instance, [1, 1])
     opt = optimal.opt_resource_sharing(instance).value
     passed = undominated and abs(sw_spite - 2 * rho) <= 1e-12 and abs(opt - (1 + rho)) <= 1e-12
-    return _report("thm:lb-undom", passed,
-                   {"undominated": undominated, "sw_spite": sw_spite, "opt": opt},
-                   [f"avoiding the fragile resource undominated: {undominated}",
-                    f"spiteful welfare {sw_spite:.4f} vs optimum {opt:.4f}"])
+    return (passed,
+            {"undominated": undominated, "sw_spite": sw_spite, "opt": opt},
+            [f"avoiding the fragile resource undominated: {undominated}",
+             f"spiteful welfare {sw_spite:.4f} vs optimum {opt:.4f}"])
 
 
 @_scenario("lemma:perceived",
@@ -471,11 +441,11 @@ def _perceived(seed: int = 0, trials: int = 500):
     violations = sum(1 for r in results if r.psw > 2.0 * alpha * beta * r.sw + 1e-9)
     worst = max([0.0] + [r.psw / r.sw for r in results if r.sw > 0])
     passed = violations == 0
-    return _report("lemma:perceived", passed,
-                   {"violations": violations, "max_psw_over_sw": worst,
-                    "bound": 2.0 * alpha * beta},
-                   [f"max PSW/SW {worst:.3f} vs bound 2*alpha*beta = {2 * alpha * beta:.1f}",
-                    f"violations: {violations}/{trials}"])
+    return (passed,
+            {"violations": violations, "max_psw_over_sw": worst,
+             "bound": 2.0 * alpha * beta},
+            [f"max PSW/SW {worst:.3f} vs bound 2*alpha*beta = {2 * alpha * beta:.1f}",
+             f"violations: {violations}/{trials}"])
 
 
 @_scenario("thm:greedy-private",
@@ -491,11 +461,11 @@ def _greedy_private(seed: int = 0, trials: int = 200):
     alpha, beta = 1.5 ** 2, 2.0 * 3.0 / 1.5 + 1.0
     bound = 8.0 * alpha * beta
     passed = summary["max_ratio"] <= bound + 1e-9 and summary["envelope_pass_rate"] == 1.0
-    return _report("thm:greedy-private", passed,
-                   {"max_cr": summary["max_ratio"], "bound": bound,
-                    "envelope_pass_rate": summary["envelope_pass_rate"]},
-                   [f"max competitive ratio {summary['max_ratio']:.3f} vs "
-                    f"8*alpha*beta = {bound:.1f}"])
+    return (passed,
+            {"max_cr": summary["max_ratio"], "bound": bound,
+             "envelope_pass_rate": summary["envelope_pass_rate"]},
+            [f"max competitive ratio {summary['max_ratio']:.3f} vs "
+             f"8*alpha*beta = {bound:.1f}"])
 
 
 @_scenario("thm:polylog",
@@ -504,25 +474,23 @@ def _greedy_private(seed: int = 0, trials: int = 200):
 def _polylog(seed: int = 0, trials: int = 50):
     spec = MechanismSpec(mech="ftsum", eps=1.0, alpha=2.0, gamma=0.1,
                          wraps=("clamp", "under", "mono"))
+    config = ExperimentConfig(game="resource", instance="random:resource",
+                              mechanism=spec, seed=seed,
+                              instance_params={"n_max": 40, "m_max": 6})
     violations = 0
     max_cr = 0.0
     for trial in range(trials):
-        rng = RandomSource(seed, 0).substream(trial)
-        instance = inst_lib.random_resource_sharing(rng.substream(0), n_max=40, m_max=6)
-        mech = spec.build_for(RESOURCE, instance, rng.substream(1))
+        result, _, _, mech = run_trial(config, trial)
         # final envelope after clamp -> under -> mono on the declared FTSum one
         bound = 8.0 * mech.envelope.alpha * (mech.envelope.beta + 1e-12)
-        trace = play_resource_sharing(instance, mech, Greedy())
-        opt = optimal.opt_resource_sharing(instance).value
-        cr = _ratio("max", trace.social_welfare, opt)
-        max_cr = max(max_cr, cr)
-        if cr > bound + 1e-9:
+        max_cr = max(max_cr, result.ratio)
+        if result.ratio > bound + 1e-9:
             violations += 1
     passed = violations == 0
-    return _report("thm:polylog", passed,
-                   {"max_cr": max_cr, "violations": violations},
-                   [f"max competitive ratio {max_cr:.3f}; all trials within their "
-                    "documented 8*alpha*beta bounds (analytic beta is loose)"])
+    return (passed,
+            {"max_cr": max_cr, "violations": violations},
+            [f"max competitive ratio {max_cr:.3f}; all trials within their "
+             "documented 8*alpha*beta bounds (analytic beta is loose)"])
 
 
 @_scenario("lemma:cut-cycle",
@@ -535,9 +503,9 @@ def _cut_cycle(seed: int = 0, n: int = 20):
                               strategy="scripted:all-blue-cycle", seed=seed)
     result, _, _, _ = run_trial(config, 0)
     passed = result.sw == 4.0 and result.opt == 4.0 * n
-    return _report("lemma:cut-cycle", passed,
-                   {"sw": result.sw, "opt": result.opt, "ratio": result.ratio},
-                   [f"welfare {result.sw} vs optimum {result.opt} (ratio {result.ratio:.1f} = n)"])
+    return (passed,
+            {"sw": result.sw, "opt": result.opt, "ratio": result.ratio},
+            [f"welfare {result.sw} vs optimum {result.opt} (ratio {result.ratio:.1f} = n)"])
 
 
 @_scenario("thm:cut-greedy-perfect",
@@ -549,9 +517,9 @@ def _cut_perfect(seed: int = 0, trials: int = 100):
                               instance_params={"n_max": 16, "p": 0.35})
     results, summary = run_experiment(config)
     passed = summary["max_ratio"] <= 2.0 + 1e-9
-    return _report("thm:cut-greedy-perfect", passed,
-                   {"max_cr": summary["max_ratio"]},
-                   [f"max competitive ratio {summary['max_ratio']:.4f} vs bound 2"])
+    return (passed,
+            {"max_cr": summary["max_ratio"]},
+            [f"max competitive ratio {summary['max_ratio']:.4f} vs bound 2"])
 
 
 @_scenario("thm:cut-private",
@@ -560,23 +528,23 @@ def _cut_perfect(seed: int = 0, trials: int = 100):
 def _cut_private(seed: int = 0, trials: int = 100, alpha: float = 2.0, beta: float = 2.0):
     spec = MechanismSpec(mech="treesum", eps=3.0, wraps=("clamp",),
                          clamp_alpha=alpha, clamp_beta=beta)
+    config = ExperimentConfig(game="cut", instance="random:cut", mechanism=spec,
+                              seed=seed, compute_opt=False,
+                              instance_params={"n_max": 30, "p": 0.3})
     worst_margin = math.inf
     violations = 0
     for trial in range(trials):
-        rng = RandomSource(seed, 0).substream(trial)
-        instance = inst_lib.random_cut(rng.substream(0), n_max=30, p=0.3)
-        mech = spec.build_for(CUT, instance, rng.substream(1))
-        trace = play_cut(instance, mech, Greedy())
+        result, _, instance, _ = run_trial(config, trial)
         bound = (2.0 * len(instance.edges)) / (2.0 * alpha ** 2) \
             - 2.0 * beta * instance.n / alpha
-        margin = trace.social_welfare - bound
+        margin = result.sw - bound
         worst_margin = min(worst_margin, margin)
         if margin < -1e-9:
             violations += 1
     passed = violations == 0
-    return _report("thm:cut-private", passed,
-                   {"violations": violations, "worst_margin": worst_margin},
-                   [f"violations: {violations}/{trials}; worst margin {worst_margin:.3f}"])
+    return (passed,
+            {"violations": violations, "worst_margin": worst_margin},
+            [f"violations: {violations}/{trials}; worst margin {worst_margin:.3f}"])
 
 
 @_scenario("thm:scheduling-greedy",
@@ -586,30 +554,29 @@ def _cut_private(seed: int = 0, trials: int = 100, alpha: float = 2.0, beta: flo
 def _scheduling(seed: int = 0, trials: int = 100, alpha: float = 1.5, beta: float = 2.0):
     spec = MechanismSpec(mech="treesum", eps=3.0, wraps=("clamp",),
                          clamp_alpha=alpha, clamp_beta=beta)
+    config = ExperimentConfig(game="scheduling", instance="random:scheduling",
+                              mechanism=spec, seed=seed,
+                              instance_params={"n_max": 8, "m_max": 4})
+    # the same instances (substream 0 of each trial) played with exact counts
+    perfect = replace(config, mechanism=MechanismSpec(mech="perfect"), compute_opt=False)
     violations = 0
     perfect_violations = 0
     for trial in range(trials):
-        rng = RandomSource(seed, 0).substream(trial)
-        instance = inst_lib.random_scheduling(rng.substream(0), n_max=8, m_max=4)
-        mech = spec.build_for(SCHEDULING, instance, rng.substream(1))
-        trace = play_scheduling(instance, mech, Greedy())
+        result, _, instance, _ = run_trial(config, trial)
         t_star_sum = float(instance.t_star.sum())
         n = instance.n
         bound = alpha ** (2 * n + 1) * (beta + 2 * n * beta + t_star_sum) + beta
-        if trace.metrics["makespan"] > bound + 1e-9:
+        if result.alg_metric > bound + 1e-9:
             violations += 1
-        perfect = MechanismSpec(mech="perfect").build_for(SCHEDULING, instance, rng.substream(1))
-        trace_p = play_scheduling(instance, perfect, Greedy())
-        if trace_p.metrics["makespan"] > t_star_sum + 1e-9:
+        if run_trial(perfect, trial)[0].alg_metric > t_star_sum + 1e-9:
             perfect_violations += 1
-        opt = optimal.opt_scheduling(instance).value
-        if opt + 1e-9 < optimal.scheduling_lower_bound(instance):
+        if result.opt + 1e-9 < optimal.scheduling_lower_bound(instance):
             violations += 1
     passed = violations == 0 and perfect_violations == 0
-    return _report("thm:scheduling-greedy", passed,
-                   {"violations": violations, "perfect_violations": perfect_violations},
-                   [f"clamped-counter bound violations: {violations}/{trials}",
-                    f"perfect-counter sum-t* violations: {perfect_violations}/{trials}"])
+    return (passed,
+            {"violations": violations, "perfect_violations": perfect_violations},
+            [f"clamped-counter bound violations: {violations}/{trials}",
+             f"perfect-counter sum-t* violations: {perfect_violations}/{trials}"])
 
 
 @_scenario("lemma:scheduling-undom",
@@ -622,9 +589,9 @@ def _scheduling_undom(seed: int = 0):
                               strategy="scripted:pessimistic-scheduler", seed=seed)
     result, trace, _, _ = run_trial(config, 0)
     passed = trace.metrics["makespan"] >= 1.0 and result.opt == 0.0
-    return _report("lemma:scheduling-undom", passed,
-                   {"makespan": trace.metrics["makespan"], "opt": result.opt},
-                   [f"makespan {trace.metrics['makespan']} vs optimum {result.opt}"])
+    return (passed,
+            {"makespan": trace.metrics["makespan"], "opt": result.opt},
+            [f"makespan {trace.metrics['makespan']} vs optimum {result.opt}"])
 
 
 @_scenario("lemma:cost-sharing-perfect",
@@ -635,11 +602,11 @@ def _costshare_perfect(seed: int = 0, n: int = 10, eps: float = 0.1):
                               mechanism=MechanismSpec(mech="perfect"), seed=seed)
     result, _, _, _ = run_trial(config, 0)
     passed = result.alg_metric == float(n) and result.opt == 1.0 + eps
-    return _report("lemma:cost-sharing-perfect", passed,
-                   {"total_cost": result.alg_metric, "opt": result.opt,
-                    "ratio": result.ratio},
-                   [f"total cost {result.alg_metric} vs optimum {result.opt} "
-                    f"(ratio {result.ratio:.2f})"])
+    return (passed,
+            {"total_cost": result.alg_metric, "opt": result.opt,
+             "ratio": result.ratio},
+            [f"total cost {result.alg_metric} vs optimum {result.opt} "
+             f"(ratio {result.ratio:.2f})"])
 
 
 @_scenario("prop:private-beats-perfect",
@@ -664,12 +631,12 @@ def _private_beats_perfect(seed: int = 0, n: int = 200, trials: int = 200,
         costs.append(trace.metrics["total_cost"])
     mean_cost = float(np.mean(costs))
     passed = mean_cost < 25.0 and mean_cost < float(n)
-    return _report("prop:private-beats-perfect", passed,
-                   {"mean_cost": mean_cost, "max_cost": float(np.max(costs)),
-                    "c": c, "q": q, "eps_tree": eps_tree, "perfect_cost": float(n)},
-                   [f"mean total cost {mean_cost:.2f} over {trials} trials "
-                    f"(perfect counters always pay {n})",
-                    f"warm-up length c = {c} from tree error constant q = {q}"])
+    return (passed,
+            {"mean_cost": mean_cost, "max_cost": float(np.max(costs)),
+             "c": c, "q": q, "eps_tree": eps_tree, "perfect_cost": float(n)},
+            [f"mean total cost {mean_cost:.2f} over {trials} trials "
+             f"(perfect counters always pay {n})",
+             f"warm-up length c = {c} from tree error constant q = {q}"])
 
 
 @_scenario("lemma:future-lb",
@@ -680,9 +647,9 @@ def _future_lb(seed: int = 0, w: float = 5.0, eps: float = 0.1):
                               mechanism=MechanismSpec(mech="perfect"), seed=seed)
     result, _, _, _ = run_trial(config, 0)
     passed = result.sw == 1.0 and abs(result.opt - (2 * w - eps)) <= 1e-9
-    return _report("lemma:future-lb", passed,
-                   {"sw": result.sw, "opt": result.opt, "ratio": result.ratio},
-                   [f"welfare {result.sw} vs optimum {result.opt:.4f}"])
+    return (passed,
+            {"sw": result.sw, "opt": result.opt, "ratio": result.ratio},
+            [f"welfare {result.sw} vs optimum {result.opt:.4f}"])
 
 
 @_scenario("lemma:marketundom",
@@ -698,10 +665,10 @@ def _marketundom(seed: int = 0, n: int = 16, eps: float = 0.01):
     benchmark = inst_lib.market_undom_benchmark(n, eps)
     exact = inst_lib.market_undom_exact_opt(n, eps)
     passed = result.sw == 1.0 and exact >= benchmark
-    return _report("lemma:marketundom", passed,
-                   {"sw": result.sw, "benchmark": benchmark, "exact_opt": exact},
-                   [f"welfare {result.sw} vs all-private benchmark {benchmark:.3f} "
-                    f"(exact optimum {exact:.3f})"])
+    return (passed,
+            {"sw": result.sw, "benchmark": benchmark, "exact_opt": exact},
+            [f"welfare {result.sw} vs all-private benchmark {benchmark:.3f} "
+             f"(exact optimum {exact:.3f})"])
 
 
 @_scenario("cor:marketlog",
@@ -710,32 +677,25 @@ def _marketundom(seed: int = 0, n: int = 16, eps: float = 0.01):
 def _marketlog(seed: int = 0, trials: int = 50, alpha: float = 1.5, beta: float = 2.0):
     spec = MechanismSpec(mech="treesum", eps=3.0, wraps=("clamp",),
                          clamp_alpha=alpha, clamp_beta=beta)
+    config = ExperimentConfig(game="market", instance="random:open-market",
+                              mechanism=spec, seed=seed, compute_opt=False)
     violations = 0
     worst_margin = math.inf
     for trial in range(trials):
-        rng = RandomSource(seed, 0).substream(trial)
-        gen = rng.substream(0)
-        # markets open to every player and n >= m, so the exact optimum is the
-        # total of all market values (every used market pays its full value)
-        n = int(gen.integers(10, 31))
-        m = int(gen.integers(2, 7))
-        values = [20.0 * n + 20.0 * n * gen.uniform() for _ in range(m)]
-        curves = [inst_lib.market_curve(c, n) for c in values]
-        instance = inst_lib.ResourceSharingInstance(
-            curves, [list(range(m)) for _ in range(n)])
-        opt = math.fsum(values)
-        mech = spec.build_for(FUTURE_DEPENDENT, instance, rng.substream(1))
-        trace = play_future_dependent(instance, mech, Greedy())
+        result, _, instance, _ = run_trial(config, trial)
+        # every market is open to every player and n >= m, so the exact
+        # optimum is the total of all market values (a market's first value)
+        opt = math.fsum(c.values[0] for c in instance.curves)
         bound = (opt - 2.0 * beta * alpha * instance.n) \
             / (4.0 * (1.0 + alpha ** 2) * math.log2(max(instance.n, 2)))
-        margin = trace.social_welfare - bound
+        margin = result.sw - bound
         worst_margin = min(worst_margin, margin)
         if margin < -1e-9:
             violations += 1
     passed = violations == 0
-    return _report("cor:marketlog", passed,
-                   {"violations": violations, "worst_margin": worst_margin},
-                   [f"violations: {violations}/{trials}; worst margin {worst_margin:.2f}"])
+    return (passed,
+            {"violations": violations, "worst_margin": worst_margin},
+            [f"violations: {violations}/{trials}; worst margin {worst_margin:.2f}"])
 
 
 __all__ = [
@@ -743,7 +703,6 @@ __all__ = [
     "ExperimentConfig",
     "TrialResult",
     "ScenarioReport",
-    "UniformWarmupCounter",
     "run_trial",
     "run_experiment",
     "summarize",

@@ -8,6 +8,7 @@ the scenario registry checks against.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -162,17 +163,21 @@ def _random_curve(rng: RandomSource, horizon: int) -> ValueCurve:
     return ValueCurve(vals)
 
 
+def _random_subsets(rng: RandomSource, n: int, m: int) -> list:
+    """n sorted nonempty subsets of range(m), each of a uniform random size."""
+    subsets = []
+    for _ in range(n):
+        size = int(rng.integers(1, m + 1))
+        subsets.append(sorted(rng.generator.choice(m, size=size, replace=False).tolist()))
+    return subsets
+
+
 def random_resource_sharing(rng: RandomSource, n_max: int = 50,
                             m_max: int = 10) -> ResourceSharingInstance:
     n = int(rng.integers(2, n_max + 1))
     m = int(rng.integers(2, m_max + 1))
     curves = [_random_curve(rng, n) for _ in range(m)]
-    action_sets = []
-    for _ in range(n):
-        size = int(rng.integers(1, m + 1))
-        acts = sorted(rng.generator.choice(m, size=size, replace=False).tolist())
-        action_sets.append(acts)
-    return ResourceSharingInstance(curves, action_sets)
+    return ResourceSharingInstance(curves, _random_subsets(rng, n, m))
 
 
 def random_market_sharing(rng: RandomSource, n_max: int = 30, m_max: int = 6,
@@ -181,11 +186,7 @@ def random_market_sharing(rng: RandomSource, n_max: int = 30, m_max: int = 6,
     m = int(rng.integers(2, m_max + 1))
     curves = [market_curve(value_lo + (value_hi - value_lo) * rng.uniform(), n)
               for _ in range(m)]
-    action_sets = []
-    for _ in range(n):
-        size = int(rng.integers(1, m + 1))
-        action_sets.append(sorted(rng.generator.choice(m, size=size, replace=False).tolist()))
-    return ResourceSharingInstance(curves, action_sets)
+    return ResourceSharingInstance(curves, _random_subsets(rng, n, m))
 
 
 def random_cut(rng: RandomSource, n_max: int = 30, p: float = 0.3) -> CutInstance:
@@ -207,31 +208,35 @@ def random_cost_sharing(rng: RandomSource, n_max: int = 8, m_max: int = 8) -> Co
     n = int(rng.integers(2, n_max + 1))
     m = int(rng.integers(2, m_max + 1))
     costs = 0.5 + 4.5 * rng.generator.random(m)
-    allowed = []
-    for _ in range(n):
-        size = int(rng.integers(1, m + 1))
-        allowed.append(sorted(rng.generator.choice(m, size=size, replace=False).tolist()))
-    return CostSharingInstance(costs, allowed)
+    return CostSharingInstance(costs, _random_subsets(rng, n, m))
 
 
 def random_future(rng: RandomSource, n_max: int = 5, m_max: int = 3) -> ResourceSharingInstance:
-    n = int(rng.integers(2, n_max + 1))
-    m = int(rng.integers(2, m_max + 1))
-    curves = [_random_curve(rng, n) for _ in range(m)]
-    action_sets = []
-    for _ in range(n):
-        size = int(rng.integers(1, m + 1))
-        action_sets.append(sorted(rng.generator.choice(m, size=size, replace=False).tolist()))
-    return ResourceSharingInstance(curves, action_sets)
+    """Resource-sharing instances small enough for the future-dependent
+    brute-force optimum."""
+    return random_resource_sharing(rng, n_max, m_max)
 
 
+def random_open_market(rng: RandomSource) -> ResourceSharingInstance:
+    """Market sharing with 10-30 players, 2-6 markets open to every player and
+    market values of 20n to 40n. There are at least as many players as
+    markets, so the exact optimum is the total of all market values."""
+    n = int(rng.integers(10, 31))
+    m = int(rng.integers(2, 7))
+    values = [20.0 * n + 20.0 * n * rng.uniform() for _ in range(m)]
+    curves = [market_curve(c, n) for c in values]
+    return ResourceSharingInstance(curves, [list(range(m)) for _ in range(n)])
+
+
+# name -> (instance kind, generator(rng, **params)), like PAPER_INSTANCES
 RANDOM_GENERATORS = {
-    "resource": random_resource_sharing,
-    "market": random_market_sharing,
-    "cut": random_cut,
-    "scheduling": random_scheduling,
-    "costshare": random_cost_sharing,
-    "future": random_future,
+    "resource": ("resource", random_resource_sharing),
+    "market": ("resource", random_market_sharing),
+    "open-market": ("resource", random_open_market),
+    "cut": ("cut", random_cut),
+    "scheduling": ("scheduling", random_scheduling),
+    "costshare": ("costshare", random_cost_sharing),
+    "future": ("resource", random_future),
 }
 
 
@@ -308,36 +313,40 @@ _PARSERS = {
 }
 
 
-def load_instance(kind: str, path: str):
-    if kind not in _PARSERS:
-        raise ParameterError(f"unknown instance kind '{kind}'")
-    with open(path, "r", encoding="utf-8") as fh:
-        return _PARSERS[kind](fh.read())
-
-
 def resolve_instance(kind: str, spec, rng: RandomSource | None = None, **params):
     """Resolve an instance reference of the given kind (a game rule's
     ``kind``): an instance object, 'paper:<name>', 'random:<generator>'
-    (needs rng), or a file path."""
+    (needs rng), or a file path. Named and random instances must be of that
+    kind; bad parameters for their builders raise ParameterError."""
     if not isinstance(spec, str):
         return spec
-    if spec.startswith("paper:"):
-        name = spec.split(":", 1)[1]
-        if name not in PAPER_INSTANCES:
-            raise ParameterError(f"unknown named instance '{name}' "
-                                 f"(have: {', '.join(sorted(PAPER_INSTANCES))})")
-        expected, builder = PAPER_INSTANCES[name]
-        if kind != expected:
-            raise ParameterError(f"instance '{name}' is a {expected} instance, not {kind}")
-        return builder(**params)
-    if spec.startswith("random:"):
-        generator = spec.split(":", 1)[1]
+    prefix, sep, name = spec.partition(":")
+    if not sep or prefix not in ("paper", "random"):
+        if kind not in _PARSERS:
+            raise ParameterError(f"unknown instance kind '{kind}'")
+        try:
+            with open(spec, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ParameterError(f"cannot read instance file '{spec}': {exc.strerror}") from exc
+        return _PARSERS[kind](text)
+    table = PAPER_INSTANCES if prefix == "paper" else RANDOM_GENERATORS
+    if name not in table:
+        raise ParameterError(f"unknown {prefix} instance '{name}' "
+                             f"(have: {', '.join(sorted(table))})")
+    expected, make = table[name]
+    if kind != expected:
+        raise ParameterError(f"instance '{spec}' is a {expected} instance, not {kind}")
+    if prefix == "random":
         if rng is None:
             raise ParameterError("random instances need a RandomSource")
-        if generator not in RANDOM_GENERATORS:
-            raise ParameterError(f"unknown random generator '{generator}'")
-        return RANDOM_GENERATORS[generator](rng, **params)
-    return load_instance(kind, spec)
+        make = functools.partial(make, rng)
+    if not params:
+        return make()
+    try:
+        return make(**params)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"bad parameters {params} for '{spec}': {exc}") from exc
 
 
 def parse_stream(text: str, m: int) -> np.ndarray:
@@ -382,7 +391,7 @@ __all__ = [
     "random_scheduling",
     "random_cost_sharing",
     "random_future",
-    "load_instance",
+    "random_open_market",
     "resolve_instance",
     "parse_stream",
     "load_stream",

@@ -257,7 +257,10 @@ def make_strategy(spec: str) -> Strategy:
     if spec.startswith("scripted:"):
         return scripted(spec.split(":", 1)[1])
     if spec.startswith("belief:"):
-        return BeliefGreedy(float(spec.split(":", 1)[1]))
+        try:
+            return BeliefGreedy(float(spec.split(":", 1)[1]))
+        except ValueError as exc:
+            raise ParameterError(f"belief offset must be a number: {exc}") from exc
     raise ParameterError(f"unknown strategy spec '{spec}'")
 
 

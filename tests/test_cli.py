@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from contcount import cli, harness
 
 
@@ -85,6 +87,42 @@ def test_opt_malformed_cut_file(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("name", ["random", "paper"])
+def test_opt_file_named_like_a_prefix(tmp_path, capsys, monkeypatch, name):
+    (tmp_path / name).write_text("2 2\n1.0 0.5\n0.8 0.8\n0 1\n0 1\n")
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, "opt", "--game", "resource", "--instance", name)
+    assert code == 0
+    assert "value = 1.8" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--instance", "paper:noinfo", "--strategy", "belief:abc"], "belief offset"),
+    (["--instance", "paper:noinfo", "--inst", "bogus=1"], "bogus"),
+    (["--instance", "random:resource", "--inst", "n_max=1"], "bad parameters"),
+    (["--instance", "random:resource", "--inst", "n_max=abc"], "n_max"),
+    (["--instance", "no-such-dir/inst.txt"], "cannot read instance file"),
+])
+def test_game_run_bad_parameters(capsys, argv, message):
+    code, _, err = run_cli(capsys, "game", "run", "--game", "resource", *argv)
+    assert code == 1
+    assert err.startswith("error:")
+    assert message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["game", "run", "--game", "cut", "--instance", "random:resource"],
+     "is a resource instance, not cut"),
+    (["opt", "--game", "scheduling", "--instance", "random:cut"],
+     "is a cut instance, not scheduling"),
+])
+def test_random_instance_kind_checked(capsys, argv, message):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:")
+    assert message in err
+
+
 def test_counter_run_malformed_stream(tmp_path, capsys):
     stream = tmp_path / "stream.txt"
     stream.write_text("x\n")
@@ -100,7 +138,7 @@ def test_reproduce_pass_and_fail(capsys, monkeypatch):
     assert "=> PASS" in out
 
     def failing(seed=0, **_):
-        return harness.ScenarioReport("x", "", False, {}, ["nope"])
+        return False, {}, ["nope"]
 
     monkeypatch.setitem(harness._SCENARIOS, "x", ("always fails", failing))
     code, out, _ = run_cli(capsys, "reproduce", "x")

@@ -1,21 +1,21 @@
 import numpy as np
 import pytest
 
-from contcount.counters import TreeSum
+from contcount.counters import TreeSum, UniformWarmupCounter
 from contcount.errors import ParameterError, UnknownScenarioError
 from contcount.harness import (
     ExperimentConfig,
     MechanismSpec,
-    UniformWarmupCounter,
     list_scenarios,
     parse_config_file,
     read_csv_results,
     reproduce,
     results_to_csv,
     run_experiment,
+    run_trial,
     summarize,
 )
-from contcount import instances
+from contcount import harness, instances
 from contcount.noise import RandomSource
 
 
@@ -121,6 +121,37 @@ def test_scenario_reports_have_lines_and_measurements():
     assert report.claim
     assert report.lines
     assert report.measured["sw"] == 4.0
+
+
+@pytest.mark.parametrize("name, keys", [
+    ("thm:polylog", {"max_cr", "violations"}),
+    ("cor:marketlog", {"violations", "worst_margin"}),
+])
+def test_randomized_scenario_passes(name, keys):
+    report = reproduce(name, seed=13, trials=10)
+    assert report.passed
+    assert set(report.measured) == keys
+
+
+REGISTRY = ([(f"paper:{name}", kind) for name, (kind, _) in instances.PAPER_INSTANCES.items()]
+            + [(f"random:{name}", kind)
+               for name, (kind, _) in instances.RANDOM_GENERATORS.items()])
+
+
+@pytest.mark.parametrize("spec, kind", REGISTRY, ids=[spec for spec, _ in REGISTRY])
+def test_registry_instance_plays_under_its_kind(spec, kind):
+    assert instances.resolve_instance(kind, spec, RandomSource(0)) is not None
+    for other in {"resource", "cut", "scheduling", "costshare"} - {kind}:
+        with pytest.raises(ParameterError, match=f"not {other}"):
+            instances.resolve_instance(other, spec, RandomSource(0))
+    games = [game for game, (_, _, rule) in harness._ENGINES.items() if rule.kind == kind]
+    assert games
+    for game in games:
+        config = ExperimentConfig(game=game, instance=spec,
+                                  mechanism=MechanismSpec(mech="perfect"), compute_opt=False)
+        result, trace, instance, _ = run_trial(config, 0)
+        assert result.envelope_ok
+        assert len(trace.records) == instance.n
 
 
 def test_csv_format_stable():
