@@ -89,8 +89,11 @@ def _cmd_counter_run(args) -> int:
             rows.append(f"{t},{r},{float(true[r])!r},{float(y[r])!r},{int(not bad[0][r])}")
     text = "\n".join(rows) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParameterError(f"cannot write CSV file '{args.out}': {exc.strerror}") from exc
         print(f"wrote {len(stream)} steps x {args.m} coords to {args.out} (seed {args.seed})")
     else:
         sys.stdout.write(text)

@@ -85,14 +85,23 @@ class AccuracyEnvelope:
 
 
 def validate_update(a, dim: int, bound: float = 1.0) -> np.ndarray:
-    """Check membership in the (bound-scaled) simplex and return a float array."""
+    """Check membership in the (bound-scaled) simplex and return a float array.
+
+    Nonnegative entries with a bounded sum are each bounded, and NaN fails both
+    tests, so one min and one sum accept every valid update; only a failing
+    update reaches the checks that name what is wrong.
+    """
     arr = np.asarray(a, dtype=float)
+    if arr.shape == (dim,) and arr.min() >= 0 and arr.sum() <= bound + _L1_TOL:
+        return arr
     if arr.shape != (dim,):
         raise ValidationError(f"update must have shape ({dim},), got {arr.shape}")
     if np.any(arr < 0):
         raise ValidationError("update entries must be nonnegative")
     if np.any(arr > bound + _L1_TOL):
         raise ValidationError(f"update entries must be <= {bound}")
+    if np.any(np.isnan(arr)):
+        raise ValidationError("update entries must be finite")
     if float(arr.sum()) > bound + _L1_TOL:
         raise ValidationError(f"update l1 norm {arr.sum():.6g} exceeds bound {bound}")
     return arr
@@ -180,10 +189,11 @@ class CounterMechanism:
         a = validate_update(a, self.dim, self.update_bound)
         self._t += 1
         self._true += a
-        self._current = np.asarray(self._step(a), dtype=float)
+        self._current = self._step(a)
         return self._current.copy()
 
     def _step(self, a: np.ndarray) -> np.ndarray:
+        """This step's release as a fresh float array (the base class keeps it)."""
         raise NotImplementedError
 
 
@@ -220,19 +230,32 @@ class TreeSum(CounterMechanism):
         for level in range(self.levels):
             blocks = -(-self.horizon // (1 << level))  # ceil division
             self._noise.append(laplace(scale, rng, size=(blocks, self.dim)))
+        # Slot l holds the cover noise of the last step whose lowest set bit is
+        # l; the extra last slot stays zero and stands for the empty cover of 0.
+        self._covers = np.zeros((self.levels + 1, self.dim))
 
     def node_noise(self, level: int, index: int) -> np.ndarray:
         """Noise vector of dyadic node (level, index)."""
         return self._noise[level][index].copy()
 
-    def _cover_noise(self, t: int) -> np.ndarray:
-        s = np.zeros(self.dim)
-        for level, idx in covering_blocks(t, self.levels):
-            s += self._noise[level][idx]
-        return s
-
     def _step(self, a: np.ndarray) -> np.ndarray:
-        return self._true + self._cover_noise(self._t)
+        """Add one node to a stored partial cover.
+
+        With L the lowest set bit of t, the cover of [1, t] is the cover of
+        [1, t - 2^L] plus node (L, (t >> L) - 1). Every step in between has a
+        lower lowest bit, so slot lowbit(t - 2^L) still holds that cover
+        (slot -1, always zero, when t is a power of two). The node noises are
+        added from 0.0 in ``covering_blocks`` order, as a loop over the blocks
+        would add them, so releases are bit-identical to that loop.
+        """
+        t = self._t
+        low = t & -t
+        level = low.bit_length() - 1
+        prev = t - low
+        cover = self._covers[level]
+        np.add(self._covers[(prev & -prev).bit_length() - 1],
+               self._noise[level][(t >> level) - 1], out=cover)
+        return self._true + cover
 
 
 def ftsum_flag_count(n: int, m: int, eps: float, alpha: float, gamma: float,
@@ -326,19 +349,21 @@ class FTSum(CounterMechanism):
         return 0.0 if flag == 0 else self.log_n * self.alpha ** (flag - 1)
 
     def _step(self, a: np.ndarray) -> np.ndarray:
-        tree_y = self.tree.update(a)
-        y = np.empty(self.dim)
-        for r in range(self.dim):
-            if self.flags[r] <= self.k:
-                self._acc[r] += a[r]
-                noisy = self._acc[r] + laplace(self._cmp_scale, self._flag_rng)
-                if noisy > self.taus[r]:
-                    self.flags[r] += 1
-                    self.taus[r] = (self.log_n * self.alpha ** self.flags[r]
-                                    + laplace(self._cmp_scale, self._flag_rng))
-                y[r] = self._phase_one_value(int(self.flags[r]))
-            else:
-                y[r] = tree_y[r]
+        """Release the embedded tree, overwritten on the flag-phase coordinates.
+
+        Only coordinates still in the flag phase are visited, in ascending
+        order, so comparison and threshold noise are drawn in the same order
+        as a loop over all coordinates that skips the handed-off ones.
+        """
+        y = self.tree.update(a)
+        for r in np.flatnonzero(self.flags <= self.k):
+            self._acc[r] += a[r]
+            noisy = self._acc[r] + laplace(self._cmp_scale, self._flag_rng)
+            if noisy > self.taus[r]:
+                self.flags[r] += 1
+                self.taus[r] = (self.log_n * self.alpha ** self.flags[r]
+                                + laplace(self._cmp_scale, self._flag_rng))
+            y[r] = self._phase_one_value(int(self.flags[r]))
         return y
 
 
@@ -411,10 +436,10 @@ class UnderestimatorWrapper(_Wrapper):
 
     def shift(self, y):
         """The release transform, exposed for grid checks."""
-        return (np.asarray(y, dtype=float) - self._shift_beta) / self._shift_alpha
+        return self._transform(np.asarray(y, dtype=float))
 
     def _transform(self, y: np.ndarray) -> np.ndarray:
-        return self.shift(y)
+        return (y - self._shift_beta) / self._shift_alpha
 
 
 class MonotoneWrapper(_Wrapper):
@@ -457,8 +482,9 @@ class ZeroFailureWrapper(_Wrapper):
         super().__init__(inner, target, budget)
 
     def _transform(self, y: np.ndarray) -> np.ndarray:
-        x = self._true if self.t > 0 else np.zeros(self.dim)
-        return np.clip(y, self.envelope.lower(x), self.envelope.upper(x))
+        # clip into [x/alpha - beta, alpha*x + beta]; x is zero before the first update
+        env, x = self.envelope, self._true
+        return np.minimum(np.maximum(y, x / env.alpha - env.beta), env.alpha * x + env.beta)
 
 
 class UniformWarmupCounter(CounterMechanism):

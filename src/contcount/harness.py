@@ -249,8 +249,12 @@ def results_to_csv(results) -> str:
 
 
 def write_csv(results, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(results_to_csv(results))
+    text = results_to_csv(results)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParameterError(f"cannot write CSV file '{path}': {exc.strerror}") from exc
 
 
 def read_csv_results(path: str):
@@ -274,7 +278,11 @@ def parse_config_file(path: str) -> dict:
     the instance-parameter dict."""
     opts: dict = {}
     inst_params: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise ParameterError(f"cannot read config file '{path}': {exc.strerror}") from exc
+    with fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if not line:

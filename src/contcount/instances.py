@@ -365,8 +365,12 @@ def parse_stream(text: str, m: int) -> np.ndarray:
 
 
 def load_stream(path: str, m: int) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_stream(fh.read(), m)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ParameterError(f"cannot read stream file '{path}': {exc.strerror}") from exc
+    return parse_stream(text, m)
 
 
 __all__ = [

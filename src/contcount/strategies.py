@@ -258,9 +258,12 @@ def make_strategy(spec: str) -> Strategy:
         return scripted(spec.split(":", 1)[1])
     if spec.startswith("belief:"):
         try:
-            return BeliefGreedy(float(spec.split(":", 1)[1]))
+            offset = float(spec.split(":", 1)[1])
         except ValueError as exc:
             raise ParameterError(f"belief offset must be a number: {exc}") from exc
+        if not math.isfinite(offset):
+            raise ParameterError(f"belief offset must be finite, got {offset}")
+        return BeliefGreedy(offset)
     raise ParameterError(f"unknown strategy spec '{spec}'")
 
 

@@ -102,6 +102,8 @@ def test_opt_file_named_like_a_prefix(tmp_path, capsys, monkeypatch, name):
     (["--instance", "random:resource", "--inst", "n_max=1"], "bad parameters"),
     (["--instance", "random:resource", "--inst", "n_max=abc"], "n_max"),
     (["--instance", "no-such-dir/inst.txt"], "cannot read instance file"),
+    (["--instance", "paper:noinfo", "--strategy", "belief:inf"], "must be finite"),
+    (["--instance", "paper:noinfo", "--strategy", "belief:nan"], "must be finite"),
 ])
 def test_game_run_bad_parameters(capsys, argv, message):
     code, _, err = run_cli(capsys, "game", "run", "--game", "resource", *argv)
@@ -130,6 +132,37 @@ def test_counter_run_malformed_stream(tmp_path, capsys):
                            "--stream", str(stream))
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_counter_run_nan_stream(tmp_path, capsys):
+    stream = tmp_path / "stream.txt"
+    stream.write_text("1\nnan\n")
+    code, out, err = run_cli(capsys, "counter", "run", "--mech", "treesum",
+                             "--n", "3", "--m", "1", "--stream", str(stream))
+    assert code == 1
+    assert err.startswith("error:")
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["counter", "run", "--n", "4", "--m", "1", "--stream", "{missing}"],
+     "cannot read stream file"),
+    (["game", "run", "--game", "resource", "--instance", "paper:noinfo",
+      "--config", "{missing}"], "cannot read config file"),
+    (["game", "run", "--game", "resource", "--instance", "paper:noinfo",
+      "--mech", "perfect", "--out", "{missing}/x.csv"], "cannot write CSV file"),
+    (["counter", "run", "--n", "4", "--m", "1", "--stream", "{stream}",
+      "--out", "{missing}/x.csv"], "cannot write CSV file"),
+])
+def test_missing_file_is_an_error(tmp_path, capsys, argv, message):
+    stream = tmp_path / "stream.txt"
+    stream.write_text("1\n")
+    missing = str(tmp_path / "missing")
+    argv = [a.format(missing=missing, stream=stream) for a in argv]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:")
+    assert message in err and missing in err
 
 
 def test_reproduce_pass_and_fail(capsys, monkeypatch):

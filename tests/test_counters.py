@@ -68,6 +68,19 @@ def test_update_validation():
         validate_update([5.1, 0.0], 2, bound=5.0)
 
 
+def test_nan_update_refused_by_every_mechanism():
+    from contcount.counters import MonotoneWrapper, UnderestimatorWrapper, ZeroFailureWrapper
+
+    chain = MonotoneWrapper(UnderestimatorWrapper(ZeroFailureWrapper(
+        TreeSum(8, 2, 1.0, RandomSource(0)))))
+    for mech in (TreeSum(8, 2, 1.0, RandomSource(0)),
+                 FTSum(8, 2, 1.0, 2.0, 0.1, 4.0, RandomSource(0)),
+                 chain):
+        with pytest.raises(ValidationError, match="finite"):
+            mech.update([math.nan, 0.0])
+        assert mech.t == 0
+
+
 # ---------------------------------------------------------------------------
 # TreeSum
 
@@ -140,6 +153,24 @@ def test_treesum_decomposition_recoverable_from_transcript():
             cover += noise[level][idx]
             assert np.array_equal(noise[level][idx], ts.node_noise(level, idx))
         assert np.array_equal(y, true + cover)
+
+
+def test_treesum_release_is_node_sum_in_cover_order():
+    # horizon not a power of two and a bound B != 1: every release equals the
+    # true sum plus the covering-node noises added from 0.0 highest level
+    # first, bit for bit, at every step
+    n, m, bound = 1000, 3, 3.0
+    gen = np.random.default_rng(11)
+    stream = bound * random_simplex_stream(gen, n, m)
+    ts = TreeSum(n, m, 0.8, RandomSource(5, 2), update_bound=bound)
+    true = np.zeros(m)
+    for t, a in enumerate(stream, start=1):
+        y = ts.update(a)
+        true += a
+        cover = np.zeros(m)
+        for level, idx in covering_blocks(t, ts.levels):
+            cover += ts.node_noise(level, idx)
+        assert np.array_equal(y, true + cover), f"step {t}"
 
 
 def test_treesum_estimate_uses_few_nodes():
@@ -260,6 +291,53 @@ def test_ftsum_phase_two_releases_embedded_tree_output():
     assert got == expected
     assert not ft.in_phase_one()[0]
     assert float(ft.current[0]) == float(ft.tree.current[0]) == 8.0
+
+
+def ftsum_reference(n, m, eps, alpha, gamma, c_tree, seed, stream_id, stream):
+    """Per-coordinate two-phase loop over every coordinate, drawing from the
+    flag substream in coordinate order; the reference for FTSum's releases."""
+    rng = RandomSource(seed, stream_id)
+    flag_rng = rng.substream(0)
+    tree = TreeSum(n, m, PrivacyBudget(eps / 2.0), rng.substream(1),
+                   gamma=gamma, c_tree=c_tree)
+    k = ftsum_flag_count(n, m, eps, alpha, gamma, c_tree)
+    scale = 2.0 / (eps / (4.0 * m * (k + 1)))
+    log_n = math.log2(n)
+    taus = [log_n + laplace(scale, flag_rng) for _ in range(m)]
+    flags = [0] * m
+    acc = [0.0] * m
+    out = []
+    for a in stream:
+        tree_y = tree.update(a)
+        y = np.empty(m)
+        for r in range(m):
+            if flags[r] <= k:
+                acc[r] += a[r]
+                if acc[r] + laplace(scale, flag_rng) > taus[r]:
+                    flags[r] += 1
+                    taus[r] = log_n * alpha ** flags[r] + laplace(scale, flag_rng)
+                y[r] = 0.0 if flags[r] == 0 else log_n * alpha ** (flags[r] - 1)
+            else:
+                y[r] = tree_y[r]
+        out.append(y)
+    return np.array(out), flags, k
+
+
+def test_ftsum_matches_per_coordinate_reference_loop():
+    # a large budget gives k = 1, so the heavy coordinates hand off to the
+    # tree mid-stream while the light ones stay in the flag phase; the noise
+    # is on, so any change in the draw order changes the releases
+    n, m, eps, alpha, gamma, c_tree = 256, 4, 100.0, 2.0, 0.1, 4.0
+    gen = np.random.default_rng(3)
+    stream = random_simplex_stream(gen, n, m) * np.array([0.6, 0.3, 0.08, 0.02])
+    for seed in range(5):
+        expected, flags, k = ftsum_reference(n, m, eps, alpha, gamma, c_tree,
+                                             seed, 4, stream)
+        ft = FTSum(n, m, eps, alpha, gamma, c_tree, RandomSource(seed, 4))
+        got = np.array([ft.update(a) for a in stream])
+        assert np.array_equal(got, expected)
+        assert list(ft.flags) == flags
+        assert any(f > k for f in flags) and any(f <= k for f in flags)
 
 
 def test_ftsum_parameter_errors():
