@@ -65,10 +65,10 @@ class AccuracyEnvelope:
     gamma: float = 0.0
 
     def __post_init__(self):
-        if not self.alpha >= 1.0:
-            raise ParameterError(f"alpha must be >= 1, got {self.alpha}")
-        if not self.beta >= 0.0:
-            raise ParameterError(f"beta must be nonnegative, got {self.beta}")
+        if not 1.0 <= self.alpha < math.inf:
+            raise ParameterError(f"alpha must be finite and >= 1, got {self.alpha}")
+        if not 0.0 <= self.beta < math.inf:
+            raise ParameterError(f"beta must be finite and nonnegative, got {self.beta}")
         if not 0.0 <= self.gamma < 1.0:
             raise ParameterError(f"gamma must lie in [0, 1), got {self.gamma}")
 
@@ -307,12 +307,12 @@ class FTSum(CounterMechanism):
                  c_tree: float, rng: RandomSource, *, update_bound: float = 1.0):
         if n < 1 or m < 1:
             raise ParameterError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
-        if not alpha > 1.0:
-            raise ParameterError(f"alpha must be > 1, got {alpha}")
+        if not 1.0 < alpha < math.inf:
+            raise ParameterError(f"alpha must be finite and > 1, got {alpha}")
         if not 0.0 < gamma < 1.0:
             raise ParameterError(f"gamma must lie in (0, 1), got {gamma}")
-        if not c_tree > 0:
-            raise ParameterError(f"c_tree must be positive, got {c_tree}")
+        if not 0.0 < c_tree < math.inf:
+            raise ParameterError(f"c_tree must be finite and positive, got {c_tree}")
         budget = PrivacyBudget(eps)
         k = ftsum_flag_count(n, m, eps, alpha, gamma, c_tree)
         eps_prime = eps / (4.0 * m * (k + 1))

@@ -5,7 +5,9 @@ exact within its size budget and refuses (``SizeError``) beyond it rather than
 silently approximating. Resource sharing reduces to a maximum-weight matching
 between players and per-resource value copies; the other games are enumerated
 exhaustively (with a bipartite closed form for cut games, whose optimum then
-cuts every edge).
+cuts every edge). Scheduling and cut enumerate in numpy chunks of at most
+``CHUNK_ROWS`` assignments, in the order of the plain loop, and keep the first
+optimum in that order as the witness.
 
 Every ``OptResult`` witness re-evaluates to the reported value exactly: the
 solvers compute values through the same public evaluators the tests use.
@@ -31,6 +33,7 @@ from .games import (
 MATCHING_CELL_BUDGET = 8 * 10 ** 6
 BRUTE_FORCE_BUDGET = 10 ** 7
 COVER_BUDGET = 10 ** 6
+CHUNK_ROWS = 2 ** 16
 
 
 @dataclass
@@ -108,19 +111,51 @@ def opt_resource_sharing(inst: ResourceSharingInstance) -> OptResult:
     return OptResult(resource_assignment_value(inst, assignment), assignment, "matching")
 
 
+def _grow_loads(loads: np.ndarray, costs: np.ndarray) -> np.ndarray:
+    """Every way to add the jobs of ``costs`` (one row per job, in order) to
+    the machine loads in ``loads`` (one row per partial assignment).
+
+    Each job multiplies the rows by m, its machine varying fastest, so row
+    order is ``itertools.product`` order; each load adds its jobs' costs in
+    job order, exactly as ``scheduling_makespan`` does.
+    """
+    m = loads.shape[1]
+    diag = np.arange(m)
+    for row in costs:
+        rows = loads.shape[0]
+        loads = np.repeat(loads, m, axis=0)
+        loads.reshape(rows, m, m)[:, diag, diag] += row
+    return loads
+
+
 def opt_scheduling(inst: SchedulingInstance, budget: int = BRUTE_FORCE_BUDGET) -> OptResult:
-    """Exact minimum makespan by exhaustive assignment (m^n states)."""
+    """Exact minimum makespan by exhaustive assignment (m^n states).
+
+    The leading jobs are enumerated in Python and, for each of their
+    assignments, the trailing ``tail`` jobs in one numpy chunk of m^tail
+    <= CHUNK_ROWS rows; the witness is the first optimum in product order.
+    """
     n, m = inst.n, inst.m
     if m ** n > budget:
         raise SizeError(
             f"{m}^{n} assignments exceed the brute-force budget; "
             "use scheduling_lower_bound for large instances")
-    best, best_assign = math.inf, None
-    for assign in itertools.product(range(m), repeat=n):
-        span = scheduling_makespan(inst, assign)
-        if span < best:
-            best, best_assign = span, list(assign)
-    return OptResult(best, best_assign, "brute-force")
+    tail = n
+    while m ** tail > CHUNK_ROWS:
+        tail -= 1
+    best, best_head, best_row = math.inf, None, 0
+    for head in itertools.product(range(m), repeat=n - tail):
+        loads = np.zeros((1, m))
+        for k, q in enumerate(head):
+            loads[0, q] += inst.costs[k, q]
+        spans = _grow_loads(loads, inst.costs[n - tail:]).max(axis=1)
+        row = int(spans.argmin())
+        if spans[row] < best:
+            best, best_head, best_row = spans[row], head, row
+    witness = list(best_head) + [best_row // m ** (tail - 1 - j) % m for j in range(tail)]
+    value = scheduling_makespan(inst, witness)
+    assert value == best, "vectorised makespan differs from scheduling_makespan"
+    return OptResult(value, witness, "brute-force")
 
 
 def scheduling_lower_bound(inst: SchedulingInstance) -> float:
@@ -154,15 +189,24 @@ def opt_cut(inst: CutInstance, budget: int = BRUTE_FORCE_BUDGET) -> OptResult:
     coloring = _two_coloring(inst)
     if coloring is not None:
         return OptResult(2.0 * len(inst.edges), coloring, "closed-form")
-    if 2 ** max(inst.n - 1, 0) > budget:
+    free = max(inst.n - 1, 0)
+    if 2 ** free > budget:
         raise SizeError(f"2^{inst.n} colorings exceed the brute-force budget")
-    best, best_colors = -1.0, None
-    for bits in range(2 ** max(inst.n - 1, 0)):
-        colors = [0] + [(bits >> i) & 1 for i in range(inst.n - 1)]
-        sw = cut_social_welfare(inst, colors)
-        if sw > best:
-            best, best_colors = sw, colors
-    return OptResult(best, best_colors, "brute-force")
+    us, vs = np.array(inst.edges).T
+    shifts = np.arange(free)
+    best, best_bits = -1, 0
+    for start in range(0, 2 ** free, CHUNK_ROWS):
+        bits = np.arange(start, min(start + CHUNK_ROWS, 2 ** free))
+        colors = np.zeros((bits.size, inst.n), dtype=np.int8)
+        colors[:, 1:] = bits[:, None] >> shifts & 1
+        cuts = np.count_nonzero(colors[:, us] != colors[:, vs], axis=1)
+        row = int(cuts.argmax())
+        if cuts[row] > best:
+            best, best_bits = int(cuts[row]), int(bits[row])
+    witness = [0] + [(best_bits >> i) & 1 for i in range(free)]
+    value = cut_social_welfare(inst, witness)
+    assert value == 2.0 * best, "vectorised cut differs from cut_social_welfare"
+    return OptResult(value, witness, "brute-force")
 
 
 def opt_cost_sharing(inst: CostSharingInstance, budget: int = COVER_BUDGET) -> OptResult:

@@ -104,6 +104,14 @@ def test_opt_file_named_like_a_prefix(tmp_path, capsys, monkeypatch, name):
     (["--instance", "no-such-dir/inst.txt"], "cannot read instance file"),
     (["--instance", "paper:noinfo", "--strategy", "belief:inf"], "must be finite"),
     (["--instance", "paper:noinfo", "--strategy", "belief:nan"], "must be finite"),
+    (["--instance", "paper:noinfo", "--mech", "ftsum", "--ctree", "inf"],
+     "c_tree must be finite"),
+    (["--instance", "paper:noinfo", "--mech", "ftsum", "--alpha", "inf"],
+     "alpha must be finite"),
+    (["--instance", "paper:noinfo", "--mech", "treesum", "--wrap", "clamp",
+      "--clamp-alpha", "inf"], "alpha must be finite"),
+    (["--instance", "paper:noinfo", "--mech", "treesum", "--wrap", "clamp",
+      "--clamp-beta", "inf"], "beta must be finite"),
 ])
 def test_game_run_bad_parameters(capsys, argv, message):
     code, _, err = run_cli(capsys, "game", "run", "--game", "resource", *argv)

@@ -11,7 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("demo", ["counter_mechanisms.py", "other_games.py",
-                                  "resource_sharing_welfare.py"])
+                                  "resource_sharing_welfare.py", "worst_case_scenarios.py"])
 def test_demo_runs(demo):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=ROOT,

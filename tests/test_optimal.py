@@ -188,3 +188,74 @@ def test_opt_upper_bounds_any_play():
         mech = TreeSum(inst.n, inst.m, 0.5, rng.substream(1))
         trace = play_resource_sharing(inst, mech, Greedy())
         assert opt_resource_sharing(inst).value >= trace.social_welfare - 1e-9
+
+
+# the per-assignment loops the chunked solvers replaced, evaluators inlined as
+# the same float additions in the same order, so values and witnesses must match
+
+
+def loop_scheduling(inst):
+    costs = inst.costs.tolist()
+    best, best_assign = math.inf, None
+    for assign in itertools.product(range(inst.m), repeat=inst.n):
+        loads = [0.0] * inst.m
+        for row, q in zip(costs, assign):
+            loads[q] += row[q]
+        span = max(loads)
+        if span < best:
+            best, best_assign = span, list(assign)
+    return best, best_assign, "brute-force"
+
+
+def loop_cut(inst):
+    best, best_colors = -1.0, None
+    for bits in range(2 ** max(inst.n - 1, 0)):
+        colors = [0] + [(bits >> i) & 1 for i in range(inst.n - 1)]
+        sw = 2.0 * sum(1 for u, v in inst.edges if colors[u] != colors[v])
+        if sw > best:
+            best, best_colors = sw, colors
+    return best, best_colors, "brute-force"
+
+
+def as_tuple(result):
+    return result.value, result.witness, result.method
+
+
+def test_chunked_scheduling_matches_loop():
+    for trial in range(100):
+        inst = instances.random_scheduling(RandomSource(trial, 37), n_max=8, m_max=4)
+        assert as_tuple(opt_scheduling(inst)) == loop_scheduling(inst)
+    # 3^13 assignments span 27 chunks; on identical machines every optimum has
+    # a machine-permuted twin in another chunk
+    sizes = np.random.default_rng(37).integers(1, 4, (13, 1))
+    inst = instances.SchedulingInstance(np.repeat(sizes, 3, axis=1))
+    assert as_tuple(opt_scheduling(inst)) == loop_scheduling(inst)
+
+
+def test_chunked_cut_matches_loop():
+    solved = 0
+    for trial in range(100):
+        inst = instances.random_cut(RandomSource(trial, 38), n_max=16, p=0.35)
+        result = opt_cut(inst)
+        if result.method == "brute-force":
+            solved += 1
+            assert as_tuple(result) == loop_cut(inst)
+    assert solved >= 50
+    # 2^19 colorings span 8 chunks; the triangle (0, 1, 19) makes it non-bipartite
+    gen = np.random.default_rng(38)
+    edges = [(u, v) for u in range(19) for v in range(u + 1, 19) if gen.random() < 0.15]
+    inst = CutInstance(20, sorted(set(edges) | {(0, 1), (0, 19), (1, 19)}))
+    result = opt_cut(inst)
+    assert result.method == "brute-force"
+    assert as_tuple(result) == loop_cut(inst)
+
+
+def test_brute_force_budget_is_inclusive():
+    sched = instances.SchedulingInstance(np.arange(12.0).reshape(4, 3))
+    assert opt_scheduling(sched, budget=81).method == "brute-force"
+    with pytest.raises(SizeError):
+        opt_scheduling(sched, budget=80)
+    triangle = CutInstance(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
+    assert opt_cut(triangle, budget=16).method == "brute-force"
+    with pytest.raises(SizeError):
+        opt_cut(triangle, budget=15)
