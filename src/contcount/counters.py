@@ -215,6 +215,8 @@ class TreeSum(CounterMechanism):
             budget = PrivacyBudget(float(budget))
         if not 0.0 < gamma < 1.0:
             raise ParameterError(f"gamma must lie in (0, 1), got {gamma}")
+        if not 0.0 < c_tree < math.inf:
+            raise ParameterError(f"c_tree must be finite and positive, got {c_tree}")
         beta = treesum_error_bound(n, m, budget.epsilon, gamma, c_tree)
         env_gamma = 0.0 if budget.epsilon == math.inf else gamma
         super().__init__(n, m, budget, AccuracyEnvelope(1.0, beta, env_gamma), update_bound)

@@ -3,7 +3,8 @@
 These values are the denominators of all competitive ratios, so each solver is
 exact within its size budget and refuses (``SizeError``) beyond it rather than
 silently approximating. Resource sharing reduces to a maximum-weight matching
-between players and per-resource value copies; the other games are enumerated
+between players and per-resource value copies, which a matroid greedy with
+augmenting paths solves exactly; the other games are enumerated
 exhaustively (with a bipartite closed form for cut games, whose optimum then
 cuts every edge). Scheduling and cut enumerate in numpy chunks of at most
 ``CHUNK_ROWS`` assignments, in the order of the plain loop, and keep the first
@@ -20,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import SizeError
 from .games import (
@@ -86,29 +86,79 @@ def cost_sharing_total(inst: CostSharingInstance, chosen_sets) -> float:
 
 
 def opt_resource_sharing(inst: ResourceSharingInstance) -> OptResult:
-    """Maximum-weight matching between players and n copies of each resource
-    (copy k of resource r weighs v_r(k)), restricted to the action sets."""
+    """Maximum-weight matching between players and the copies of each resource
+    (copy k of resource r weighs v_r(k)), restricted to the action sets.
+
+    The sets of copies that distinct players can take form a transversal
+    matroid and the weights are nonnegative, so Edmonds' greedy is exact: take
+    the copies by (-value, r, k) and keep each one an augmenting path admits,
+    until every player is placed. A rejected copy marks its resource full,
+    since all later copies of it have the same players and fail as well.
+    Curves never increase, so the copies taken of a resource are worth what
+    its first ones are, and ``resource_assignment_value`` of the witness is
+    the maximum weight.
+    """
     n, m = inst.n, inst.m
     if n * m * n > MATCHING_CELL_BUDGET:
         raise SizeError(f"matching with {n * m * n} cells exceeds the exact-mode budget")
-    weights = np.empty((n, m * n))
-    for r in range(m):
-        for k in range(n):
-            weights[:, r * n + k] = inst.curves[r].value_at(k)
-    forbidden = -(1.0 + float(np.abs(weights).sum()))
-    mask = np.full((n, m * n), True)
+    allowed_by = [[] for _ in range(m)]
     for i, acts in enumerate(inst.action_sets):
-        for r in acts:
-            mask[i, r * n:(r + 1) * n] = False
-    weights[mask] = forbidden
-    rows, cols = linear_sum_assignment(weights, maximize=True)
-    assignment = [0] * n
-    for i, col in zip(rows, cols):
-        # an all-allowed perfect matching always exists (n copies per resource),
-        # so the maximizer never takes a forbidden cell
-        assert not mask[i, col], "assignment solver took a forbidden edge"
-        assignment[i] = int(col // n)
-    return OptResult(resource_assignment_value(inst, assignment), assignment, "matching")
+        for r in set(acts):
+            allowed_by[r].append(i)
+    # copy k of resource r for k < len(allowed_by[r]); a stable sort of the
+    # (r, k)-ordered candidates by -value is the (-value, r, k) order
+    degrees = [len(players) for players in allowed_by]
+    values = np.concatenate([
+        curve.values[np.minimum(np.arange(d), len(curve) - 1)]
+        for curve, d in zip(inst.curves, degrees)])
+    order = np.argsort(-values, kind="stable")
+    candidates = np.repeat(np.arange(m), degrees)[order].tolist()
+    where = [-1] * n           # resource of each player, -1 while free
+    free_from = [0] * m        # allowed_by[r][:free_from[r]] are all placed
+    full = [False] * m
+    placed = 0
+    for r in candidates:
+        if full[r]:
+            continue
+        if _augment(r, allowed_by, where, free_from):
+            placed += 1
+            if placed == n:
+                break
+        else:
+            full[r] = True
+    assert placed == n, "every player has an action, so the greedy places all"
+    return OptResult(resource_assignment_value(inst, where), where, "matching")
+
+
+def _augment(r: int, allowed_by: list, where: list, free_from: list) -> bool:
+    """Give resource r one more player along a shortest augmenting path.
+
+    Breadth-first over resources from r: resource x ends the search at its
+    first free player; otherwise each player on an unvisited resource y
+    records ``via[y] = (x, p)``. On success the players shift back along the
+    path, so r gains one player and every other resource keeps its count.
+    """
+    via = {r: None}
+    queue = [r]
+    for x in queue:
+        players = allowed_by[x]
+        j = free_from[x]
+        while j < len(players) and where[players[j]] >= 0:
+            j += 1
+        free_from[x] = j    # placed players never become free again
+        if j < len(players):
+            p = players[j]
+            while True:
+                where[p] = x
+                if x == r:
+                    return True
+                x, p = via[x]
+        for p in players:
+            y = where[p]
+            if y not in via:
+                via[y] = (x, p)
+                queue.append(y)
+    return False
 
 
 def _grow_loads(loads: np.ndarray, costs: np.ndarray) -> np.ndarray:

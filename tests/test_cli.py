@@ -112,6 +112,10 @@ def test_opt_file_named_like_a_prefix(tmp_path, capsys, monkeypatch, name):
       "--clamp-alpha", "inf"], "alpha must be finite"),
     (["--instance", "paper:noinfo", "--mech", "treesum", "--wrap", "clamp",
       "--clamp-beta", "inf"], "beta must be finite"),
+    (["--instance", "paper:noinfo", "--mech", "treesum", "--ctree", "0"],
+     "c_tree must be finite and positive"),
+    (["--instance", "paper:noinfo", "--mech", "treesum", "--ctree", "-1"],
+     "c_tree must be finite and positive"),
 ])
 def test_game_run_bad_parameters(capsys, argv, message):
     code, _, err = run_cli(capsys, "game", "run", "--game", "resource", *argv)

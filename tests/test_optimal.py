@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,6 +103,93 @@ def test_resource_sharing_matches_brute_force():
         result = opt_resource_sharing(inst)
         assert result.value == pytest.approx(brute_resource(inst), abs=1e-12)
         assert resource_assignment_value(inst, result.witness) == result.value
+
+
+# the dense assignment solver the matroid greedy replaced, as an oracle at
+# sizes brute force cannot reach
+
+
+def dense_assignment_resource(inst):
+    """Max-weight assignment of players to n copies of every resource via
+    scipy's linear_sum_assignment; forbidden cells weigh less than any
+    all-allowed assignment, so the maximizer never takes one."""
+    linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+    n, m = inst.n, inst.m
+    weights = np.empty((n, m * n))
+    for r in range(m):
+        for k in range(n):
+            weights[:, r * n + k] = inst.curves[r].value_at(k)
+    forbidden = -(1.0 + float(np.abs(weights).sum()))
+    mask = np.full((n, m * n), True)
+    for i, acts in enumerate(inst.action_sets):
+        for r in acts:
+            mask[i, r * n:(r + 1) * n] = False
+    weights[mask] = forbidden
+    rows, cols = linear_sum_assignment(weights, maximize=True)
+    assert not mask[rows, cols].any()
+    return resource_assignment_value(inst, (cols // n).tolist())
+
+
+def first_fit_resource(inst):
+    """Negative control: the copies in the solver's (-value, r, k) order, each
+    given to the first free allowed player, never rerouting a placed one."""
+    copies = sorted((-inst.curves[r].value_at(k), r, k)
+                    for r in range(inst.m) for k in range(inst.n))
+    where = [None] * inst.n
+    for _, r, _ in copies:
+        free = [i for i, acts in enumerate(inst.action_sets) if r in acts and where[i] is None]
+        if free:
+            where[free[0]] = r
+    return resource_assignment_value(inst, where)
+
+
+def check_against_dense(inst):
+    result = opt_resource_sharing(inst)
+    assert result.value == dense_assignment_resource(inst)
+    assert len(result.witness) == inst.n
+    assert all(r in acts for r, acts in zip(result.witness, inst.action_sets))
+    assert resource_assignment_value(inst, result.witness) == result.value
+
+
+def test_resource_sharing_matches_dense_assignment():
+    for trial in range(200):
+        check_against_dense(instances.random_resource_sharing(
+            RandomSource(trial, 37), n_max=200, m_max=10))
+    for trial in range(100):
+        check_against_dense(instances.random_market_sharing(RandomSource(trial, 38)))
+
+
+def test_resource_sharing_long_augmenting_paths():
+    # nested action sets: player i may use resources 0..i % m. Resource r pays
+    # 2 - r/m to each of its first 2(r + 1) users, so the low resources go
+    # first and take the lowest players of every class; the high resources
+    # then reach a free player only by shifting several placed ones
+    n, m = 120, 12
+    curves = [ValueCurve([2.0 - r / m if k < 2 * (r + 1) else 0.0 for k in range(n)])
+              for r in range(m)]
+    check_against_dense(ResourceSharingInstance(
+        curves, [list(range(i % m + 1)) for i in range(n)]))
+
+
+def test_resource_sharing_reroutes_placed_players():
+    # the first copy of resource 0 goes to player 0; resource 1 is open only
+    # to player 0, who must move over so that player 1 takes resource 0
+    inst = ResourceSharingInstance(
+        [ValueCurve([1.0, 0.0]), ValueCurve([0.9])], [[0, 1], [0]])
+    result = opt_resource_sharing(inst)
+    assert result.value == 1.9 and result.witness == [1, 0]
+    assert first_fit_resource(inst) == 1.0
+
+
+def test_package_import_leaves_scipy_unloaded():
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    code = ("import sys, contcount, contcount.cli; "
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_scheduling_exact_and_bounds():
