@@ -13,6 +13,7 @@ two apart).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -247,10 +248,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on first use and kept for the process.
+
+    Parsing does not change the parser, and no command mutates a parsed
+    default in place (``--wrap`` and ``--inst`` share their default lists), so
+    one parser serves every call.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; keep exit code 2 reserved for
         # "ran fine, claimed bound failed"

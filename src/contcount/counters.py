@@ -40,6 +40,7 @@ from .noise import RandomSource, laplace
 logger = logging.getLogger(__name__)
 
 _L1_TOL = 1e-9
+_FLAG_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -292,6 +293,17 @@ def ftsum_phase_one_bound(n: int, m: int, k: int, eps_prime: float, gamma: float
     return 2.0 * b + max(1.0, math.log2(n))
 
 
+def _block_laplace(scale: float, rng: RandomSource):
+    """Endless Laplace(scale) draws from ``rng``, served from refilled blocks.
+
+    Equal to drawing them one at a time: bulk and scalar uniforms come off
+    the generator in the same order and go through the same transform.
+    Python floats keep the callers' arithmetic as it was.
+    """
+    while True:
+        yield from laplace(scale, rng, size=_FLAG_BLOCK).tolist()
+
+
 class FTSum(CounterMechanism):
     """Two-phase flag/tree counter with constant multiplicative error alpha.
 
@@ -302,7 +314,9 @@ class FTSum(CounterMechanism):
     (0 while no flag is up). Once flag > k the coordinate permanently releases
     the embedded TreeSum, which is fed every update from t = 1 with budget
     eps/2. The per-comparison budget eps' = eps/(4m(k+1)) makes the ledger
-    2m(k+1)*eps' + eps/2 close exactly at eps.
+    2m(k+1)*eps' + eps/2 close exactly at eps. Threshold and comparison noise
+    come in blocks from the flag substream, which FTSum alone draws from, so
+    the unused tail of a block is never seen.
     """
 
     def __init__(self, n: int, m: int, eps: float, alpha: float, gamma: float,
@@ -332,16 +346,15 @@ class FTSum(CounterMechanism):
         self.eps_prime = eps_prime
         self.log_n = math.log2(n) if n > 1 else 0.0
         self.rng = rng
-        self._flag_rng = rng.substream(0)
         self.tree = TreeSum(n, m, PrivacyBudget(eps / 2.0 if eps != math.inf else math.inf),
                             rng.substream(1), gamma=gamma, c_tree=c_tree,
                             update_bound=update_bound)
         self._cmp_scale = (0.0 if eps == math.inf
                            else 2.0 * update_bound / eps_prime)
+        self._flag_noise = _block_laplace(self._cmp_scale, rng.substream(0))
         self.flags = np.zeros(m, dtype=int)
         self._acc = np.zeros(m)
-        self.taus = np.array([self.log_n + laplace(self._cmp_scale, self._flag_rng)
-                              for _ in range(m)])
+        self.taus = np.array([self.log_n + next(self._flag_noise) for _ in range(m)])
 
     def in_phase_one(self) -> np.ndarray:
         """Boolean mask of coordinates still in the flag phase."""
@@ -360,11 +373,11 @@ class FTSum(CounterMechanism):
         y = self.tree.update(a)
         for r in np.flatnonzero(self.flags <= self.k):
             self._acc[r] += a[r]
-            noisy = self._acc[r] + laplace(self._cmp_scale, self._flag_rng)
+            noisy = self._acc[r] + next(self._flag_noise)
             if noisy > self.taus[r]:
                 self.flags[r] += 1
                 self.taus[r] = (self.log_n * self.alpha ** self.flags[r]
-                                + laplace(self._cmp_scale, self._flag_rng))
+                                + next(self._flag_noise))
             y[r] = self._phase_one_value(int(self.flags[r]))
         return y
 

@@ -16,6 +16,7 @@ substream 2, which no MechanismSpec describes.
 
 from __future__ import annotations
 
+import inspect
 import io
 import math
 from dataclasses import dataclass, field, replace
@@ -341,6 +342,12 @@ def reproduce(name: str, seed: int = 0, **overrides) -> ScenarioReport:
         raise UnknownScenarioError(
             f"unknown scenario '{name}' (see list-scenarios)")
     claim, fn = _SCENARIOS[name]
+    if overrides.get("trials", 1) < 1:
+        raise ParameterError("trial count must be >= 1")
+    params = inspect.signature(fn).parameters
+    for key in overrides:
+        if key not in params:
+            raise ParameterError(f"scenario '{name}' takes no '{key}' parameter")
     passed, measured, lines = fn(seed=seed, **overrides)
     return ScenarioReport(name, claim, bool(passed), measured, lines)
 

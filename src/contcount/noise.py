@@ -7,9 +7,10 @@ statistically independent streams, so parallel trials and embedded mechanisms
 each derive their own substream instead of sharing state.
 
 The Laplace sampler uses the inverse CDF (deterministic and portable, unlike
-rejection sampling). It is simulation-grade: floating-point side channels of
-Laplace sampling, a known attack surface for deployed DP systems, are not
-mitigated here.
+rejection sampling). Bulk draws are transformed in place, so a draw of shape
+``size`` allocates its result and a boolean sign mask, nothing more. It is
+simulation-grade: floating-point side channels of Laplace sampling, a known
+attack surface for deployed DP systems, are not mitigated here.
 """
 
 from __future__ import annotations
@@ -69,10 +70,28 @@ class RandomSource:
         return f"RandomSource(seed={self.seed}, stream_id={self.stream_id}{flag})"
 
 
+def _laplace_in_place(scale: float, u: np.ndarray) -> np.ndarray:
+    """Overwrite u, draws in (-1/2, 1/2), with -scale*sign(u)*ln(1-2|u|).
+
+    Negating ``scale * log1p(-2|u|)`` where u >= 0 gives the same value and
+    sign bit as multiplying by ``-scale * sign(u)``: both round one product,
+    and u == 0 lands on +0.0 either way. Only the sign mask is allocated.
+    """
+    nonneg = u >= 0.0
+    np.abs(u, out=u)
+    u *= -2.0
+    np.log1p(u, out=u)
+    u *= scale
+    np.negative(u, out=u, where=nonneg)
+    return u
+
+
 def laplace_from_uniform(scale: float, u):
-    """Inverse-CDF Laplace sample(s) from u in (-1/2, 1/2): -scale*sign(u)*ln(1-2|u|)."""
-    u = np.asarray(u, dtype=float)
-    out = -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+    """Inverse-CDF Laplace sample(s) from u in (-1/2, 1/2): -scale*sign(u)*ln(1-2|u|).
+
+    Works on a copy, so the caller's array is left as it was.
+    """
+    out = _laplace_in_place(scale, np.array(u, dtype=float))
     return float(out) if out.ndim == 0 else out
 
 
@@ -80,21 +99,20 @@ def laplace(scale: float, rng: RandomSource, size=None):
     """Sample from the Laplace distribution with mean 0 and the given scale.
 
     Returns exactly 0 when ``scale == 0`` or when the source is in zero-noise
-    mode. ``size=None`` returns a float, otherwise an ndarray.
+    mode. ``size=None`` returns a float, otherwise an ndarray: the uniform
+    draw, transformed in place.
     """
     if scale < 0:
         raise ParameterError(f"laplace scale must be nonnegative, got {scale}")
     if scale == 0 or rng.zero_noise:
         return 0.0 if size is None else np.zeros(size)
-    r = rng.uniform(size=size)
     # r == 0.0 would map to u = -1/2 and log(0); remap that measure-zero draw
     # to the median.
-    if size is None:
-        if r == 0.0:
-            r = 0.5
-        return laplace_from_uniform(scale, r - 0.5)
-    r = np.where(r == 0.0, 0.5, r)
-    return laplace_from_uniform(scale, r - 0.5)
+    r = np.asarray(rng.uniform(size=size))
+    r[r == 0.0] = 0.5
+    r -= 0.5
+    out = _laplace_in_place(scale, r)
+    return float(out) if out.ndim == 0 else out
 
 
 def zero_noise_source(seed: int = 0, stream_id: int = 0) -> RandomSource:

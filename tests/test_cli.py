@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -249,3 +250,45 @@ def test_help_documents_every_flag():
                     for act in nsub._actions:
                         for opt in act.option_strings:
                             assert opt in ntext
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["thm:polylog", "--trials", "0"], "trial count must be >= 1"),
+    (["prop:private-beats-perfect", "--trials", "-2"], "trial count must be >= 1"),
+    (["sec1.1:illustrative", "--trials", "3"],
+     "scenario 'sec1.1:illustrative' takes no 'trials' parameter"),
+])
+def test_reproduce_bad_trials(capsys, argv, message):
+    code, out, err = run_cli(capsys, "reproduce", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    run_cli(capsys, "list-scenarios")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    code, out, _ = run_cli(capsys, "list-scenarios")
+    assert code == 0 and "thm:greedy4" in out
+    assert built == []
+    # a fresh parser for callers that want their own
+    cli.build_parser()
+    assert built
+
+
+def test_cached_parser_defaults_stay_empty(capsys):
+    parser = cli._parser()
+    wrapped = parser.parse_args(["game", "run", "--wrap", "clamp", "--inst", "n_max=5"])
+    assert wrapped.wrap == ["clamp"] and wrapped.inst == ["n_max=5"]
+    code, _, _ = run_cli(capsys, "game", "run", "--game", "resource",
+                         "--instance", "paper:noinfo", "--wrap", "clamp", "--json")
+    assert code == 0
+    plain = parser.parse_args(["game", "run"])
+    assert plain.wrap == [] and plain.inst == []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from contcount.counters import (
+    _FLAG_BLOCK,
     AccuracyEnvelope,
     EmptyCounter,
     FTSum,
@@ -293,17 +294,26 @@ def test_ftsum_phase_two_releases_embedded_tree_output():
     assert float(ft.current[0]) == float(ft.tree.current[0]) == 8.0
 
 
-def ftsum_reference(n, m, eps, alpha, gamma, c_tree, seed, stream_id, stream):
+def ftsum_reference(n, m, eps, alpha, gamma, c_tree, seed, stream_id, stream,
+                    zero_noise=False):
     """Per-coordinate two-phase loop over every coordinate, drawing from the
-    flag substream in coordinate order; the reference for FTSum's releases."""
-    rng = RandomSource(seed, stream_id)
+    flag substream one scalar at a time in coordinate order; the reference
+    for FTSum's releases. Also returns how many flag draws it made."""
+    rng = RandomSource(seed, stream_id, zero_noise)
     flag_rng = rng.substream(0)
     tree = TreeSum(n, m, PrivacyBudget(eps / 2.0), rng.substream(1),
                    gamma=gamma, c_tree=c_tree)
     k = ftsum_flag_count(n, m, eps, alpha, gamma, c_tree)
     scale = 2.0 / (eps / (4.0 * m * (k + 1)))
     log_n = math.log2(n)
-    taus = [log_n + laplace(scale, flag_rng) for _ in range(m)]
+    draws = 0
+
+    def flag_noise():
+        nonlocal draws
+        draws += 1
+        return laplace(scale, flag_rng)
+
+    taus = [log_n + flag_noise() for _ in range(m)]
     flags = [0] * m
     acc = [0.0] * m
     out = []
@@ -313,31 +323,38 @@ def ftsum_reference(n, m, eps, alpha, gamma, c_tree, seed, stream_id, stream):
         for r in range(m):
             if flags[r] <= k:
                 acc[r] += a[r]
-                if acc[r] + laplace(scale, flag_rng) > taus[r]:
+                if acc[r] + flag_noise() > taus[r]:
                     flags[r] += 1
-                    taus[r] = log_n * alpha ** flags[r] + laplace(scale, flag_rng)
+                    taus[r] = log_n * alpha ** flags[r] + flag_noise()
                 y[r] = 0.0 if flags[r] == 0 else log_n * alpha ** (flags[r] - 1)
             else:
                 y[r] = tree_y[r]
         out.append(y)
-    return np.array(out), flags, k
+    return np.array(out), flags, k, draws
 
 
 def test_ftsum_matches_per_coordinate_reference_loop():
     # a large budget gives k = 1, so the heavy coordinates hand off to the
-    # tree mid-stream while the light ones stay in the flag phase; the noise
-    # is on, so any change in the draw order changes the releases
-    n, m, eps, alpha, gamma, c_tree = 256, 4, 100.0, 2.0, 0.1, 4.0
-    gen = np.random.default_rng(3)
-    stream = random_simplex_stream(gen, n, m) * np.array([0.6, 0.3, 0.08, 0.02])
-    for seed in range(5):
-        expected, flags, k = ftsum_reference(n, m, eps, alpha, gamma, c_tree,
-                                             seed, 4, stream)
-        ft = FTSum(n, m, eps, alpha, gamma, c_tree, RandomSource(seed, 4))
+    # tree mid-stream while the light ones stay in the flag phase; with the
+    # noise on, any change in the draw order changes the releases. At
+    # n = 1024 the light coordinates alone make 2048 comparisons, so the flag
+    # noise crosses at least two block refills.
+    m, alpha, gamma, c_tree = 4, 2.0, 0.1, 4.0
+    cases = ([(256, 100.0, False, seed) for seed in range(5)]
+             + [(1024, 100.0, False, seed) for seed in range(2)]
+             + [(256, 100.0, True, 0), (256, math.inf, False, 0)])
+    for n, eps, zero_noise, seed in cases:
+        gen = np.random.default_rng(3)
+        stream = random_simplex_stream(gen, n, m) * np.array([0.6, 0.3, 0.08, 0.02])
+        expected, flags, k, draws = ftsum_reference(n, m, eps, alpha, gamma, c_tree,
+                                                    seed, 4, stream, zero_noise)
+        ft = FTSum(n, m, eps, alpha, gamma, c_tree, RandomSource(seed, 4, zero_noise))
         got = np.array([ft.update(a) for a in stream])
         assert np.array_equal(got, expected)
         assert list(ft.flags) == flags
         assert any(f > k for f in flags) and any(f <= k for f in flags)
+        if n == 1024:
+            assert draws > 2 * _FLAG_BLOCK
 
 
 def test_ftsum_parameter_errors():

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -160,3 +162,15 @@ def test_csv_format_stable():
     header, *rows = text.strip().splitlines()
     assert header == "trial,seed,sw,psw,opt,ratio,envelope_ok,alg_metric,final_counts"
     assert len(rows) == 2
+
+
+@pytest.mark.parametrize("name", sorted(harness._SCENARIOS))
+def test_reproduce_checks_trials_for_every_scenario(name):
+    with pytest.raises(ParameterError, match="trial count must be >= 1"):
+        reproduce(name, trials=0)
+    _, fn = harness._SCENARIOS[name]
+    if "trials" in inspect.signature(fn).parameters:
+        assert reproduce(name, seed=1, trials=1).measured
+    else:
+        with pytest.raises(ParameterError, match=f"scenario '{name}' takes no 'trials'"):
+            reproduce(name, trials=1)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,3 +83,84 @@ def test_seed_validation():
         RandomSource(-1)
     with pytest.raises(ParameterError):
         RandomSource(0, 2 ** 64)
+
+
+def reference_laplace(scale, rng, size):
+    """The bulk draw written as one expression over full-size temporaries."""
+    r = rng.uniform(size=size)
+    r = np.where(r == 0.0, 0.5, r)
+    u = r - 0.5
+    return -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+
+
+def assert_same_bits(got, expected):
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+@pytest.mark.parametrize("scale", [1e-300, 0.5, 1e6])
+@pytest.mark.parametrize("size", [1, 1000, (3, 5), (64, 2)])
+def test_bulk_draw_matches_reference_expression(scale, size):
+    for seed in range(4):
+        assert_same_bits(laplace(scale, RandomSource(seed, 9), size=size),
+                         reference_laplace(scale, RandomSource(seed, 9), size))
+
+
+class FixedUniforms(RandomSource):
+    """A source whose uniform draws are the given values, in order."""
+
+    def __init__(self, draws):
+        super().__init__(0)
+        self.draws = np.asarray(draws, dtype=float)
+
+    def uniform(self, size=None):
+        if size is None:
+            return float(self.draws[0])
+        return self.draws.reshape(size).copy()
+
+
+EDGE_UNIFORMS = [0.0, 0.5, 0.25, 0.75, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0),
+                 2.0 ** -53, 1.0 - 2.0 ** -53]
+
+
+@pytest.mark.parametrize("scale", [1e-300, 0.5, 1e6])
+def test_bulk_draw_matches_reference_on_exact_edge_uniforms(scale):
+    got = laplace(scale, FixedUniforms(EDGE_UNIFORMS), size=len(EDGE_UNIFORMS))
+    assert_same_bits(got, reference_laplace(scale, FixedUniforms(EDGE_UNIFORMS),
+                                            len(EDGE_UNIFORMS)))
+    # a 0.0 draw is remapped to the median, and the median maps to +0.0
+    assert got[0] == got[1] == 0.0 and not np.signbit(got[:2]).any()
+    for value, expected in zip(EDGE_UNIFORMS, got):
+        one = laplace(scale, FixedUniforms([value]))
+        assert isinstance(one, float)
+        assert_same_bits(np.array(one), np.array(expected))
+
+
+def test_laplace_from_uniform_leaves_its_input_alone():
+    u = np.array([-0.25, 0.0, -0.0, 0.25, 0.49])
+    kept = u.copy()
+    out = laplace_from_uniform(2.0, u)
+    assert np.array_equal(u, kept) and np.array_equal(np.signbit(u), np.signbit(kept))
+    assert not np.shares_memory(out, u)
+    assert_same_bits(out, -2.0 * np.sign(kept) * np.log1p(-2.0 * np.abs(kept)))
+
+
+def test_bulk_draws_never_share_memory():
+    rng = RandomSource(4)
+    a = laplace(1.0, rng, size=256)
+    b = laplace(1.0, rng, size=256)
+    assert not np.shares_memory(a, b)
+    assert not np.array_equal(a, b)
+
+
+def test_bulk_draw_peaks_at_most_twice_its_result():
+    # the draw is transformed in place: one result array plus a sign mask,
+    # against five result-sized arrays for the expression over temporaries
+    tracemalloc.start()
+    try:
+        out = laplace(1.0, RandomSource(0), size=1 << 17)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * out.nbytes
