@@ -49,7 +49,7 @@ from .harness import (
     reproduce,
     run_experiment,
 )
-from .noise import RandomSource, laplace, zero_noise_source
+from .noise import RandomSource, laplace
 from .optimal import (
     OptResult,
     opt_cost_sharing,

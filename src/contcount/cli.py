@@ -101,43 +101,67 @@ def _cmd_counter_run(args) -> int:
     return 0
 
 
-_GAME_RUN_DEFAULTS = {
-    "game": None, "instance": None, "strategy": "greedy", "trials": 1, "seed": 0,
-    "mech": "perfect", "eps": 1.0, "alpha": 2.0, "gamma": 0.1, "ctree": 4.0,
-    "clamp_alpha": None, "clamp_beta": None, "zero_noise": False,
-    "skip_opt": False, "out": None, "wrap": [], "splits": 1,
-}
+def _coerce(value: str):
+    for cast in (int, float):
+        try:
+            return cast(value)
+        except ValueError:
+            continue
+    return value
 
-_CONFIG_CASTS = {
-    "trials": int, "seed": int, "eps": float, "alpha": float, "gamma": float,
-    "ctree": float, "clamp_alpha": float, "clamp_beta": float,
-    "zero_noise": lambda v: v.lower() in ("1", "true", "yes"),
-    "skip_opt": lambda v: v.lower() in ("1", "true", "yes"),
-    "wrap": lambda v: [w.strip() for w in v.split(",") if w.strip()],
-    "splits": int,
-}
+
+def _config_flags(args) -> list:
+    """The ``game run`` flags of config file ``args.config``: a ``key = value``
+    line is the long option ``--key`` (``_`` for ``-``), ``inst.<k>`` is
+    ``--inst k=value``, ``wrap`` one ``--wrap`` per comma-separated item, and
+    a switch is set by ``1``, ``true`` or ``yes``. The command line ``args`` is
+    parsed after these flags and wins; its ``--wrap`` or ``--n`` drops the
+    config's ``wrap`` or ``inst.n``."""
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ParameterError(f"cannot read config file '{args.config}': {exc.strerror}") from exc
+    flags = []
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParameterError(f"config line without '=': {line!r}")
+        key, value = (s.strip() for s in line.split("=", 1))
+        if key.startswith("inst."):
+            if not (key == "inst.n" and args.n is not None):
+                flags.append(f"--inst={key[5:]}={value}")
+        elif key == "config":
+            raise ParameterError("a config file cannot name another config file")
+        # exact option names only: argparse would also take a prefix
+        elif key not in vars(args):
+            raise ParameterError(f"unknown config key '{key}'")
+        elif key == "wrap":
+            if not args.wrap:
+                flags += [f"--wrap={w.strip()}" for w in value.split(",") if w.strip()]
+        elif isinstance(getattr(args, key), bool):  # a store_true switch
+            if value.lower() in ("1", "true", "yes"):
+                flags.append("--" + key.replace("_", "-"))
+        else:
+            flags.append(f"--{key.replace('_', '-')}={value}")
+    return flags
 
 
 def _cmd_game_run(args) -> int:
-    # config file fills any option left at its default; explicit flags win
-    opts = harness.parse_config_file(args.config) if args.config else {}
-    instance_params = opts.pop("instance_params", {})
-    for key, value in opts.items():
-        if key not in _GAME_RUN_DEFAULTS:
-            raise ParameterError(f"unknown config key '{key}'")
-        if getattr(args, key) == _GAME_RUN_DEFAULTS[key]:
-            setattr(args, key, _CONFIG_CASTS.get(key, str)(value))
     if args.game is None:
         raise ParameterError("--game (or a config file providing it) is required")
     if args.instance is None:
         raise ParameterError("--instance (or a config file providing it) is required")
+    instance_params = {}
     if args.n is not None:
         instance_params["n"] = args.n
     for item in args.inst:
         if "=" not in item:
             raise ParameterError(f"--inst expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
-        instance_params[key.strip()] = harness._coerce(value.strip())
+        instance_params[key.strip()] = _coerce(value.strip())
     config = harness.ExperimentConfig(
         game=args.game, instance=args.instance, mechanism=_mech_spec(args),
         strategy=args.strategy, trials=args.trials, seed=args.seed,
@@ -259,15 +283,23 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse_args(argv):
+    """Parse a command line; a ``game run --config`` file's flags go first."""
+    args = _parser().parse_args(argv)
+    if getattr(args, "config", None):
+        argv = sys.argv[1:] if argv is None else argv
+        args = _parser().parse_args(["game", "run", *_config_flags(args), *argv[2:]])
+    return args
+
+
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_args(argv)
+        return args.fn(args)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; keep exit code 2 reserved for
         # "ran fine, claimed bound failed"
         return 0 if exc.code in (0, None) else 1
-    try:
-        return args.fn(args)
     except ContcountError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

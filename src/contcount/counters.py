@@ -502,29 +502,21 @@ class ZeroFailureWrapper(_Wrapper):
         return np.minimum(np.maximum(y, x / env.alpha - env.beta), env.alpha * x + env.beta)
 
 
-class UniformWarmupCounter(CounterMechanism):
+class UniformWarmupCounter(_Wrapper):
     """Displays an independent uniform draw on [0, warmup] per coordinate to
     each of the first `warmup` players, then the inner mechanism's releases.
     The inner mechanism is fed every update from the start."""
 
     def __init__(self, inner: CounterMechanism, warmup: int, rng: RandomSource):
-        env = AccuracyEnvelope(inner.envelope.alpha,
-                               inner.envelope.beta + warmup,
-                               inner.envelope.gamma)
-        super().__init__(inner.horizon, inner.dim, inner.budget, env, inner.update_bound)
-        self.inner = inner
         self.warmup = int(warmup)
         self._rng = rng
-        self._current = self._draw()
+        env = inner.envelope
+        super().__init__(inner, AccuracyEnvelope(env.alpha, env.beta + warmup, env.gamma))
 
-    def _draw(self) -> np.ndarray:
-        return self.warmup * self._rng.uniform(size=self.dim)
-
-    def _step(self, a: np.ndarray) -> np.ndarray:
-        self.inner.update(a)
+    def _transform(self, y: np.ndarray) -> np.ndarray:
         if self._t < self.warmup:
-            return self._draw()
-        return self.inner.current
+            return self.warmup * self._rng.uniform(size=self.dim)
+        return y
 
 
 def envelope_check(true_xs, released_ys, env: AccuracyEnvelope, tol: float = 1e-12):

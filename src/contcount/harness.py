@@ -274,41 +274,6 @@ def read_csv_results(path: str):
     return rows
 
 
-def parse_config_file(path: str) -> dict:
-    """Flat key=value config text; '#' comments. Keys 'inst.<k>' collect into
-    the instance-parameter dict."""
-    opts: dict = {}
-    inst_params: dict = {}
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise ParameterError(f"cannot read config file '{path}': {exc.strerror}") from exc
-    with fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParameterError(f"config line without '=': {line!r}")
-            key, value = (s.strip() for s in line.split("=", 1))
-            if key.startswith("inst."):
-                inst_params[key[5:]] = _coerce(value)
-            else:
-                opts[key] = value
-    if inst_params:
-        opts["instance_params"] = inst_params
-    return opts
-
-
-def _coerce(value: str):
-    for cast in (int, float):
-        try:
-            return cast(value)
-        except ValueError:
-            continue
-    return value
-
-
 # ---------------------------------------------------------------------------
 # scenario registry
 
@@ -724,7 +689,6 @@ __all__ = [
     "results_to_csv",
     "write_csv",
     "read_csv_results",
-    "parse_config_file",
     "list_scenarios",
     "reproduce",
 ]

@@ -115,14 +115,8 @@ def laplace(scale: float, rng: RandomSource, size=None):
     return float(out) if out.ndim == 0 else out
 
 
-def zero_noise_source(seed: int = 0, stream_id: int = 0) -> RandomSource:
-    """Convenience constructor for the exact-arithmetic test mode."""
-    return RandomSource(seed, stream_id, zero_noise=True)
-
-
 __all__ = [
     "RandomSource",
     "laplace",
     "laplace_from_uniform",
-    "zero_noise_source",
 ]

@@ -178,7 +178,7 @@ def _grow_loads(loads: np.ndarray, costs: np.ndarray) -> np.ndarray:
     return loads
 
 
-def opt_scheduling(inst: SchedulingInstance, budget: int = BRUTE_FORCE_BUDGET) -> OptResult:
+def opt_scheduling(inst: SchedulingInstance) -> OptResult:
     """Exact minimum makespan by exhaustive assignment (m^n states).
 
     The leading jobs are enumerated in Python and, for each of their
@@ -186,7 +186,7 @@ def opt_scheduling(inst: SchedulingInstance, budget: int = BRUTE_FORCE_BUDGET) -
     <= CHUNK_ROWS rows; the witness is the first optimum in product order.
     """
     n, m = inst.n, inst.m
-    if m ** n > budget:
+    if m ** n > BRUTE_FORCE_BUDGET:
         raise SizeError(
             f"{m}^{n} assignments exceed the brute-force budget; "
             "use scheduling_lower_bound for large instances")
@@ -232,7 +232,7 @@ def _two_coloring(inst: CutInstance):
     return colors
 
 
-def opt_cut(inst: CutInstance, budget: int = BRUTE_FORCE_BUDGET) -> OptResult:
+def opt_cut(inst: CutInstance) -> OptResult:
     """Exact maximum of 2 * cut size. Bipartite graphs (cycles of even length,
     complete bipartite, ...) use the closed form 2|E| with the 2-coloring as
     witness; everything else is enumerated over colorings."""
@@ -240,7 +240,7 @@ def opt_cut(inst: CutInstance, budget: int = BRUTE_FORCE_BUDGET) -> OptResult:
     if coloring is not None:
         return OptResult(2.0 * len(inst.edges), coloring, "closed-form")
     free = max(inst.n - 1, 0)
-    if 2 ** free > budget:
+    if 2 ** free > BRUTE_FORCE_BUDGET:
         raise SizeError(f"2^{inst.n} colorings exceed the brute-force budget")
     us, vs = np.array(inst.edges).T
     shifts = np.arange(free)
@@ -259,11 +259,11 @@ def opt_cut(inst: CutInstance, budget: int = BRUTE_FORCE_BUDGET) -> OptResult:
     return OptResult(value, witness, "brute-force")
 
 
-def opt_cost_sharing(inst: CostSharingInstance, budget: int = COVER_BUDGET) -> OptResult:
+def opt_cost_sharing(inst: CostSharingInstance) -> OptResult:
     """Exact minimum total cost over set families covering all players; each
     player is then assigned her cheapest allowed chosen set."""
     n, m = inst.n, inst.m
-    if 2 ** m > budget:
+    if 2 ** m > COVER_BUDGET:
         raise SizeError(f"2^{m} set families exceed the brute-force budget")
     player_masks = [sum(1 << s for s in acts) for acts in inst.allowed]
     best, best_family = math.inf, None
@@ -283,13 +283,12 @@ def opt_cost_sharing(inst: CostSharingInstance, budget: int = COVER_BUDGET) -> O
     return OptResult(cost_sharing_total(inst, assignment), (used, assignment), "brute-force")
 
 
-def opt_future_dependent(inst: ResourceSharingInstance,
-                         budget: int = BRUTE_FORCE_BUDGET) -> OptResult:
+def opt_future_dependent(inst: ResourceSharingInstance) -> OptResult:
     """Exact maximum future-dependent welfare over all restricted assignments."""
     states = 1
     for acts in inst.action_sets:
         states *= len(acts)
-        if states > budget:
+        if states > BRUTE_FORCE_BUDGET:
             raise SizeError("future-dependent assignment space exceeds the brute-force budget")
     best, best_assign = -math.inf, None
     for assign in itertools.product(*inst.action_sets):

@@ -64,8 +64,6 @@ class Strategy:
     with the game's rule, the instance, the player, her actions in tie-break
     order, and her displayed counts."""
 
-    kind = "base"
-
     def start(self, game: str, instance) -> None:
         """Called once before play; scripted strategies validate the instance here."""
 
@@ -77,8 +75,6 @@ class Greedy(Strategy):
     """Best perceived utility against the displayed counts in every game
     (least cost where the rule's utility is a cost); ties to the first
     action in order."""
-
-    kind = "greedy"
 
     def choose_action(self, rule, inst, player, actions, displayed):
         sign = -1.0 if rule.utility_is_cost else 1.0
@@ -94,8 +90,6 @@ class BeliefGreedy(Greedy):
     """Greedy against belief-adjusted counts: displayed values are shifted by a
     fixed offset (a crude consistent belief) before the greedy rule applies."""
 
-    kind = "belief-greedy"
-
     def __init__(self, offset: float):
         self.offset = float(offset)
 
@@ -105,7 +99,6 @@ class BeliefGreedy(Greedy):
 
 
 class _Script(Strategy):
-    kind = "scripted"
     name = "?"
     game = "?"
 

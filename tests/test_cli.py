@@ -292,3 +292,111 @@ def test_cached_parser_defaults_stay_empty(capsys):
     assert code == 0
     plain = parser.parse_args(["game", "run"])
     assert plain.wrap == [] and plain.inst == []
+
+
+def write_config(tmp_path, text):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("game = resource\ninstance = paper:sec1.1\nmech = empty\n" + text)
+    return str(cfg)
+
+
+def test_config_comments_spacing_and_inst_keys(tmp_path):
+    cfg = write_config(tmp_path, "# a comment\nstrategy=greedy  # trailing\n"
+                                 "  trials   =   2  \ninst.n = 10\ninst.eps = 0.01\n"
+                                 "zero_noise = no\nskip_opt = True\njson = 1\n")
+    args = cli._parse_args(["game", "run", "--config", cfg])
+    assert (args.game, args.instance, args.mech) == ("resource", "paper:sec1.1", "empty")
+    assert args.strategy == "greedy" and args.trials == 2
+    assert args.inst == ["n=10", "eps=0.01"]
+    assert (args.zero_noise, args.skip_opt, args.json) == (False, True, True)
+
+
+def test_command_line_flags_beat_config(tmp_path, capsys):
+    cfg = write_config(tmp_path, "trials = 3\nseed = 5\n")
+    code, out, _ = run_cli(capsys, "game", "run", "--config", cfg,
+                           "--trials", "1", "--seed", "0", "--json")
+    assert code == 0
+    summary = json.loads(out)
+    assert summary["trials"] == 1 and summary["seed"] == 0
+
+
+def test_command_line_wrap_replaces_config_list(tmp_path):
+    cfg = write_config(tmp_path, "wrap = clamp, under\n")
+    assert cli._parse_args(["game", "run", "--config", cfg]).wrap == ["clamp", "under"]
+    args = cli._parse_args(["game", "run", "--config", cfg, "--wrap", "mono"])
+    assert args.wrap == ["mono"]
+
+
+def test_command_line_inst_beats_config_inst(tmp_path, capsys, monkeypatch):
+    seen = []
+    real = harness.run_experiment
+    monkeypatch.setattr(harness, "run_experiment",
+                        lambda config: seen.append(config.instance_params) or real(config))
+    cfg = write_config(tmp_path, "inst.n = 5\ninst.eps = 0.01\n")
+    for argv, n in ([], 5), (["--inst", "n=7"], 7), (["--n", "6"], 6):
+        code, _, _ = run_cli(capsys, "game", "run", "--config", cfg, "--json", *argv)
+        assert code == 0
+        assert seen.pop() == {"n": n, "eps": 0.01}
+
+
+@pytest.mark.parametrize("line, message", [
+    ("trials = abc", "invalid int value: 'abc'"),
+    ("splits = 2.5", "invalid int value: '2.5'"),
+    ("mech = bogus", "invalid choice: 'bogus'"),
+])
+def test_bad_config_values_exit_one(tmp_path, capsys, line, message):
+    code, out, err = run_cli(capsys, "game", "run", "--config", write_config(tmp_path, line))
+    assert code == 1 and out == ""
+    assert "error:" in err and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("bogus = 1", "unknown config key 'bogus'"),
+    ("tri = 3", "unknown config key 'tri'"),
+    ("config = other.cfg", "cannot name another config file"),
+    ("no equals sign", "config line without '='"),
+])
+def test_bad_config_lines_exit_one(tmp_path, capsys, line, message):
+    code, out, err = run_cli(capsys, "game", "run", "--config", write_config(tmp_path, line))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and message in err
+
+
+def _game_run_parser():
+    def sub(parser, name):
+        action = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+        return action.choices[name]
+    return sub(sub(cli.build_parser(), "game"), "run")
+
+
+def _sample_value(action):
+    if action.choices:
+        return str(action.choices[-1])
+    if action.type is int:
+        return "3"
+    if action.type is float:
+        return "0.5"
+    return "n_max=9" if action.dest == "inst" else "x.csv"
+
+
+def test_every_game_run_option_is_a_config_key(tmp_path):
+    options = [a for a in _game_run_parser()._actions
+               if a.option_strings and a.dest not in ("help", "config")]
+    assert len(options) >= 20
+    for action in options:
+        flag = action.option_strings[-1]
+        key = flag[2:].replace("-", "_")
+        if action.nargs == 0:
+            config_value, argv = "yes", [flag]
+        else:
+            config_value = _sample_value(action)
+            argv = [flag, config_value]
+        cfg = tmp_path / f"{key}.cfg"
+        cfg.write_text(f"{key} = {config_value}\n")
+        from_config = vars(cli._parse_args(["game", "run", "--config", str(cfg)]))
+        from_flag = vars(cli._parse_args(["game", "run", *argv]))
+        assert from_config.pop("config") == str(cfg) and from_flag.pop("config") is None
+        assert from_config == from_flag, key
+        assert from_flag[action.dest] != action.default, key

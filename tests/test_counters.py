@@ -19,7 +19,7 @@ from contcount.counters import (
     validate_update,
 )
 from contcount.errors import ParameterError, StateError, ValidationError
-from contcount.noise import RandomSource, laplace, zero_noise_source
+from contcount.noise import RandomSource, laplace
 
 
 def random_simplex_stream(gen, n, m):
@@ -224,7 +224,7 @@ def test_ftsum_budget_identity_generic(n, m, eps, alpha, gamma):
 
 
 def test_ftsum_zero_noise_threshold():
-    ft = FTSum(1024, 3, 1.0, 2.0, 0.1, 4.0, zero_noise_source())
+    ft = FTSum(1024, 3, 1.0, 2.0, 0.1, 4.0, RandomSource(0, zero_noise=True))
     assert np.all(ft.taus == math.log2(1024))
 
 
@@ -232,7 +232,7 @@ def test_ftsum_zero_noise_hand_simulation():
     # independent step-by-step simulation of the two-phase rule with all
     # Laplace draws forced to zero
     n, alpha = 16, 2.0
-    ft = FTSum(n, 1, 1.0, alpha, 0.1, 4.0, zero_noise_source())
+    ft = FTSum(n, 1, 1.0, alpha, 0.1, 4.0, RandomSource(0, zero_noise=True))
     log_n = math.log2(n)
     flag, tau, acc = 0, log_n, 0.0
     tree_exact = 0.0
@@ -280,7 +280,7 @@ def test_ftsum_phase_two_releases_embedded_tree_output():
     # huge budget clamps the flag count to k = 1, so a unit stream burns both
     # flags inside the horizon and hands off to the embedded tree counter;
     # zero-noise mode makes the whole trace deterministic
-    ft = FTSum(8, 1, 100.0, 2.0, 0.1, 4.0, zero_noise_source(3))
+    ft = FTSum(8, 1, 100.0, 2.0, 0.1, 4.0, RandomSource(3, zero_noise=True))
     assert ft.k == 1
     expected = [0.0, 0.0, 0.0, 3.0, 3.0, 3.0, 6.0, 8.0]
     got = []

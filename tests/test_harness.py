@@ -9,7 +9,6 @@ from contcount.harness import (
     ExperimentConfig,
     MechanismSpec,
     list_scenarios,
-    parse_config_file,
     read_csv_results,
     reproduce,
     results_to_csv,
@@ -65,26 +64,6 @@ def test_fixed_instance_runs_and_envelope_rate():
     results, summary = run_experiment(config)
     assert summary["envelope_pass_rate"] == 1.0
     assert {r.opt for r in results} == {results[0].opt}
-
-
-def test_parse_config_file(tmp_path):
-    path = tmp_path / "exp.cfg"
-    path.write_text(
-        "# comment\n"
-        "game = resource\n"
-        "instance = paper:sec1.1\n"
-        "mech=empty\n"
-        "trials = 2\n"
-        "inst.n = 10\n"
-        "inst.eps = 0.01\n")
-    opts = parse_config_file(str(path))
-    assert opts["game"] == "resource"
-    assert opts["mech"] == "empty"
-    assert opts["instance_params"] == {"n": 10, "eps": 0.01}
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("no equals sign\n")
-    with pytest.raises(ParameterError):
-        parse_config_file(str(bad))
 
 
 def test_reproduce_unknown_scenario():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from contcount.errors import ParameterError
-from contcount.noise import RandomSource, laplace, laplace_from_uniform, zero_noise_source
+from contcount.noise import RandomSource, laplace, laplace_from_uniform
 
 
 def test_zero_scale_is_exactly_zero():
@@ -72,7 +72,7 @@ def test_substream_deterministic_and_distinct():
 
 
 def test_zero_noise_mode_forces_zero():
-    rng = zero_noise_source(5)
+    rng = RandomSource(5, zero_noise=True)
     assert laplace(10.0, rng) == 0.0
     assert np.all(laplace(10.0, rng, size=(3, 4)) == 0.0)
     assert rng.substream(7).zero_noise

@@ -10,7 +10,7 @@ import pytest
 
 from contcount.errors import SizeError
 from contcount.games import CostSharingInstance, CutInstance, ResourceSharingInstance, ValueCurve
-from contcount import instances
+from contcount import instances, optimal
 from contcount.noise import RandomSource
 from contcount.optimal import (
     cost_sharing_total,
@@ -341,12 +341,16 @@ def test_chunked_cut_matches_loop():
     assert as_tuple(result) == loop_cut(inst)
 
 
-def test_brute_force_budget_is_inclusive():
+def test_brute_force_budget_is_inclusive(monkeypatch):
     sched = instances.SchedulingInstance(np.arange(12.0).reshape(4, 3))
-    assert opt_scheduling(sched, budget=81).method == "brute-force"
+    monkeypatch.setattr(optimal, "BRUTE_FORCE_BUDGET", 81)
+    assert opt_scheduling(sched).method == "brute-force"
+    monkeypatch.setattr(optimal, "BRUTE_FORCE_BUDGET", 80)
     with pytest.raises(SizeError):
-        opt_scheduling(sched, budget=80)
+        opt_scheduling(sched)
     triangle = CutInstance(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
-    assert opt_cut(triangle, budget=16).method == "brute-force"
+    monkeypatch.setattr(optimal, "BRUTE_FORCE_BUDGET", 16)
+    assert opt_cut(triangle).method == "brute-force"
+    monkeypatch.setattr(optimal, "BRUTE_FORCE_BUDGET", 15)
     with pytest.raises(SizeError):
-        opt_cut(triangle, budget=15)
+        opt_cut(triangle)
