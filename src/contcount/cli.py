@@ -117,13 +117,8 @@ def _config_flags(args) -> list:
     a switch is set by ``1``, ``true`` or ``yes``. The command line ``args`` is
     parsed after these flags and wins; its ``--wrap`` or ``--n`` drops the
     config's ``wrap`` or ``inst.n``."""
-    try:
-        with open(args.config, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ParameterError(f"cannot read config file '{args.config}': {exc.strerror}") from exc
     flags = []
-    for raw in lines:
+    for raw in instances._read_text(args.config, "config").splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -164,12 +164,15 @@ def _random_curve(rng: RandomSource, horizon: int) -> ValueCurve:
 
 
 def _random_subsets(rng: RandomSource, n: int, m: int) -> list:
-    """n sorted nonempty subsets of range(m), each of a uniform random size."""
-    subsets = []
-    for _ in range(n):
-        size = int(rng.integers(1, m + 1))
-        subsets.append(sorted(rng.generator.choice(m, size=size, replace=False).tolist()))
-    return subsets
+    """n sorted nonempty subsets of range(m). Player i draws a size k uniform
+    on 1..m and takes the indices of the k smallest keys in row i of one
+    (n, m) block of uniform keys, so every k-subset is equally likely."""
+    sizes = rng.integers(1, m + 1, size=n)
+    order = np.argsort(rng.uniform(size=(n, m)), axis=1, kind="stable")
+    # indices past a player's size become m, which sorts behind the subset
+    taken = np.where(np.arange(m) < sizes[:, None], order, m)
+    taken.sort(axis=1)
+    return [row[:k] for row, k in zip(taken.tolist(), sizes.tolist())]
 
 
 def random_resource_sharing(rng: RandomSource, n_max: int = 50,
@@ -191,7 +194,10 @@ def random_market_sharing(rng: RandomSource, n_max: int = 30, m_max: int = 6,
 
 def random_cut(rng: RandomSource, n_max: int = 30, p: float = 0.3) -> CutInstance:
     n = int(rng.integers(3, n_max + 1))
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.uniform() < p]
+    # one key per pair (u, v), u < v, in row-major order
+    us, vs = np.triu_indices(n, 1)
+    keep = rng.uniform(size=us.size) < p
+    edges = list(zip(us[keep].tolist(), vs[keep].tolist()))
     if not edges:
         edges = [(0, 1)]
     return CutInstance(n, edges)
@@ -223,7 +229,7 @@ def random_open_market(rng: RandomSource) -> ResourceSharingInstance:
     markets, so the exact optimum is the total of all market values."""
     n = int(rng.integers(10, 31))
     m = int(rng.integers(2, 7))
-    values = [20.0 * n + 20.0 * n * rng.uniform() for _ in range(m)]
+    values = [20.0 * n + 20.0 * n * u for u in rng.uniform(size=m).tolist()]
     curves = [market_curve(c, n) for c in values]
     return ResourceSharingInstance(curves, [list(range(m)) for _ in range(n)])
 
@@ -242,6 +248,18 @@ RANDOM_GENERATORS = {
 
 # ---------------------------------------------------------------------------
 # plain-text instance files
+
+
+def _read_text(path: str, what: str) -> str:
+    """The text of a UTF-8 file; one that cannot be read or decoded raises
+    ParameterError naming it as a `what` file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParameterError(f"cannot read {what} file '{path}': {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"cannot read {what} file '{path}': not UTF-8 ({exc.reason})") from exc
 
 
 def _data_lines(text: str) -> list:
@@ -324,12 +342,7 @@ def resolve_instance(kind: str, spec, rng: RandomSource | None = None, **params)
     if not sep or prefix not in ("paper", "random"):
         if kind not in _PARSERS:
             raise ParameterError(f"unknown instance kind '{kind}'")
-        try:
-            with open(spec, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ParameterError(f"cannot read instance file '{spec}': {exc.strerror}") from exc
-        return _PARSERS[kind](text)
+        return _PARSERS[kind](_read_text(spec, "instance"))
     table = PAPER_INSTANCES if prefix == "paper" else RANDOM_GENERATORS
     if name not in table:
         raise ParameterError(f"unknown {prefix} instance '{name}' "
@@ -365,12 +378,7 @@ def parse_stream(text: str, m: int) -> np.ndarray:
 
 
 def load_stream(path: str, m: int) -> np.ndarray:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParameterError(f"cannot read stream file '{path}': {exc.strerror}") from exc
-    return parse_stream(text, m)
+    return parse_stream(_read_text(path, "stream"), m)
 
 
 __all__ = [

@@ -15,6 +15,8 @@ attack surface for deployed DP systems, are not mitigated here.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ParameterError
@@ -46,7 +48,6 @@ class RandomSource:
         self.seed = int(seed)
         self.stream_id = int(stream_id)
         self.zero_noise = bool(zero_noise)
-        self._gen = np.random.Generator(np.random.Philox(key=[self.seed, self.stream_id]))
 
     def substream(self, k: int) -> "RandomSource":
         """Derive an independent child stream (same seed, mixed stream id)."""
@@ -55,15 +56,16 @@ class RandomSource:
 
     def uniform(self, size=None):
         """Uniform samples on [0, 1)."""
-        return self._gen.random(size)
+        return self.generator.random(size)
 
     def integers(self, low: int, high: int, size=None):
-        return self._gen.integers(low, high, size=size)
+        return self.generator.integers(low, high, size=size)
 
-    @property
+    @functools.cached_property
     def generator(self) -> np.random.Generator:
-        """Underlying numpy generator, for bulk draws in experiments."""
-        return self._gen
+        """Underlying numpy generator, for bulk draws in experiments. Built on
+        first use: many sources only derive substreams and never draw."""
+        return np.random.Generator(np.random.Philox(key=[self.seed, self.stream_id]))
 
     def __repr__(self) -> str:
         flag = ", zero_noise=True" if self.zero_noise else ""

@@ -178,6 +178,22 @@ def test_missing_file_is_an_error(tmp_path, capsys, argv, message):
     assert message in err and missing in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["counter", "run", "--n", "4", "--m", "1", "--stream", "{bad}"],
+     "cannot read stream file"),
+    (["game", "run", "--game", "resource", "--instance", "paper:noinfo",
+      "--config", "{bad}"], "cannot read config file"),
+    (["opt", "--game", "resource", "--instance", "{bad}"], "cannot read instance file"),
+])
+def test_non_utf8_file_is_an_error(tmp_path, capsys, argv, message):
+    bad = tmp_path / "utf16.txt"
+    bad.write_bytes(b"\xff\xfe\x001\n")
+    code, _, err = run_cli(capsys, *[a.format(bad=bad) for a in argv])
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert message in err and "not UTF-8" in err
+
+
 def test_reproduce_pass_and_fail(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "reproduce", "lemma:cut-cycle")
     assert code == 0

@@ -1,0 +1,128 @@
+"""Random instance generators: the block-drawn action sets, and the draws
+that stay bit-identical to the per-element reference loops below."""
+
+import math
+
+import numpy as np
+import pytest
+
+from contcount import instances
+from contcount.games import ValueCurve
+from contcount.noise import RandomSource
+
+
+# ---------------------------------------------------------------------------
+# reference loops: the generators as they drew one element per call
+
+
+def _loop_curve(rng, horizon):
+    kind = int(rng.integers(0, 3))
+    v0 = 0.5 + 1.5 * rng.uniform()
+    if kind == 0:
+        p = 0.5 + 1.5 * rng.uniform()
+        vals = [v0 / (k + 1) ** p for k in range(horizon)]
+    elif kind == 1:
+        q = 0.5 + 0.45 * rng.uniform()
+        vals = [v0 * q ** k for k in range(horizon)]
+    else:
+        step = int(rng.integers(1, max(2, horizon)))
+        vals = [v0 if k < step else v0 * 0.25 for k in range(horizon)]
+    return ValueCurve(vals)
+
+
+# Each random generator draws its action sets last, so everything it draws
+# before them stays what these loops draw: n, m, curves and set costs.
+def _loop_resource(rng, n_max=50, m_max=10):
+    n = int(rng.integers(2, n_max + 1))
+    m = int(rng.integers(2, m_max + 1))
+    return n, [_loop_curve(rng, n).values for _ in range(m)]
+
+
+def _loop_market(rng, n_max=30, m_max=6, value_lo=1.0, value_hi=4.0):
+    n = int(rng.integers(4, n_max + 1))
+    m = int(rng.integers(2, m_max + 1))
+    return n, [instances.market_curve(value_lo + (value_hi - value_lo) * rng.uniform(), n).values
+               for _ in range(m)]
+
+
+def _loop_costshare(rng, n_max=8, m_max=8):
+    n = int(rng.integers(2, n_max + 1))
+    m = int(rng.integers(2, m_max + 1))
+    return n, [0.5 + 4.5 * rng.generator.random(m)]
+
+
+def _loop_cut(rng, n_max=30, p=0.3):
+    n = int(rng.integers(3, n_max + 1))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.uniform() < p]
+    return n, edges or [(0, 1)]
+
+
+def _loop_open_market(rng):
+    n = int(rng.integers(10, 31))
+    m = int(rng.integers(2, 7))
+    values = [20.0 * n + 20.0 * n * rng.uniform() for _ in range(m)]
+    return n, [instances.market_curve(c, n).values for c in values]
+
+
+def _same_bits(a, b):
+    return len(a) == len(b) and all(np.asarray(x).tobytes() == np.asarray(y).tobytes()
+                                    for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 7), (5, 1), (40, 2), (200, 10)])
+def test_random_subsets_are_sorted_distinct_nonempty_and_in_range(n, m):
+    for seed in range(20):
+        subsets = instances._random_subsets(RandomSource(seed, 9), n, m)
+        assert len(subsets) == n
+        for s in subsets:
+            assert s and all(type(r) is int for r in s)
+            assert s == sorted(set(s))
+            assert 0 <= s[0] and s[-1] < m
+
+
+def test_random_subset_sizes_and_memberships_are_uniform():
+    n, m = 20_000, 5
+    subsets = instances._random_subsets(RandomSource(2024, 1), n, m)
+    sizes = np.bincount([len(s) for s in subsets], minlength=m + 1)[1:] / n
+    sigma = math.sqrt(0.2 * 0.8 / n)
+    assert np.all(np.abs(sizes - 0.2) < 4 * sigma)
+    # index r is in a k-subset with probability k/m: 3/5 over uniform k
+    rate = np.bincount([r for s in subsets for r in s], minlength=m) / n
+    sigma = math.sqrt(0.6 * 0.4 / n)
+    assert np.all(np.abs(rate - 0.6) < 4 * sigma)
+
+
+def _curve_values(inst):
+    return [c.values for c in inst.curves]
+
+
+@pytest.mark.parametrize("name, loop, drawn", [
+    ("resource", _loop_resource, _curve_values),
+    ("market", _loop_market, _curve_values),
+    ("costshare", _loop_costshare, lambda inst: [inst.set_costs]),
+])
+def test_only_action_sets_moved(name, loop, drawn):
+    make = instances.RANDOM_GENERATORS[name][1]
+    for seed in range(50):
+        inst = make(RandomSource(seed, 3))
+        n, arrays = loop(RandomSource(seed, 3))
+        assert inst.n == n
+        assert _same_bits(drawn(inst), arrays)
+
+
+def test_random_cut_matches_pair_loop():
+    for seed in range(200):
+        inst = instances.random_cut(RandomSource(seed, 4))
+        n, edges = _loop_cut(RandomSource(seed, 4))
+        assert inst.n_nodes == n
+        assert inst.edges == edges
+    # p = 0 keeps no pair and falls back to the single edge
+    assert instances.random_cut(RandomSource(0, 4), p=0.0).edges == [(0, 1)]
+
+
+def test_random_open_market_matches_value_loop():
+    for seed in range(50):
+        inst = instances.random_open_market(RandomSource(seed, 5))
+        n, curves = _loop_open_market(RandomSource(seed, 5))
+        assert _same_bits(_curve_values(inst), curves)
+        assert inst.action_sets == [list(range(len(curves)))] * n

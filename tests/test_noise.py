@@ -71,6 +71,28 @@ def test_substream_deterministic_and_distinct():
                           laplace(1.0, RandomSource(3, 0).substream(1), size=10))
 
 
+def test_lazily_built_generator_draws_like_an_eager_one():
+    # a source builds its Philox generator on its first draw; deriving
+    # substreams before or between draws must not move any value
+    def eager(src):
+        return np.random.Generator(np.random.Philox(key=[src.seed, src.stream_id]))
+
+    root = RandomSource(77, 4)
+    child = root.substream(2)
+    root_ref, child_ref = eager(root), eager(child)
+    assert root.uniform() == root_ref.random()
+    grandchild = child.substream(0)
+    assert np.array_equal(child.integers(0, 10, size=7), child_ref.integers(0, 10, size=7))
+    grandchild_ref = eager(grandchild)
+    assert root.integers(1, 6) == root_ref.integers(1, 6)
+    assert np.array_equal(laplace(2.0, grandchild, size=5),
+                          laplace_from_uniform(2.0, grandchild_ref.random(5) - 0.5))
+    assert np.array_equal(child.uniform(size=3), child_ref.random(3))
+    assert root.substream(2).stream_id == child.stream_id
+    assert laplace(1.0, root) == laplace_from_uniform(1.0, root_ref.random() - 0.5)
+    assert grandchild.integers(0, 2 ** 40) == grandchild_ref.integers(0, 2 ** 40)
+
+
 def test_zero_noise_mode_forces_zero():
     rng = RandomSource(5, zero_noise=True)
     assert laplace(10.0, rng) == 0.0
