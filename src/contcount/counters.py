@@ -40,7 +40,7 @@ from .noise import RandomSource, laplace
 logger = logging.getLogger(__name__)
 
 _L1_TOL = 1e-9
-_FLAG_BLOCK = 1024
+_NOISE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -204,8 +204,11 @@ class TreeSum(CounterMechanism):
     One shared budget serves all m coordinates because the l1 sensitivity of
     each partial sum is 1 (updates live in the simplex); per-node noise has
     scale update_bound * levels / epsilon with levels = ceil(log2 n) + 1.
-    Node noises are drawn eagerly at construction, level 0 upward, so a fresh
-    source with the same (seed, stream_id) reproduces them exactly.
+    Releases sum only even-index nodes, and step t ends one: (L, (t >> L) - 1)
+    with L = lowbit(t), whose noise is row t - 1 of one (n, m) Laplace stream.
+    Rows are drawn from the single-owner source in blocks of at most
+    ``_NOISE_BLOCK`` as steps reach them, so releases do not depend on the block
+    size. An update still touches at most ``levels`` released nodes, so eps is unchanged.
     """
 
     def __init__(self, n: int, m: int, budget, rng: RandomSource, *,
@@ -225,21 +228,14 @@ class TreeSum(CounterMechanism):
         self.c_tree = c_tree
         self.rng = rng
         self.levels = tree_levels(self.horizon)
-        scale = 0.0 if budget.epsilon == math.inf else update_bound * self.levels / budget.epsilon
-        self.node_scale = scale
+        self.node_scale = (0.0 if budget.epsilon == math.inf
+                           else update_bound * self.levels / budget.epsilon)
         if update_bound != 1.0:
             logger.info("TreeSum noise scaled by update bound B=%.6g", update_bound)
-        self._noise = []
-        for level in range(self.levels):
-            blocks = -(-self.horizon // (1 << level))  # ceil division
-            self._noise.append(laplace(scale, rng, size=(blocks, self.dim)))
+        self._rows = None  # the noise block holding row t - 1, drawn at its first step
         # Slot l holds the cover noise of the last step whose lowest set bit is
         # l; the extra last slot stays zero and stands for the empty cover of 0.
         self._covers = np.zeros((self.levels + 1, self.dim))
-
-    def node_noise(self, level: int, index: int) -> np.ndarray:
-        """Noise vector of dyadic node (level, index)."""
-        return self._noise[level][index].copy()
 
     def _step(self, a: np.ndarray) -> np.ndarray:
         """Add one node to a stored partial cover.
@@ -252,12 +248,14 @@ class TreeSum(CounterMechanism):
         would add them, so releases are bit-identical to that loop.
         """
         t = self._t
+        row = (t - 1) % _NOISE_BLOCK
+        if row == 0:
+            self._rows = laplace(self.node_scale, self.rng,
+                                 size=(min(_NOISE_BLOCK, self.horizon - t + 1), self.dim))
         low = t & -t
-        level = low.bit_length() - 1
         prev = t - low
-        cover = self._covers[level]
-        np.add(self._covers[(prev & -prev).bit_length() - 1],
-               self._noise[level][(t >> level) - 1], out=cover)
+        cover = self._covers[low.bit_length() - 1]
+        np.add(self._covers[(prev & -prev).bit_length() - 1], self._rows[row], out=cover)
         return self._true + cover
 
 
@@ -301,7 +299,7 @@ def _block_laplace(scale: float, rng: RandomSource):
     Python floats keep the callers' arithmetic as it was.
     """
     while True:
-        yield from laplace(scale, rng, size=_FLAG_BLOCK).tolist()
+        yield from laplace(scale, rng, size=_NOISE_BLOCK).tolist()
 
 
 class FTSum(CounterMechanism):
@@ -508,10 +506,12 @@ class UniformWarmupCounter(_Wrapper):
     The inner mechanism is fed every update from the start."""
 
     def __init__(self, inner: CounterMechanism, warmup: int, rng: RandomSource):
+        if not isinstance(warmup, (int, np.integer)) or isinstance(warmup, bool) or warmup < 0:
+            raise ParameterError(f"warmup must be an integer >= 0, got {warmup!r}")
         self.warmup = int(warmup)
         self._rng = rng
         env = inner.envelope
-        super().__init__(inner, AccuracyEnvelope(env.alpha, env.beta + warmup, env.gamma))
+        super().__init__(inner, AccuracyEnvelope(env.alpha, env.beta + self.warmup, env.gamma))
 
     def _transform(self, y: np.ndarray) -> np.ndarray:
         if self._t < self.warmup:

@@ -25,6 +25,19 @@ def test_counter_run_csv(tmp_path, capsys):
     assert lines[3] == "3,0,3.0,3.0,1"
 
 
+def test_counter_run_huge_horizon(tmp_path, capsys):
+    stream = tmp_path / "stream.txt"
+    stream.write_text("1\n0\n1\n")
+    code, out, err = run_cli(capsys, "counter", "run", "--mech", "treesum",
+                             "--n", "1000000000000", "--m", "1",
+                             "--stream", str(stream))
+    assert code == 0, err
+    lines = out.strip().splitlines()
+    assert len(lines) == 4
+    assert [line.split(",")[:3] for line in lines[1:]] == [
+        ["1", "0", "1.0"], ["2", "0", "1.0"], ["3", "0", "2.0"]]
+
+
 def test_counter_run_validation_error(tmp_path, capsys):
     stream = tmp_path / "stream.txt"
     stream.write_text("1\n")

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from contcount.counters import (
-    _FLAG_BLOCK,
+    _NOISE_BLOCK,
     AccuracyEnvelope,
     EmptyCounter,
     FTSum,
@@ -131,28 +132,31 @@ def test_treesum_zero_noise_matches_cumsum_bitwise():
         assert np.array_equal(released, np.cumsum(stream, axis=0))
 
 
+def treesum_transcript(ts, seed, stream_id):
+    """Replay a TreeSum's noise: one (n, m) Laplace draw from a fresh source,
+    whose row ((j + 1) << l) - 1 is the noise of dyadic node (l, j)."""
+    rows = laplace(ts.node_scale, RandomSource(seed, stream_id), size=(ts.horizon, ts.dim))
+    return lambda level, idx: rows[((idx + 1) << level) - 1]
+
+
 def test_treesum_decomposition_recoverable_from_transcript():
-    # release minus the recomputed covering-node noises equals the exact
-    # true prefix sum, bit for bit
+    # every release is the exact true prefix sum plus the replayed noises of
+    # its covering nodes, all of even index, bit for bit
     seed, stream_id = 77, 3
     n, m, eps = 32, 3, 0.7
     gen = np.random.default_rng(0)
     stream = random_simplex_stream(gen, n, m)
     ts = TreeSum(n, m, eps, RandomSource(seed, stream_id))
-    # replay the construction-time transcript: per-level draws, level 0 upward
-    fresh = RandomSource(seed, stream_id)
-    levels = tree_levels(n)
-    scale = levels / eps
-    noise = [laplace(scale, fresh, size=(-(-n // (1 << level)), m))
-             for level in range(levels)]
+    assert ts.node_scale == tree_levels(n) / eps
+    node = treesum_transcript(ts, seed, stream_id)
     true = np.zeros(m)
     for t, a in enumerate(stream, start=1):
         y = ts.update(a)
         true += a
         cover = np.zeros(m)
-        for level, idx in covering_blocks(t, levels):
-            cover += noise[level][idx]
-            assert np.array_equal(noise[level][idx], ts.node_noise(level, idx))
+        for level, idx in covering_blocks(t, ts.levels):
+            assert idx % 2 == 0
+            cover += node(level, idx)
         assert np.array_equal(y, true + cover)
 
 
@@ -164,14 +168,83 @@ def test_treesum_release_is_node_sum_in_cover_order():
     gen = np.random.default_rng(11)
     stream = bound * random_simplex_stream(gen, n, m)
     ts = TreeSum(n, m, 0.8, RandomSource(5, 2), update_bound=bound)
+    node = treesum_transcript(ts, 5, 2)
     true = np.zeros(m)
     for t, a in enumerate(stream, start=1):
         y = ts.update(a)
         true += a
         cover = np.zeros(m)
         for level, idx in covering_blocks(t, ts.levels):
-            cover += ts.node_noise(level, idx)
+            cover += node(level, idx)
         assert np.array_equal(y, true + cover), f"step {t}"
+
+
+def test_treesum_releases_do_not_depend_on_block_size(monkeypatch):
+    # n = 3000 crosses several refills at every block size
+    n, m, bound = 3000, 2, 3.0
+    gen = np.random.default_rng(8)
+    stream = bound * random_simplex_stream(gen, n, m)
+    runs = []
+    for block in (1, 7, _NOISE_BLOCK):
+        monkeypatch.setattr("contcount.counters._NOISE_BLOCK", block)
+        ts = TreeSum(n, m, 0.5, RandomSource(9, 1), update_bound=bound)
+        runs.append(np.array([ts.update(a) for a in stream]))
+    assert np.array_equal(runs[0], runs[1])
+    assert np.array_equal(runs[0], runs[2])
+
+
+class CountingSource(RandomSource):
+    """A source that counts the uniforms drawn from it."""
+
+    draws = 0
+
+    def uniform(self, size=None):
+        out = super().uniform(size)
+        self.draws += int(np.size(out))
+        return out
+
+
+def test_treesum_draws_one_noise_row_per_step():
+    n, m = 2500, 3
+    gen = np.random.default_rng(4)
+    stream = random_simplex_stream(gen, n, m)
+    src = CountingSource(2, 6)
+    ts = TreeSum(n, m, 1.0, src)
+    assert src.draws == 0
+    for a in stream:
+        ts.update(a)
+    assert src.draws == n * m
+    # no noise, no draws: the releases are the exact prefix sums
+    for eps, zero_noise in ((1.0, True), (math.inf, False)):
+        src = CountingSource(2, 6, zero_noise=zero_noise)
+        ts = TreeSum(n, m, eps, src)
+        released = np.array([ts.update(a) for a in stream])
+        assert src.draws == 0
+        assert np.array_equal(released, np.cumsum(stream, axis=0))
+
+
+def test_huge_horizon_counters_take_updates():
+    for mech in (TreeSum(10**12, 2, 1.0, RandomSource(0)),
+                 FTSum(10**12, 2, 1.0, 2.0, 0.1, 4.0, RandomSource(0))):
+        for _ in range(3):
+            y = mech.update([0.5, 0.5])
+        assert mech.t == 3 and y.shape == (2,) and np.all(np.isfinite(y))
+
+
+def test_treesum_noise_memory_does_not_grow_with_horizon():
+    # every node of a 2^16-step, 32-coordinate tree takes 32 MiB; a block of
+    # 1,024 noise rows takes 256 KiB
+    update = np.full(32, 1.0 / 32)
+    RandomSource(0).uniform()  # numpy.random loads on first use; keep it untraced
+    tracemalloc.start()
+    try:
+        ts = TreeSum(2**16, 32, 1.0, RandomSource(1))
+        for _ in range(1500):
+            ts.update(update)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_treesum_estimate_uses_few_nodes():
@@ -354,7 +427,7 @@ def test_ftsum_matches_per_coordinate_reference_loop():
         assert list(ft.flags) == flags
         assert any(f > k for f in flags) and any(f <= k for f in flags)
         if n == 1024:
-            assert draws > 2 * _FLAG_BLOCK
+            assert draws > 2 * _NOISE_BLOCK
 
 
 def test_ftsum_parameter_errors():

@@ -96,6 +96,18 @@ def test_warmup_counter_displays():
     assert mech.envelope.beta == inner.envelope.beta + 4
 
 
+def test_warmup_counter_refuses_negative_warmup():
+    inner = TreeSum(10, 2, 1.0, RandomSource(0, 1))
+    with pytest.raises(ParameterError, match="warmup"):
+        UniformWarmupCounter(inner, warmup=-3, rng=RandomSource(0, 2))
+
+
+def test_warmup_counter_refuses_fractional_warmup():
+    inner = TreeSum(10, 2, 1.0, RandomSource(0, 1))
+    with pytest.raises(ParameterError, match="warmup"):
+        UniformWarmupCounter(inner, warmup=2.7, rng=RandomSource(0, 2))
+
+
 def test_scenario_reports_have_lines_and_measurements():
     report = reproduce("lemma:cut-cycle")
     assert report.passed
