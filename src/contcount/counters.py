@@ -41,6 +41,9 @@ logger = logging.getLogger(__name__)
 
 _L1_TOL = 1e-9
 _NOISE_BLOCK = 1024
+# the kernels ndarray.min() and .sum() reach through numpy's Python wrappers
+_min = np.minimum.reduce
+_sum = np.add.reduce
 
 
 @dataclass(frozen=True)
@@ -93,7 +96,7 @@ def validate_update(a, dim: int, bound: float = 1.0) -> np.ndarray:
     update reaches the checks that name what is wrong.
     """
     arr = np.asarray(a, dtype=float)
-    if arr.shape == (dim,) and arr.min() >= 0 and arr.sum() <= bound + _L1_TOL:
+    if arr.shape == (dim,) and _min(arr) >= 0 and _sum(arr) <= bound + _L1_TOL:
         return arr
     if arr.shape != (dim,):
         raise ValidationError(f"update must have shape ({dim},), got {arr.shape}")
@@ -353,6 +356,7 @@ class FTSum(CounterMechanism):
         self.flags = np.zeros(m, dtype=int)
         self._acc = np.zeros(m)
         self.taus = np.array([self.log_n + next(self._flag_noise) for _ in range(m)])
+        self._phase_one = list(range(m))  # ascending; a coordinate leaves once flag > k
 
     def in_phase_one(self) -> np.ndarray:
         """Boolean mask of coordinates still in the flag phase."""
@@ -366,17 +370,22 @@ class FTSum(CounterMechanism):
 
         Only coordinates still in the flag phase are visited, in ascending
         order, so comparison and threshold noise are drawn in the same order
-        as a loop over all coordinates that skips the handed-off ones.
+        as a loop over all coordinates that skips the handed-off ones. A
+        coordinate whose flag passes k leaves the list after this step.
         """
         y = self.tree.update(a)
-        for r in np.flatnonzero(self.flags <= self.k):
+        raised = False
+        for r in self._phase_one:
             self._acc[r] += a[r]
             noisy = self._acc[r] + next(self._flag_noise)
             if noisy > self.taus[r]:
+                raised = True
                 self.flags[r] += 1
                 self.taus[r] = (self.log_n * self.alpha ** self.flags[r]
                                 + next(self._flag_noise))
             y[r] = self._phase_one_value(int(self.flags[r]))
+        if raised:
+            self._phase_one = [r for r in self._phase_one if self.flags[r] <= self.k]
         return y
 
 

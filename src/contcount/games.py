@@ -41,7 +41,7 @@ class ValueCurve:
     (k+1)-st chooser. Lookups beyond the last entry extend by the last value."""
 
     def __init__(self, values):
-        vals = np.asarray(values, dtype=float)
+        vals = np.array(values, dtype=float)
         if vals.ndim != 1 or vals.size == 0:
             raise ParameterError("value curve needs at least one entry")
         if not np.all(np.isfinite(vals)):
@@ -50,17 +50,18 @@ class ValueCurve:
             raise ParameterError("value curve entries must be nonnegative")
         if np.any(np.diff(vals) > _MONOTONE_TOL):
             raise ParameterError("value curve must be nonincreasing")
+        vals.setflags(write=False)  # the lookup table below is a copy of it
         self.values = vals
+        self._table = vals.tolist()
+        self._last = vals.size - 1
 
     def __len__(self) -> int:
         return int(self.values.size)
 
     def value_at(self, k) -> float:
-        """Value at (possibly fractional, possibly out-of-range) count k."""
-        idx = int(math.floor(max(0.0, float(k))))
-        if idx >= self.values.size:
-            idx = self.values.size - 1
-        return float(self.values[idx])
+        """Value at (possibly fractional, out-of-range or NaN) count k."""
+        idx = math.floor(k) if k > 0 else 0
+        return self._table[min(idx, self._last)]
 
     def __repr__(self) -> str:
         head = ", ".join(f"{v:.4g}" for v in self.values[:4])

@@ -222,6 +222,13 @@ def run_experiment(config: ExperimentConfig):
 
 def summarize(results) -> dict:
     """Summary statistics computable from the per-trial CSV alone."""
+    if len(results) == 1:  # one row is its own mean, extremes and quantiles
+        (r,) = results
+        ratio = float(r.ratio)
+        kept = ratio if math.isfinite(ratio) else math.nan
+        return {"trials": 1, "mean_sw": float(r.sw), "mean_ratio": kept,
+                "max_ratio": ratio, "min_ratio": ratio, "median_ratio": kept,
+                "q90_ratio": kept, "envelope_pass_rate": float(r.envelope_ok)}
     ratios = np.array([r.ratio for r in results], dtype=float)
     finite = ratios[np.isfinite(ratios)]
     return {

@@ -88,7 +88,7 @@ def _laplace_in_place(scale: float, u: np.ndarray) -> np.ndarray:
     return u
 
 
-def laplace_from_uniform(scale: float, u):
+def _laplace_from_uniform(scale: float, u):
     """Inverse-CDF Laplace sample(s) from u in (-1/2, 1/2): -scale*sign(u)*ln(1-2|u|).
 
     Works on a copy, so the caller's array is left as it was.
@@ -120,5 +120,4 @@ def laplace(scale: float, rng: RandomSource, size=None):
 __all__ = [
     "RandomSource",
     "laplace",
-    "laplace_from_uniform",
 ]

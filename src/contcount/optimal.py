@@ -30,7 +30,7 @@ from .games import (
     SchedulingInstance,
 )
 
-MATCHING_CELL_BUDGET = 8 * 10 ** 6
+MATCHING_COPY_BUDGET = 8 * 10 ** 6
 BRUTE_FORCE_BUDGET = 10 ** 7
 COVER_BUDGET = 10 ** 6
 CHUNK_ROWS = 2 ** 16
@@ -96,11 +96,10 @@ def opt_resource_sharing(inst: ResourceSharingInstance) -> OptResult:
     since all later copies of it have the same players and fail as well.
     Curves never increase, so the copies taken of a resource are worth what
     its first ones are, and ``resource_assignment_value`` of the witness is
-    the maximum weight.
+    the maximum weight. The candidates number the sum of the action-set
+    sizes, at most n*m, and that sum is what the budget bounds.
     """
     n, m = inst.n, inst.m
-    if n * m * n > MATCHING_CELL_BUDGET:
-        raise SizeError(f"matching with {n * m * n} cells exceeds the exact-mode budget")
     allowed_by = [[] for _ in range(m)]
     for i, acts in enumerate(inst.action_sets):
         for r in set(acts):
@@ -108,6 +107,9 @@ def opt_resource_sharing(inst: ResourceSharingInstance) -> OptResult:
     # copy k of resource r for k < len(allowed_by[r]); a stable sort of the
     # (r, k)-ordered candidates by -value is the (-value, r, k) order
     degrees = [len(players) for players in allowed_by]
+    if sum(degrees) > MATCHING_COPY_BUDGET:
+        raise SizeError(f"matching over {sum(degrees)} candidate copies exceeds "
+                        "the exact-mode budget")
     values = np.concatenate([
         curve.values[np.minimum(np.arange(d), len(curve) - 1)]
         for curve, d in zip(inst.curves, degrees)])

@@ -68,6 +68,11 @@ def test_update_validation():
     validate_update([5.0, 0.0], 2, bound=5.0)
     with pytest.raises(ValidationError):
         validate_update([5.1, 0.0], 2, bound=5.0)
+    validate_update([1.0, 1.0, 1.0], 3, bound=3.0)
+    for bad in ([math.nan, 0.0, 0.0], [0.0, 0.0, math.nan], [math.inf, 0.0, 0.0],
+                [0.0, -math.inf, 0.0], [0.5, -1e-300, 0.0], [1.0, 1.0, 1.0 + 2e-9]):
+        with pytest.raises(ValidationError):
+            validate_update(bad, 3, bound=3.0)
 
 
 def test_nan_update_refused_by_every_mechanism():
@@ -368,16 +373,16 @@ def test_ftsum_phase_two_releases_embedded_tree_output():
 
 
 def ftsum_reference(n, m, eps, alpha, gamma, c_tree, seed, stream_id, stream,
-                    zero_noise=False):
+                    zero_noise=False, update_bound=1.0):
     """Per-coordinate two-phase loop over every coordinate, drawing from the
     flag substream one scalar at a time in coordinate order; the reference
     for FTSum's releases. Also returns how many flag draws it made."""
     rng = RandomSource(seed, stream_id, zero_noise)
     flag_rng = rng.substream(0)
     tree = TreeSum(n, m, PrivacyBudget(eps / 2.0), rng.substream(1),
-                   gamma=gamma, c_tree=c_tree)
+                   gamma=gamma, c_tree=c_tree, update_bound=update_bound)
     k = ftsum_flag_count(n, m, eps, alpha, gamma, c_tree)
-    scale = 2.0 / (eps / (4.0 * m * (k + 1)))
+    scale = 2.0 * update_bound / (eps / (4.0 * m * (k + 1)))
     log_n = math.log2(n)
     draws = 0
 
@@ -409,25 +414,36 @@ def ftsum_reference(n, m, eps, alpha, gamma, c_tree, seed, stream_id, stream,
 def test_ftsum_matches_per_coordinate_reference_loop():
     # a large budget gives k = 1, so the heavy coordinates hand off to the
     # tree mid-stream while the light ones stay in the flag phase; with the
-    # noise on, any change in the draw order changes the releases. At
-    # n = 1024 the light coordinates alone make 2048 comparisons, so the flag
-    # noise crosses at least two block refills.
-    m, alpha, gamma, c_tree = 4, 2.0, 0.1, 4.0
-    cases = ([(256, 100.0, False, seed) for seed in range(5)]
-             + [(1024, 100.0, False, seed) for seed in range(2)]
-             + [(256, 100.0, True, 0), (256, math.inf, False, 0)])
-    for n, eps, zero_noise, seed in cases:
-        gen = np.random.default_rng(3)
-        stream = random_simplex_stream(gen, n, m) * np.array([0.6, 0.3, 0.08, 0.02])
-        expected, flags, k, draws = ftsum_reference(n, m, eps, alpha, gamma, c_tree,
-                                                    seed, 4, stream, zero_noise)
-        ft = FTSum(n, m, eps, alpha, gamma, c_tree, RandomSource(seed, 4, zero_noise))
-        got = np.array([ft.update(a) for a in stream])
-        assert np.array_equal(got, expected)
-        assert list(ft.flags) == flags
-        assert any(f > k for f in flags) and any(f <= k for f in flags)
-        if n == 1024:
-            assert draws > 2 * _NOISE_BLOCK
+    # noise on, any change in the draw order changes the releases. The
+    # horizon grows with m, since an entry averages 1/(2m) of its weight; on
+    # the long horizon the light coordinates alone make 2048 comparisons, so
+    # the flag noise crosses at least two block refills. The in-phase list
+    # must name exactly the coordinates whose flag is at most k after every step.
+    alpha, gamma, c_tree = 2.0, 0.1, 4.0
+    for weights, bound in [([0.6, 0.3, 0.08, 0.02], 1.0),
+                           ([1.0, 0.9, 0.8, 0.7, 0.05, 0.03, 0.02, 0.01], 1.0),
+                           ([1.0, 0.9, 0.8, 0.7, 0.05, 0.03, 0.02, 0.01], 3.0)]:
+        m = len(weights)
+        eps, short, long = 25.0 * m, 64 * m, 256 * m
+        cases = ([(short, eps, False, seed) for seed in range(5)]
+                 + [(long, eps, False, seed) for seed in range(2)]
+                 + [(short, eps, True, 0), (short, math.inf, False, 0)])
+        for n, eps, zero_noise, seed in cases:
+            gen = np.random.default_rng(3)
+            stream = random_simplex_stream(gen, n, m) * np.array(weights) * bound
+            expected, flags, k, draws = ftsum_reference(
+                n, m, eps, alpha, gamma, c_tree, seed, 4, stream, zero_noise, bound)
+            ft = FTSum(n, m, eps, alpha, gamma, c_tree, RandomSource(seed, 4, zero_noise),
+                       update_bound=bound)
+            got = []
+            for a in stream:
+                got.append(ft.update(a))
+                assert ft._phase_one == np.flatnonzero(ft.flags <= ft.k).tolist()
+            assert np.array_equal(np.array(got), expected)
+            assert list(ft.flags) == flags
+            assert any(f > k for f in flags) and any(f <= k for f in flags)
+            if n == long:
+                assert draws > 2 * _NOISE_BLOCK
 
 
 def test_ftsum_parameter_errors():

@@ -44,6 +44,40 @@ def test_value_curve_validation_and_lookup():
         ValueCurve([1.0, -0.5])
     with pytest.raises(ParameterError):
         ValueCurve([])
+    source = np.array([3.0, 2.0, 1.0])
+    curve = ValueCurve(source)
+    with pytest.raises(ValueError):
+        curve.values[0] = 0.0  # read-only, so the lookup table cannot go stale
+    source[0] = 9.0  # the caller's array stays writable and is not the table
+    assert curve.value_at(0) == 3.0
+
+
+def old_value_at(curve, k):
+    """The lookup as first written: clamp to 0, floor, cap at the last entry."""
+    idx = int(math.floor(max(0.0, float(k))))
+    if idx >= curve.values.size:
+        idx = curve.values.size - 1
+    return float(curve.values[idx])
+
+
+@pytest.mark.parametrize("k", [
+    0, 1, 3, 4, 7, 0.0, 0.99, 1.0, 2.5, 3.999, 4.0, -0.0, -0.5, -3, -1e300, 1e300,
+    np.float64(2.7), np.float64(-1.5), np.float64(1e300), np.int64(2), np.int64(-2),
+    np.int64(10), True, math.nan, np.float64(math.nan), -math.inf, np.float64(-math.inf)])
+def test_value_at_matches_the_old_formula(k):
+    curve = ValueCurve([3.0, 2.0, 2.0, 0.5])
+    got, expected = curve.value_at(k), old_value_at(curve, k)
+    assert type(got) is float and got == expected
+
+
+@pytest.mark.parametrize("k", [math.inf, np.float64(math.inf)])
+def test_value_at_of_plus_inf_raises_as_before(k):
+    curve = ValueCurve([3.0, 2.0])
+    with pytest.raises(OverflowError) as new:
+        curve.value_at(k)
+    with pytest.raises(OverflowError) as old:
+        old_value_at(curve, k)
+    assert str(new.value) == str(old.value)
 
 
 def test_instance_validation():

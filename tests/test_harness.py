@@ -1,4 +1,6 @@
 import inspect
+import json
+import math
 
 import numpy as np
 import pytest
@@ -49,6 +51,34 @@ def test_summary_recomputable_from_csv(tmp_path):
     reloaded = read_csv_results(str(path))
     assert summarize(reloaded) == summarize(results)
     assert summary["trials"] == 5
+
+
+def numpy_summary(results):
+    """The many-row computation, applied to any number of rows."""
+    ratios = np.array([r.ratio for r in results], dtype=float)
+    finite = ratios[np.isfinite(ratios)]
+    return {
+        "trials": len(results),
+        "mean_sw": float(np.mean([r.sw for r in results])),
+        "mean_ratio": float(finite.mean()) if finite.size else math.nan,
+        "max_ratio": float(ratios.max()),
+        "min_ratio": float(ratios.min()),
+        "median_ratio": float(np.median(finite)) if finite.size else math.nan,
+        "q90_ratio": float(np.quantile(finite, 0.9)) if finite.size else math.nan,
+        "envelope_pass_rate": float(np.mean([r.envelope_ok for r in results])),
+    }
+
+
+@pytest.mark.parametrize("ratio,ok", [
+    (1.2345678901234567, True), (0.0, True), (1.0, False), (math.inf, True),
+    (math.nan, True), (math.nan, False)])
+def test_one_row_summary_matches_the_numpy_path(ratio, ok):
+    row = harness.TrialResult(0, 7, 12.375, 13.0, 15.25, ratio, ok, 12.375,
+                              np.array([1.0, 2.0]))
+    got, expected = summarize([row]), numpy_summary([row])
+    assert list(got) == list(expected)
+    assert json.dumps(got) == json.dumps(expected)
+    assert repr(got) == repr(expected)
 
 
 def test_ratios_at_least_one_for_exact_maximization():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from contcount.errors import ParameterError
-from contcount.noise import RandomSource, laplace, laplace_from_uniform
+from contcount.noise import RandomSource, _laplace_from_uniform, laplace
 
 
 def test_zero_scale_is_exactly_zero():
@@ -16,10 +16,10 @@ def test_zero_scale_is_exactly_zero():
 
 def test_inverse_cdf_at_forced_quartile():
     # hand-evaluated inverse CDF at u = 0.25
-    assert laplace_from_uniform(1.0, 0.25) == pytest.approx(-math.log(0.5), abs=1e-12)
-    assert laplace_from_uniform(1.0, -0.25) == pytest.approx(math.log(0.5), abs=1e-12)
-    assert laplace_from_uniform(3.0, 0.25) == pytest.approx(-3.0 * math.log(0.5), abs=1e-12)
-    assert laplace_from_uniform(1.0, 0.0) == 0.0
+    assert _laplace_from_uniform(1.0, 0.25) == pytest.approx(-math.log(0.5), abs=1e-12)
+    assert _laplace_from_uniform(1.0, -0.25) == pytest.approx(math.log(0.5), abs=1e-12)
+    assert _laplace_from_uniform(3.0, 0.25) == pytest.approx(-3.0 * math.log(0.5), abs=1e-12)
+    assert _laplace_from_uniform(1.0, 0.0) == 0.0
 
 
 def test_negative_scale_rejected():
@@ -86,10 +86,10 @@ def test_lazily_built_generator_draws_like_an_eager_one():
     grandchild_ref = eager(grandchild)
     assert root.integers(1, 6) == root_ref.integers(1, 6)
     assert np.array_equal(laplace(2.0, grandchild, size=5),
-                          laplace_from_uniform(2.0, grandchild_ref.random(5) - 0.5))
+                          _laplace_from_uniform(2.0, grandchild_ref.random(5) - 0.5))
     assert np.array_equal(child.uniform(size=3), child_ref.random(3))
     assert root.substream(2).stream_id == child.stream_id
-    assert laplace(1.0, root) == laplace_from_uniform(1.0, root_ref.random() - 0.5)
+    assert laplace(1.0, root) == _laplace_from_uniform(1.0, root_ref.random() - 0.5)
     assert grandchild.integers(0, 2 ** 40) == grandchild_ref.integers(0, 2 ** 40)
 
 
@@ -162,7 +162,7 @@ def test_bulk_draw_matches_reference_on_exact_edge_uniforms(scale):
 def test_laplace_from_uniform_leaves_its_input_alone():
     u = np.array([-0.25, 0.0, -0.0, 0.25, 0.49])
     kept = u.copy()
-    out = laplace_from_uniform(2.0, u)
+    out = _laplace_from_uniform(2.0, u)
     assert np.array_equal(u, kept) and np.array_equal(np.signbit(u), np.signbit(kept))
     assert not np.shares_memory(out, u)
     assert_same_bits(out, -2.0 * np.sign(kept) * np.log1p(-2.0 * np.abs(kept)))

@@ -151,6 +151,19 @@ def check_against_dense(inst):
     assert resource_assignment_value(inst, result.witness) == result.value
 
 
+def test_resource_budget_counts_candidate_copies(monkeypatch):
+    # n = 939, m = 10: n*m*n = 8,817,210 dense cells, but only 5,181 copies
+    inst = instances.random_resource_sharing(RandomSource(22, 3), n_max=1000, m_max=10)
+    copies = sum(len(set(acts)) for acts in inst.action_sets)
+    assert (inst.n, inst.m, copies) == (939, 10, 5181)
+    check_against_dense(inst)
+    monkeypatch.setattr(optimal, "MATCHING_COPY_BUDGET", copies)
+    assert opt_resource_sharing(inst).method == "matching"
+    monkeypatch.setattr(optimal, "MATCHING_COPY_BUDGET", copies - 1)
+    with pytest.raises(SizeError):
+        opt_resource_sharing(inst)
+
+
 def test_resource_sharing_matches_dense_assignment():
     for trial in range(200):
         check_against_dense(instances.random_resource_sharing(
