@@ -31,7 +31,6 @@ from .games import (
     ResourceSharingInstance,
     SchedulingInstance,
     ValueCurve,
-    curve_smoothness,
     play,
     play_cost_sharing,
     play_cut,
@@ -39,7 +38,6 @@ from .games import (
     play_resource_sharing,
     play_resource_sharing_fractional,
     play_scheduling,
-    shallow_check,
     verify_trace,
 )
 from .harness import (

@@ -40,7 +40,7 @@ def _add_mech_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--clamp-alpha", type=float, default=None,
                         help="clamp wrapper target alpha (default: declared envelope)")
     parser.add_argument("--clamp-beta", type=float, default=None,
-                        help="clamp wrapper target beta")
+                        help="clamp wrapper target beta (default: declared envelope)")
     parser.add_argument("--zero-noise", action="store_true",
                         help="force every noise draw to 0 (exact-arithmetic mode)")
     parser.add_argument("--seed", type=int, default=0)
@@ -191,7 +191,7 @@ def _cmd_reproduce(args) -> int:
     report = harness.reproduce(args.name, seed=args.seed, **overrides)
     if args.json:
         payload = {"name": report.name, "claim": report.claim,
-                   "passed": report.passed, "measured": report.measured}
+                   "passed": report.passed, "checks": report.checks}
         print(json.dumps(_jsonable(payload), sort_keys=True))
     else:
         print(f"[{report.name}] {report.claim}")

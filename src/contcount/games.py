@@ -530,43 +530,6 @@ def verify_trace(trace: PlayTrace, inst) -> None:
     trace.rule.verify(trace, inst)
 
 
-def shallow_check(curve: ValueCurve, w: float, l: int) -> bool:
-    """True iff v(x) >= (sum_{t=0..x} v(t)) / (w*x) for every 1 <= x <= l."""
-    if w < 1.0:
-        raise ParameterError(f"shallowness factor w must be >= 1, got {w}")
-    if l < 1:
-        raise ParameterError(f"l must be >= 1, got {l}")
-    for x in range(1, l + 1):
-        total = math.fsum(curve.value_at(t) for t in range(x + 1))
-        if curve.value_at(x) < total / (w * x) - 1e-12:
-            return False
-    return True
-
-
-def curve_smoothness(curve: ValueCurve, alpha: float, beta: float):
-    """Direct-scan smoothness factors (psi, phi) of a curve for an (alpha, beta) envelope.
-
-    psi is the smallest factor with psi * v(x) >= v(max(0, x/alpha^2 - 2 beta/alpha));
-    phi the smallest with v(x) <= phi * v(ceil(alpha^2 x + 2 alpha beta)), both
-    over all integer x in the curve's index range (lookups beyond the end
-    extend by the last value). A ratio against a zero value yields math.inf.
-    """
-    if alpha < 1.0 or beta < 0.0:
-        raise ParameterError("need alpha >= 1 and beta >= 0")
-    psi = 1.0
-    phi = 1.0
-    for x in range(len(curve)):
-        v_x = curve.value_at(x)
-        v_low = curve.value_at(max(0.0, x / alpha ** 2 - 2.0 * beta / alpha))
-        v_up = curve.value_at(math.ceil(alpha ** 2 * x + 2.0 * alpha * beta))
-        if v_x > 0:
-            psi = max(psi, v_low / v_x)
-            phi = max(phi, v_x / v_up) if v_up > 0 else math.inf
-        elif v_low > 0:
-            psi = math.inf
-    return psi, phi
-
-
 __all__ = [
     "ValueCurve",
     "ResourceSharingInstance",
@@ -589,6 +552,4 @@ __all__ = [
     "play_scheduling",
     "play_cost_sharing",
     "verify_trace",
-    "shallow_check",
-    "curve_smoothness",
 ]

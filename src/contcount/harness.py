@@ -9,9 +9,10 @@ checked as one-sided inequalities. Minimization games report cost ratios
 ALG/OPT, so every ratio reads ">= 1, smaller is better". Bounds of the form
 SW >= OPT/c - additive are checked in exactly that two-term form.
 
-Randomized scenarios loop run_trial over one ExperimentConfig, except
-prop:private-beats-perfect: its warm-up counter draws from trial
-substream 2, which no MechanismSpec describes.
+A scenario is data: an ExperimentConfig plus the Checks it claims. reproduce
+runs every trial through run_trial, evaluates each check's value against its
+bound, and reports the value, bound and slack at the trial with the least
+slack, with the number of violating trials; it PASSes when no check has one.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import inspect
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .counters import (
     ZeroFailureWrapper,
     envelope_check,
 )
-from .errors import ParameterError, UnknownScenarioError
+from .errors import ParameterError, UnknownScenarioError, ValidationError
 from .games import (
     COST_SHARING,
     CUT,
@@ -88,11 +89,11 @@ class MechanismSpec:
             raise ParameterError(f"unknown mechanism '{self.mech}'")
         for wrap in self.wraps:
             if wrap == "clamp":
-                target = None
-                if self.clamp_alpha is not None or self.clamp_beta is not None:
-                    target = AccuracyEnvelope(self.clamp_alpha or 1.0,
-                                              self.clamp_beta or 0.0, 0.0)
-                mech = ZeroFailureWrapper(mech, target)
+                # an unset target coordinate keeps the inner declared one
+                env = mech.envelope
+                mech = ZeroFailureWrapper(mech, AccuracyEnvelope(
+                    env.alpha if self.clamp_alpha is None else self.clamp_alpha,
+                    env.beta if self.clamp_beta is None else self.clamp_beta, 0.0))
             elif wrap == "under":
                 mech = UnderestimatorWrapper(mech)
             elif wrap == "mono":
@@ -152,10 +153,7 @@ class TrialResult:
 
 
 def _ratio(sense: str, alg: float, opt: float) -> float:
-    if sense == "max":
-        better, worse = opt, alg
-    else:
-        better, worse = alg, opt
+    better, worse = (opt, alg) if sense == "max" else (alg, opt)
     if worse == 0.0:
         return 1.0 if better == 0.0 else math.inf
     return better / worse
@@ -168,7 +166,6 @@ def run_trial(config: ExperimentConfig, trial: int, cached_opt: float | None = N
                                          rng.substream(0), **config.instance_params)
     mech = config.mechanism.build(instance.n, rule.dim(instance), rng.substream(1),
                                   rule.bound(instance))
-    envelope = mech.envelope
     strategy = make_strategy(config.strategy)
     if config.splits > 1:
         trace = play_resource_sharing_fractional(instance, mech, strategy, config.splits)
@@ -183,7 +180,7 @@ def run_trial(config: ExperimentConfig, trial: int, cached_opt: float | None = N
     if (config.compute_opt and rule.sense == "max" and config.splits == 1
             and trace.social_welfare > opt_value + 1e-9):
         raise AssertionError("simulated welfare exceeded the exact optimum")
-    ok, _ = envelope_check(trace.true_matrix(), trace.displayed_matrix(), envelope)
+    ok, _ = envelope_check(trace.true_matrix(), trace.displayed_matrix(), mech.envelope)
     result = TrialResult(
         trial=trial,
         seed=config.seed,
@@ -198,23 +195,24 @@ def run_trial(config: ExperimentConfig, trial: int, cached_opt: float | None = N
     return result, trace, instance, mech
 
 
-def run_experiment(config: ExperimentConfig):
-    """Run all trials; returns (results, summary). Deterministic in the seed."""
-    results = []
+def _trials(config: ExperimentConfig):
+    """Yield run_trial(config, t) for each trial t, solving a fixed instance's optimum once."""
     cached_opt = None
     fixed_instance = not (isinstance(config.instance, str)
                           and config.instance.startswith("random:"))
     for trial in range(config.trials):
-        result, _, _, _ = run_trial(config, trial, cached_opt)
+        out = run_trial(config, trial, cached_opt)
         if fixed_instance and config.compute_opt:
-            cached_opt = result.opt
-        results.append(result)
+            cached_opt = out[0].opt
+        yield out
+
+
+def run_experiment(config: ExperimentConfig):
+    """Run all trials; returns (results, summary). Deterministic in the seed."""
+    results = [result for result, _, _, _ in _trials(config)]
     summary = summarize(results)
-    summary["game"] = config.game
-    summary["strategy"] = config.strategy
-    summary["mechanism"] = config.mechanism.mech
-    summary["wraps"] = list(config.mechanism.wraps)
-    summary["seed"] = config.seed
+    summary.update(game=config.game, strategy=config.strategy, mechanism=config.mechanism.mech,
+                   wraps=list(config.mechanism.wraps), seed=config.seed)
     if config.out:
         write_csv(results, config.out)
     return results, summary
@@ -266,18 +264,24 @@ def write_csv(results, path: str) -> None:
 
 
 def read_csv_results(path: str):
-    """Reload per-trial rows (enough to recompute the summary)."""
+    """Reload per-trial rows (enough to recompute the summary). A row with the
+    wrong cell count or a non-numeric cell raises ValidationError."""
+    header, *lines = inst_lib._read_text(path, "CSV").splitlines() or [""]
+    if header.strip() != CSV_HEADER:
+        raise ParameterError(f"unexpected CSV header: {header.strip()}")
+    width = CSV_HEADER.count(",") + 1
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise ParameterError(f"unexpected CSV header: {header}")
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
+    for number, line in enumerate(lines, start=2):
+        parts = line.split(",")
+        try:
+            if len(parts) != width:
+                raise ValueError(f"{len(parts)} cells, expected {width}")
             counts = np.array([float(v) for v in parts[8].split(";") if v])
             rows.append(TrialResult(int(parts[0]), int(parts[1]), float(parts[2]),
                                     float(parts[3]), float(parts[4]), float(parts[5]),
                                     bool(int(parts[6])), float(parts[7]), counts))
+        except ValueError as exc:
+            raise ValidationError(f"malformed CSV line {number}: {exc}") from exc
     return rows
 
 
@@ -285,12 +289,41 @@ def read_csv_results(path: str):
 # scenario registry
 
 
+@dataclass(frozen=True)
+class Check:
+    """One inequality a scenario claims: ``value sense bound`` on every trial,
+    or on the mean value over trials when ``mean`` is set. ``value`` and a
+    callable ``bound`` take one trial's ``(result, trace, instance, mech)``; a
+    mean check takes a constant bound. ``tol`` is the violation the check
+    forgives; a strict ``<`` forgives none."""
+
+    name: str
+    value: object
+    sense: str                    # '<=', '<', '>=' or '=='
+    bound: object                 # a number, or a function of one trial
+    tol: float = 0.0
+    mean: bool = False
+
+    def __post_init__(self):
+        if self.sense not in ("<=", "<", ">=", "=="):
+            raise ParameterError(f"unknown check sense '{self.sense}'")
+
+    def slack(self, value: float, bound: float) -> float:
+        """How far ``value`` lies inside ``bound``: negative outside, NaN unknown."""
+        if self.sense == "==":
+            return 0.0 - abs(value - bound)     # 0.0, not -0.0, at equality
+        return value - bound if self.sense == ">=" else bound - value
+
+    def holds(self, slack: float) -> bool:
+        return slack > 0.0 if self.sense == "<" else slack >= -self.tol
+
+
 @dataclass
 class ScenarioReport:
     name: str
     claim: str
     passed: bool
-    measured: dict
+    checks: dict                  # check name -> {value, bound, slack, violations}
     lines: list
 
 
@@ -298,6 +331,7 @@ _SCENARIOS: dict = {}
 
 
 def _scenario(name: str, claim: str):
+    """Register ``fn(seed, **params) -> (ExperimentConfig, checks)`` as ``name``."""
     def register(fn):
         _SCENARIOS[name] = (claim, fn)
         return fn
@@ -308,11 +342,23 @@ def list_scenarios():
     return [(name, claim) for name, (claim, _) in sorted(_SCENARIOS.items())]
 
 
+def _judge(check: Check, rows: list) -> dict:
+    """One check over its per-trial (value, bound) rows: the row with the least
+    slack (a NaN slack first) and the number of rows that violate it."""
+    if check.mean:
+        rows = [(float(np.mean([value for value, _ in rows])), float(check.bound))]
+    slacks = [check.slack(value, bound) for value, bound in rows]
+    worst = min(range(len(rows)), key=lambda i: -math.inf if math.isnan(slacks[i]) else slacks[i])
+    value, bound = rows[worst]
+    return {"value": value, "bound": bound, "slack": slacks[worst],
+            "violations": sum(not check.holds(s) for s in slacks)}
+
+
 def reproduce(name: str, seed: int = 0, **overrides) -> ScenarioReport:
-    """Run a registered scenario; returns its report (claim, measurements, PASS/FAIL)."""
+    """Run a registered scenario and judge its checks on every trial; it
+    passes when no check has a violation."""
     if name not in _SCENARIOS:
-        raise UnknownScenarioError(
-            f"unknown scenario '{name}' (see list-scenarios)")
+        raise UnknownScenarioError(f"unknown scenario '{name}' (see list-scenarios)")
     claim, fn = _SCENARIOS[name]
     if overrides.get("trials", 1) < 1:
         raise ParameterError("trial count must be >= 1")
@@ -320,25 +366,35 @@ def reproduce(name: str, seed: int = 0, **overrides) -> ScenarioReport:
     for key in overrides:
         if key not in params:
             raise ParameterError(f"scenario '{name}' takes no '{key}' parameter")
-    passed, measured, lines = fn(seed=seed, **overrides)
-    return ScenarioReport(name, claim, bool(passed), measured, lines)
+    config, checks = fn(seed=seed, **overrides)
+    rows = [[] for _ in checks]
+    for trial in _trials(config):
+        for check, row in zip(checks, rows):
+            bound = check.bound(*trial) if callable(check.bound) else check.bound
+            row.append((float(check.value(*trial)), float(bound)))
+    judged = [_judge(check, row) for check, row in zip(checks, rows)]
+    lines = [f"{c.name}{' (mean)' if c.mean else ''}: {r['value']:.6g} {c.sense} "
+             f"{r['bound']:.6g}, slack {r['slack']:.4g}, "
+             f"violations {r['violations']}/{1 if c.mean else config.trials}"
+             for c, r in zip(checks, judged)]
+    passed = all(r["violations"] == 0 for r in judged)
+    return ScenarioReport(name, claim, passed, {c.name: r for c, r in zip(checks, judged)}, lines)
+
+
+def _field(name: str):
+    """The check value ``result.<name>`` of one trial."""
+    return lambda result, *_: getattr(result, name)
+
+
+_SW, _OPT, _RATIO, _METRIC = map(_field, ("sw", "opt", "ratio", "alg_metric"))
 
 
 @_scenario("thm:greedy4",
            "with perfect counters, greedy is 4-competitive for sequential resource sharing")
 def _greedy4(seed: int = 0, trials: int = 200):
-    config = ExperimentConfig(
-        game="resource", instance="random:resource",
-        mechanism=MechanismSpec(mech="perfect"),
-        trials=trials, seed=seed,
-        instance_params={"n_max": 50, "m_max": 10})
-    results, summary = run_experiment(config)
-    max_cr = summary["max_ratio"]
-    passed = max_cr <= 4.0 + 1e-9
-    return (passed,
-            {"max_cr": max_cr, "mean_cr": summary["mean_ratio"], "trials": trials},
-            [f"max competitive ratio over {trials} random instances: {max_cr:.6f}",
-             "bound: 4 + 1e-9"])
+    config = ExperimentConfig(game="resource", instance="random:resource", trials=trials,
+                              seed=seed, instance_params={"n_max": 50, "m_max": 10})
+    return config, (Check("cr", _RATIO, "<=", 4.0, 1e-9),)
 
 
 @_scenario("sec1.1:illustrative",
@@ -348,69 +404,48 @@ def _illustrative(seed: int = 0, n: int = 100, eps: float = 0.01):
     instance = inst_lib.illustrative_shared_vs_private(n, eps)
     config = ExperimentConfig(game="resource", instance=instance,
                               mechanism=MechanismSpec(mech="empty"), seed=seed)
-    result, trace, _, _ = run_trial(config, 0)
     h_n = inst_lib.harmonic_number(n)
     benchmark = optimal.resource_assignment_value(instance, [i + 1 for i in range(n)])
-    exact = result.opt
-    cr_benchmark = benchmark / result.sw
-    passed = (abs(result.sw - h_n) <= 1e-9
-              and benchmark == n * (1.0 - eps)
-              and exact >= benchmark
-              and abs(cr_benchmark - benchmark / h_n) <= 1e-9)
-    return (passed,
-            {"sw": result.sw, "h_n": h_n, "benchmark": benchmark,
-             "exact_opt": exact, "cr_benchmark": cr_benchmark},
-            [f"welfare {result.sw:.6f} (harmonic sum {h_n:.6f})",
-             f"all-private benchmark {benchmark}, exact matching optimum {exact}",
-             f"ratio vs benchmark: {cr_benchmark:.4f}"])
+    return config, (
+        Check("sw", _SW, "==", h_n, 1e-9),
+        Check("benchmark", lambda *_: benchmark, "==", n * (1.0 - eps)),
+        Check("exact_opt", _OPT, ">=", benchmark),
+        Check("cr_benchmark", lambda r, *_: benchmark / r.sw, "==", benchmark / h_n, 1e-9))
 
 
 @_scenario("thm:noinfo",
            "with empty counters, fearing a twin makes the shared resource undominated "
            "and welfare collapses from n*H to n")
 def _noinfo(seed: int = 0, n: int = 10, high: float = 100.0):
-    instance = inst_lib.twin_temptation(n, high)
-    config = ExperimentConfig(game="resource", instance=instance,
+    config = ExperimentConfig(game="resource", instance=inst_lib.twin_temptation(n, high),
                               mechanism=MechanismSpec(mech="empty"),
                               strategy="scripted:fear-a-twin", seed=seed)
-    result, _, _, _ = run_trial(config, 0)
-    passed = result.sw == float(n) and result.opt == n * high
-    return (passed,
-            {"sw": result.sw, "opt": result.opt, "ratio": result.ratio},
-            [f"welfare {result.sw} vs optimum {result.opt} (ratio {result.ratio:.1f})"])
+    return config, (Check("sw", _SW, "==", float(n)), Check("opt", _OPT, "==", n * high))
 
 
 @_scenario("thm:noinfospecial",
            "even with slowly decaying values, empty counters admit undominated play "
            "with welfare H_n against an optimum of n^2")
 def _noinfospecial(seed: int = 0, n: int = 25):
-    instance = inst_lib.slow_decay_temptation(n)
-    config = ExperimentConfig(game="resource", instance=instance,
+    config = ExperimentConfig(game="resource", instance=inst_lib.slow_decay_temptation(n),
                               mechanism=MechanismSpec(mech="empty"),
                               strategy="scripted:flat-resource-temptation", seed=seed)
-    result, _, _, _ = run_trial(config, 0)
-    h_n = inst_lib.harmonic_number(n)
-    passed = abs(result.sw - h_n) <= 1e-12 and result.opt == float(n) ** 2
-    return (passed,
-            {"sw": result.sw, "opt": result.opt, "ratio": result.ratio},
-            [f"welfare {result.sw:.6f} (H_{n}) vs optimum {result.opt}"])
+    return config, (Check("sw", _SW, "==", inst_lib.harmonic_number(n), 1e-12),
+                    Check("opt", _OPT, "==", float(n) ** 2))
 
 
 @_scenario("thm:lb-undom",
            "under any private signal consistent with the first player having taken the "
            "fragile resource, avoiding it stays undominated for the second player")
 def _lb_undom(seed: int = 0, rho: float = 0.05, beta: float = 1.0):
-    instance = inst_lib.fragile_first_mover(rho)
-    envelope = AccuracyEnvelope(1.0, beta, 0.0)
-    displayed = np.zeros(2)
-    undominated = is_undominated(1, [0, 1], displayed, envelope, instance.curves)
-    sw_spite = optimal.resource_assignment_value(instance, [1, 1])
-    opt = optimal.opt_resource_sharing(instance).value
-    passed = undominated and abs(sw_spite - 2 * rho) <= 1e-12 and abs(opt - (1 + rho)) <= 1e-12
-    return (passed,
-            {"undominated": undominated, "sw_spite": sw_spite, "opt": opt},
-            [f"avoiding the fragile resource undominated: {undominated}",
-             f"spiteful welfare {sw_spite:.4f} vs optimum {opt:.4f}"])
+    config = ExperimentConfig(game="resource", instance=inst_lib.fragile_first_mover(rho),
+                              seed=seed)
+    return config, (
+        Check("undominated", lambda r, t, inst, m: is_undominated(
+            1, [0, 1], np.zeros(2), AccuracyEnvelope(1.0, beta, 0.0), inst.curves), "==", 1.0),
+        Check("sw_spite", lambda r, t, inst, m: optimal.resource_assignment_value(inst, [1, 1]),
+              "==", 2 * rho, 1e-12),
+        Check("opt", _OPT, "==", 1 + rho, 1e-12))
 
 
 @_scenario("lemma:perceived",
@@ -419,20 +454,12 @@ def _lb_undom(seed: int = 0, rho: float = 0.05, beta: float = 1.0):
 def _perceived(seed: int = 0, trials: int = 500):
     spec = MechanismSpec(mech="treesum", eps=2.0, wraps=("clamp", "under"),
                          clamp_alpha=1.5, clamp_beta=3.0)
-    config = ExperimentConfig(game="resource", instance="random:resource",
-                              mechanism=spec, trials=trials, seed=seed,
-                              compute_opt=False,
+    config = ExperimentConfig(game="resource", instance="random:resource", mechanism=spec,
+                              trials=trials, seed=seed, compute_opt=False,
                               instance_params={"n_max": 40, "m_max": 8})
     alpha, beta = 1.5 ** 2, 2.0 * 3.0 / 1.5
-    results, _ = run_experiment(config)
-    violations = sum(1 for r in results if r.psw > 2.0 * alpha * beta * r.sw + 1e-9)
-    worst = max([0.0] + [r.psw / r.sw for r in results if r.sw > 0])
-    passed = violations == 0
-    return (passed,
-            {"violations": violations, "max_psw_over_sw": worst,
-             "bound": 2.0 * alpha * beta},
-            [f"max PSW/SW {worst:.3f} vs bound 2*alpha*beta = {2 * alpha * beta:.1f}",
-             f"violations: {violations}/{trials}"])
+    return config, (Check("psw_over_sw", lambda r, *_: _ratio("max", r.sw, r.psw), "<=",
+                          2.0 * alpha * beta, 1e-9),)
 
 
 @_scenario("thm:greedy-private",
@@ -441,18 +468,12 @@ def _perceived(seed: int = 0, trials: int = 500):
 def _greedy_private(seed: int = 0, trials: int = 200):
     spec = MechanismSpec(mech="treesum", eps=2.0, wraps=("clamp", "under", "mono"),
                          clamp_alpha=1.5, clamp_beta=3.0)
-    config = ExperimentConfig(game="resource", instance="random:resource",
-                              mechanism=spec, trials=trials, seed=seed,
+    config = ExperimentConfig(game="resource", instance="random:resource", mechanism=spec,
+                              trials=trials, seed=seed,
                               instance_params={"n_max": 40, "m_max": 8})
-    results, summary = run_experiment(config)
     alpha, beta = 1.5 ** 2, 2.0 * 3.0 / 1.5 + 1.0
-    bound = 8.0 * alpha * beta
-    passed = summary["max_ratio"] <= bound + 1e-9 and summary["envelope_pass_rate"] == 1.0
-    return (passed,
-            {"max_cr": summary["max_ratio"], "bound": bound,
-             "envelope_pass_rate": summary["envelope_pass_rate"]},
-            [f"max competitive ratio {summary['max_ratio']:.3f} vs "
-             f"8*alpha*beta = {bound:.1f}"])
+    return config, (Check("cr", _RATIO, "<=", 8.0 * alpha * beta, 1e-9),
+                    Check("envelope_pass_rate", _field("envelope_ok"), "==", 1.0, mean=True))
 
 
 @_scenario("thm:polylog",
@@ -461,52 +482,30 @@ def _greedy_private(seed: int = 0, trials: int = 200):
 def _polylog(seed: int = 0, trials: int = 50):
     spec = MechanismSpec(mech="ftsum", eps=1.0, alpha=2.0, gamma=0.1,
                          wraps=("clamp", "under", "mono"))
-    config = ExperimentConfig(game="resource", instance="random:resource",
-                              mechanism=spec, seed=seed,
+    config = ExperimentConfig(game="resource", instance="random:resource", mechanism=spec,
+                              trials=trials, seed=seed,
                               instance_params={"n_max": 40, "m_max": 6})
-    violations = 0
-    max_cr = 0.0
-    for trial in range(trials):
-        result, _, _, mech = run_trial(config, trial)
-        # final envelope after clamp -> under -> mono on the declared FTSum one
-        bound = 8.0 * mech.envelope.alpha * (mech.envelope.beta + 1e-12)
-        max_cr = max(max_cr, result.ratio)
-        if result.ratio > bound + 1e-9:
-            violations += 1
-    passed = violations == 0
-    return (passed,
-            {"max_cr": max_cr, "violations": violations},
-            [f"max competitive ratio {max_cr:.3f}; all trials within their "
-             "documented 8*alpha*beta bounds (analytic beta is loose)"])
+    # the final envelope after clamp -> under -> mono on the declared FTSum
+    # one, whose analytic beta is loose
+    return config, (Check("cr", _RATIO, "<=", lambda r, t, i, mech: 8.0 * mech.envelope.alpha
+                          * (mech.envelope.beta + 1e-12), 1e-9),)
 
 
 @_scenario("lemma:cut-cycle",
            "on the 2n-cycle, all-blue-until-forced is undominated play with welfare 4 "
            "against an optimum of 4n")
 def _cut_cycle(seed: int = 0, n: int = 20):
-    instance = inst_lib.cut_cycle(n)
-    config = ExperimentConfig(game="cut", instance=instance,
-                              mechanism=MechanismSpec(mech="perfect"),
+    config = ExperimentConfig(game="cut", instance=inst_lib.cut_cycle(n),
                               strategy="scripted:all-blue-cycle", seed=seed)
-    result, _, _, _ = run_trial(config, 0)
-    passed = result.sw == 4.0 and result.opt == 4.0 * n
-    return (passed,
-            {"sw": result.sw, "opt": result.opt, "ratio": result.ratio},
-            [f"welfare {result.sw} vs optimum {result.opt} (ratio {result.ratio:.1f} = n)"])
+    return config, (Check("sw", _SW, "==", 4.0), Check("opt", _OPT, "==", 4.0 * n))
 
 
 @_scenario("thm:cut-greedy-perfect",
            "greedy coloring with exact neighbor counts is 2-competitive")
 def _cut_perfect(seed: int = 0, trials: int = 100):
-    config = ExperimentConfig(game="cut", instance="random:cut",
-                              mechanism=MechanismSpec(mech="perfect"),
-                              trials=trials, seed=seed,
+    config = ExperimentConfig(game="cut", instance="random:cut", trials=trials, seed=seed,
                               instance_params={"n_max": 16, "p": 0.35})
-    results, summary = run_experiment(config)
-    passed = summary["max_ratio"] <= 2.0 + 1e-9
-    return (passed,
-            {"max_cr": summary["max_ratio"]},
-            [f"max competitive ratio {summary['max_ratio']:.4f} vs bound 2"])
+    return config, (Check("cr", _RATIO, "<=", 2.0, 1e-9),)
 
 
 @_scenario("thm:cut-private",
@@ -516,22 +515,10 @@ def _cut_private(seed: int = 0, trials: int = 100, alpha: float = 2.0, beta: flo
     spec = MechanismSpec(mech="treesum", eps=3.0, wraps=("clamp",),
                          clamp_alpha=alpha, clamp_beta=beta)
     config = ExperimentConfig(game="cut", instance="random:cut", mechanism=spec,
-                              seed=seed, compute_opt=False,
+                              trials=trials, seed=seed, compute_opt=False,
                               instance_params={"n_max": 30, "p": 0.3})
-    worst_margin = math.inf
-    violations = 0
-    for trial in range(trials):
-        result, _, instance, _ = run_trial(config, trial)
-        bound = (2.0 * len(instance.edges)) / (2.0 * alpha ** 2) \
-            - 2.0 * beta * instance.n / alpha
-        margin = result.sw - bound
-        worst_margin = min(worst_margin, margin)
-        if margin < -1e-9:
-            violations += 1
-    passed = violations == 0
-    return (passed,
-            {"violations": violations, "worst_margin": worst_margin},
-            [f"violations: {violations}/{trials}; worst margin {worst_margin:.3f}"])
+    return config, (Check("sw", _SW, ">=", lambda r, t, inst, m: (2.0 * len(inst.edges))
+                          / (2.0 * alpha ** 2) - 2.0 * beta * inst.n / alpha, 1e-9),)
 
 
 @_scenario("thm:scheduling-greedy",
@@ -541,59 +528,56 @@ def _cut_private(seed: int = 0, trials: int = 100, alpha: float = 2.0, beta: flo
 def _scheduling(seed: int = 0, trials: int = 100, alpha: float = 1.5, beta: float = 2.0):
     spec = MechanismSpec(mech="treesum", eps=3.0, wraps=("clamp",),
                          clamp_alpha=alpha, clamp_beta=beta)
-    config = ExperimentConfig(game="scheduling", instance="random:scheduling",
-                              mechanism=spec, seed=seed,
+    config = ExperimentConfig(game="scheduling", instance="random:scheduling", mechanism=spec,
+                              trials=trials, seed=seed,
                               instance_params={"n_max": 8, "m_max": 4})
-    # the same instances (substream 0 of each trial) played with exact counts
-    perfect = replace(config, mechanism=MechanismSpec(mech="perfect"), compute_opt=False)
-    violations = 0
-    perfect_violations = 0
-    for trial in range(trials):
-        result, _, instance, _ = run_trial(config, trial)
-        t_star_sum = float(instance.t_star.sum())
-        n = instance.n
-        bound = alpha ** (2 * n + 1) * (beta + 2 * n * beta + t_star_sum) + beta
-        if result.alg_metric > bound + 1e-9:
-            violations += 1
-        if run_trial(perfect, trial)[0].alg_metric > t_star_sum + 1e-9:
-            perfect_violations += 1
-        if result.opt + 1e-9 < optimal.scheduling_lower_bound(instance):
-            violations += 1
-    passed = violations == 0 and perfect_violations == 0
-    return (passed,
-            {"violations": violations, "perfect_violations": perfect_violations},
-            [f"clamped-counter bound violations: {violations}/{trials}",
-             f"perfect-counter sum-t* violations: {perfect_violations}/{trials}"])
+
+    def bound(result, trace, inst, mech):
+        t_star_sum = float(inst.t_star.sum())
+        return alpha ** (2 * inst.n + 1) * (beta + 2 * inst.n * beta + t_star_sum) + beta
+
+    def perfect_makespan(result, trace, inst, mech):
+        # the same instance played with exact counts
+        counter = PerfectCounter(inst.n, SCHEDULING.dim(inst), SCHEDULING.bound(inst))
+        return SCHEDULING.metric(play_scheduling(inst, counter, Greedy()))
+
+    return config, (
+        Check("makespan", _METRIC, "<=", bound, 1e-9),
+        Check("perfect_makespan", perfect_makespan, "<=",
+              lambda r, t, inst, m: float(inst.t_star.sum()), 1e-9),
+        Check("opt", _OPT, ">=", lambda r, t, inst, m: optimal.scheduling_lower_bound(inst),
+              1e-9))
 
 
 @_scenario("lemma:scheduling-undom",
            "with exact load displays, parking the free job on the expensive machine "
            "is undominated and forces makespan >= 1 where the optimum is 0")
 def _scheduling_undom(seed: int = 0):
-    instance = inst_lib.scheduling_2x2()
-    config = ExperimentConfig(game="scheduling", instance=instance,
-                              mechanism=MechanismSpec(mech="perfect"),
+    config = ExperimentConfig(game="scheduling", instance=inst_lib.scheduling_2x2(),
                               strategy="scripted:pessimistic-scheduler", seed=seed)
-    result, trace, _, _ = run_trial(config, 0)
-    passed = trace.metrics["makespan"] >= 1.0 and result.opt == 0.0
-    return (passed,
-            {"makespan": trace.metrics["makespan"], "opt": result.opt},
-            [f"makespan {trace.metrics['makespan']} vs optimum {result.opt}"])
+    return config, (Check("makespan", _METRIC, ">=", 1.0), Check("opt", _OPT, "==", 0.0))
 
 
 @_scenario("lemma:cost-sharing-perfect",
            "with exact counters, greedy cost sharing pays n against an optimum of 1+eps")
 def _costshare_perfect(seed: int = 0, n: int = 10, eps: float = 0.1):
-    instance = inst_lib.costshare_public_private(n, eps)
-    config = ExperimentConfig(game="costshare", instance=instance,
-                              mechanism=MechanismSpec(mech="perfect"), seed=seed)
-    result, _, _, _ = run_trial(config, 0)
-    passed = result.alg_metric == float(n) and result.opt == 1.0 + eps
-    return (passed,
-            {"total_cost": result.alg_metric, "opt": result.opt,
-             "ratio": result.ratio},
-            [f"total cost {result.alg_metric} vs optimum {result.opt} "
-             f"(ratio {result.ratio:.2f})"])
+    config = ExperimentConfig(game="costshare", seed=seed,
+                              instance=inst_lib.costshare_public_private(n, eps))
+    return config, (Check("total_cost", _METRIC, "==", float(n)),
+                    Check("opt", _OPT, "==", 1.0 + eps))
+
+
+@dataclass(frozen=True)
+class _WarmupSpec(MechanismSpec):
+    """The spec's mechanism behind a UniformWarmupCounter of length ``warmup``,
+    which draws from substream 2 of the mechanism's stream."""
+
+    warmup: int = 0
+
+    def build(self, n: int, m: int, rng: RandomSource,
+              update_bound: float = 1.0) -> CounterMechanism:
+        inner = super().build(n, m, rng, update_bound)
+        return UniformWarmupCounter(inner, self.warmup, rng.substream(2))
 
 
 @_scenario("prop:private-beats-perfect",
@@ -602,60 +586,37 @@ def _costshare_perfect(seed: int = 0, n: int = 10, eps: float = 0.1):
            "instead of n")
 def _private_beats_perfect(seed: int = 0, n: int = 200, trials: int = 200,
                            eps: float = 0.1, q: float = 1.0):
-    instance = inst_lib.costshare_public_private(n, eps)
-    m = n + 1
     gamma = 1.0 / n
     # choose the tree budget so its declared error constant equals q, then
     # c = 8(p^2 + 2pq) with p = 1 (the warm-up length from the construction)
-    eps_tree = 4.0 * max(1.0, math.log2(n)) * math.log2(n * m / gamma) / q
+    eps_tree = 4.0 * max(1.0, math.log2(n)) * math.log2(n * (n + 1) / gamma) / q
     c = int(round(8.0 * (1.0 + 2.0 * q)))
-    costs = []
-    for trial in range(trials):
-        rng = RandomSource(seed, 0).substream(trial)
-        inner = TreeSum(n, m, eps_tree, rng.substream(1), gamma=gamma)
-        mech = UniformWarmupCounter(inner, c, rng.substream(2))
-        trace = play_cost_sharing(instance, mech, Greedy())
-        costs.append(trace.metrics["total_cost"])
-    mean_cost = float(np.mean(costs))
-    passed = mean_cost < 25.0 and mean_cost < float(n)
-    return (passed,
-            {"mean_cost": mean_cost, "max_cost": float(np.max(costs)),
-             "c": c, "q": q, "eps_tree": eps_tree, "perfect_cost": float(n)},
-            [f"mean total cost {mean_cost:.2f} over {trials} trials "
-             f"(perfect counters always pay {n})",
-             f"warm-up length c = {c} from tree error constant q = {q}"])
+    config = ExperimentConfig(
+        game="costshare", instance=inst_lib.costshare_public_private(n, eps),
+        mechanism=_WarmupSpec(mech="treesum", eps=eps_tree, gamma=gamma, warmup=c),
+        trials=trials, seed=seed, compute_opt=False)
+    return config, (Check("mean_cost", _METRIC, "<", 25.0, mean=True),
+                    Check("mean_cost_vs_perfect", _METRIC, "<", float(n), mean=True))
 
 
 @_scenario("lemma:future-lb",
            "future-dependent greedy on the step instance earns 1 against 2w - eps")
 def _future_lb(seed: int = 0, w: float = 5.0, eps: float = 0.1):
-    instance = inst_lib.future_step(w, eps)
-    config = ExperimentConfig(game="future", instance=instance,
-                              mechanism=MechanismSpec(mech="perfect"), seed=seed)
-    result, _, _, _ = run_trial(config, 0)
-    passed = result.sw == 1.0 and abs(result.opt - (2 * w - eps)) <= 1e-9
-    return (passed,
-            {"sw": result.sw, "opt": result.opt, "ratio": result.ratio},
-            [f"welfare {result.sw} vs optimum {result.opt:.4f}"])
+    config = ExperimentConfig(game="future", instance=inst_lib.future_step(w, eps), seed=seed)
+    return config, (Check("sw", _SW, "==", 1.0), Check("opt", _OPT, "==", 2 * w - eps, 1e-9))
 
 
 @_scenario("lemma:marketundom",
            "market sharing admits undominated play with welfare 1 while the all-private "
            "assignment is worth about n(log n - 1)")
 def _marketundom(seed: int = 0, n: int = 16, eps: float = 0.01):
-    instance = inst_lib.market_log_loss(n, eps)
-    config = ExperimentConfig(game="future", instance=instance,
-                              mechanism=MechanismSpec(mech="perfect"),
+    config = ExperimentConfig(game="future", instance=inst_lib.market_log_loss(n, eps),
                               strategy="scripted:private-set-beliefs", seed=seed,
                               compute_opt=False)
-    result, _, _, _ = run_trial(config, 0)
-    benchmark = inst_lib.market_undom_benchmark(n, eps)
     exact = inst_lib.market_undom_exact_opt(n, eps)
-    passed = result.sw == 1.0 and exact >= benchmark
-    return (passed,
-            {"sw": result.sw, "benchmark": benchmark, "exact_opt": exact},
-            [f"welfare {result.sw} vs all-private benchmark {benchmark:.3f} "
-             f"(exact optimum {exact:.3f})"])
+    return config, (Check("sw", _SW, "==", 1.0),
+                    Check("exact_opt", lambda *_: exact, ">=",
+                          inst_lib.market_undom_benchmark(n, eps)))
 
 
 @_scenario("cor:marketlog",
@@ -665,30 +626,23 @@ def _marketlog(seed: int = 0, trials: int = 50, alpha: float = 1.5, beta: float 
     spec = MechanismSpec(mech="treesum", eps=3.0, wraps=("clamp",),
                          clamp_alpha=alpha, clamp_beta=beta)
     config = ExperimentConfig(game="market", instance="random:open-market",
-                              mechanism=spec, seed=seed, compute_opt=False)
-    violations = 0
-    worst_margin = math.inf
-    for trial in range(trials):
-        result, _, instance, _ = run_trial(config, trial)
+                              mechanism=spec, trials=trials, seed=seed, compute_opt=False)
+
+    def bound(result, trace, inst, mech):
         # every market is open to every player and n >= m, so the exact
         # optimum is the total of all market values (a market's first value)
-        opt = math.fsum(c.values[0] for c in instance.curves)
-        bound = (opt - 2.0 * beta * alpha * instance.n) \
-            / (4.0 * (1.0 + alpha ** 2) * math.log2(max(instance.n, 2)))
-        margin = result.sw - bound
-        worst_margin = min(worst_margin, margin)
-        if margin < -1e-9:
-            violations += 1
-    passed = violations == 0
-    return (passed,
-            {"violations": violations, "worst_margin": worst_margin},
-            [f"violations: {violations}/{trials}; worst margin {worst_margin:.2f}"])
+        opt = math.fsum(c.values[0] for c in inst.curves)
+        return (opt - 2.0 * beta * alpha * inst.n) \
+            / (4.0 * (1.0 + alpha ** 2) * math.log2(max(inst.n, 2)))
+
+    return config, (Check("sw", _SW, ">=", bound, 1e-9),)
 
 
 __all__ = [
     "MechanismSpec",
     "ExperimentConfig",
     "TrialResult",
+    "Check",
     "ScenarioReport",
     "run_trial",
     "run_experiment",

@@ -183,7 +183,7 @@ def random_resource_sharing(rng: RandomSource, n_max: int = 50,
     return ResourceSharingInstance(curves, _random_subsets(rng, n, m))
 
 
-def random_market_sharing(rng: RandomSource, n_max: int = 30, m_max: int = 6,
+def random_market_sharing(rng: RandomSource, n_max: int = 6, m_max: int = 4,
                           value_lo: float = 1.0, value_hi: float = 4.0) -> ResourceSharingInstance:
     n = int(rng.integers(4, n_max + 1))
     m = int(rng.integers(2, m_max + 1))
@@ -192,7 +192,7 @@ def random_market_sharing(rng: RandomSource, n_max: int = 30, m_max: int = 6,
     return ResourceSharingInstance(curves, _random_subsets(rng, n, m))
 
 
-def random_cut(rng: RandomSource, n_max: int = 30, p: float = 0.3) -> CutInstance:
+def random_cut(rng: RandomSource, n_max: int = 16, p: float = 0.3) -> CutInstance:
     n = int(rng.integers(3, n_max + 1))
     # one key per pair (u, v), u < v, in row-major order
     us, vs = np.triu_indices(n, 1)

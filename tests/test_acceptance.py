@@ -190,10 +190,10 @@ def test_06_greedy4_bound():
     report = reproduce("thm:greedy4", seed=6, trials=200)
     elapsed = time.perf_counter() - start
     assert report.passed
-    assert report.measured["max_cr"] <= 4.0 + 1e-9
+    assert report.checks["cr"]["value"] <= 4.0 + 1e-9
     assert elapsed < 120.0, f"greedy4 trials took {elapsed:.1f}s"
     _passed(6, "greedy 4-competitive vs exact matching",
-            max_cr=f"{report.measured['max_cr']:.4f}", seconds=f"{elapsed:.1f}")
+            max_cr=f"{report.checks['cr']['value']:.4f}", seconds=f"{elapsed:.1f}")
 
 
 def test_07_illustrative_exact_numbers():
@@ -217,10 +217,10 @@ def test_07_illustrative_exact_numbers():
 def test_08_perceived_welfare_bound():
     report = reproduce("lemma:perceived", seed=8, trials=500)
     assert report.passed
-    assert report.measured["violations"] == 0
+    assert report.checks["psw_over_sw"]["violations"] == 0
     _passed(8, "perceived-welfare bound PSW <= 2ab*SW",
-            max_ratio=f"{report.measured['max_psw_over_sw']:.3f}",
-            bound=report.measured["bound"])
+            max_ratio=f"{report.checks['psw_over_sw']['value']:.3f}",
+            bound=report.checks["psw_over_sw"]["bound"])
 
 
 def test_09_worst_case_reproductions_exact():
@@ -234,24 +234,25 @@ def test_09_worst_case_reproductions_exact():
     }
     for name, check in checks.items():
         report = reproduce(name, seed=9)
-        assert report.passed, f"{name} failed: {report.measured}"
-        assert check(report.measured), f"{name} numbers off: {report.measured}"
+        values = {key: c["value"] for key, c in report.checks.items()}
+        assert report.passed, f"{name} failed: {report.checks}"
+        assert check(values), f"{name} numbers off: {report.checks}"
     _passed(9, "closed-form worst cases", scenarios=len(checks))
 
 
 def test_10_cut_private_bound():
     report = reproduce("thm:cut-private", seed=10, trials=100)
     assert report.passed
-    assert report.measured["violations"] == 0
+    assert report.checks["sw"]["violations"] == 0
     _passed(10, "cut welfare >= 2|E|/(2a^2) - 2bn/a",
-            worst_margin=f"{report.measured['worst_margin']:.2f}")
+            worst_margin=f"{report.checks['sw']['slack']:.2f}")
 
 
 def test_11_scheduling_bounds():
     report = reproduce("thm:scheduling-greedy", seed=11, trials=100)
     assert report.passed
-    assert report.measured["violations"] == 0
-    assert report.measured["perfect_violations"] == 0
+    assert report.checks["makespan"]["violations"] + report.checks["opt"]["violations"] == 0
+    assert report.checks["perfect_makespan"]["violations"] == 0
     _passed(11, "scheduling makespan bounds (clamped and perfect)", trials=100)
 
 
@@ -260,12 +261,11 @@ def test_12_private_beats_perfect():
     report = reproduce("prop:private-beats-perfect", seed=12, trials=200)
     elapsed = time.perf_counter() - start
     assert report.passed
-    assert report.measured["mean_cost"] < 25.0
-    assert report.measured["mean_cost"] < report.measured["perfect_cost"]
+    assert report.checks["mean_cost"]["value"] < 25.0
+    assert report.checks["mean_cost"]["value"] < report.checks["mean_cost_vs_perfect"]["bound"]
     assert elapsed < 60.0, f"warm-up construction trials took {elapsed:.1f}s"
     _passed(12, "private counters beat perfect on cost sharing",
-            mean_cost=f"{report.measured['mean_cost']:.2f}",
-            c=report.measured["c"], seconds=f"{elapsed:.1f}")
+            mean_cost=f"{report.checks['mean_cost']['value']:.2f}", seconds=f"{elapsed:.1f}")
 
 
 def test_13_dp_smoke_single_release():

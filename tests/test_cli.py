@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from contcount import cli, harness
+from contcount import cli, harness, instances
 
 
 def run_cli(capsys, *argv):
@@ -130,12 +130,32 @@ def test_opt_file_named_like_a_prefix(tmp_path, capsys, monkeypatch, name):
      "c_tree must be finite and positive"),
     (["--instance", "paper:noinfo", "--mech", "treesum", "--ctree", "-1"],
      "c_tree must be finite and positive"),
+    (["--instance", "paper:noinfo", "--mech", "treesum", "--wrap", "clamp",
+      "--clamp-alpha", "0"], "alpha must be finite and >= 1"),
 ])
 def test_game_run_bad_parameters(capsys, argv, message):
     code, _, err = run_cli(capsys, "game", "run", "--game", "resource", *argv)
     assert code == 1
     assert err.startswith("error:")
     assert message in err
+
+
+# default sizes of these generators exceed the future-dependent brute force
+TOO_BIG_FOR_FUTURE = {"resource", "open-market"}
+RANDOM_GAMES = [(name, game) for name, (kind, _) in instances.RANDOM_GENERATORS.items()
+                for game, (_, _, rule) in harness._ENGINES.items() if rule.kind == kind]
+
+
+@pytest.mark.parametrize("name, game", RANDOM_GAMES,
+                         ids=[f"{name}-{game}" for name, game in RANDOM_GAMES])
+def test_game_run_solves_default_random_instances(capsys, name, game):
+    code, out, err = run_cli(capsys, "game", "run", "--game", game, "--instance",
+                             f"random:{name}", "--trials", "3", "--seed", "5", "--json")
+    if name in TOO_BIG_FOR_FUTURE and game in ("future", "market"):
+        assert code == 1 and "exceeds the brute-force budget" in err
+    else:
+        assert code == 0, err
+        assert json.loads(out)["min_ratio"] >= 1.0
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -212,13 +232,25 @@ def test_reproduce_pass_and_fail(capsys, monkeypatch):
     assert code == 0
     assert "=> PASS" in out
 
-    def failing(seed=0, **_):
-        return False, {}, ["nope"]
+    monkeypatch.setattr(harness, "_SCENARIOS", dict(harness._SCENARIOS))
 
-    monkeypatch.setitem(harness._SCENARIOS, "x", ("always fails", failing))
-    code, out, _ = run_cli(capsys, "reproduce", "x")
+    @harness._scenario("test:one-of-three", "every trial number is below 2")
+    def one_of_three(seed=0, trials=3):
+        config = harness.ExperimentConfig(game="resource", instance="paper:noinfo",
+                                          trials=trials, seed=seed)
+        return config, (harness.Check("trial", lambda r, *_: r.trial, "<", 2.0),)
+
+    code, out, _ = run_cli(capsys, "reproduce", "test:one-of-three", "--json")
     assert code == 2
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    assert payload["checks"] == {
+        "trial": {"value": 2.0, "bound": 2.0, "slack": 0.0, "violations": 1}}
+    code, out, _ = run_cli(capsys, "reproduce", "test:one-of-three")
+    assert code == 2
+    assert "trial: 2 < 2, slack 0, violations 1/3" in out
     assert "=> FAIL" in out
+    assert run_cli(capsys, "reproduce", "test:one-of-three", "--trials", "2")[0] == 0
 
 
 def test_reproduce_greedy4(capsys):
@@ -246,7 +278,7 @@ def test_reproduce_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["passed"] is True
-    assert payload["measured"]["sw"] == 1.0
+    assert payload["checks"]["sw"]["value"] == 1.0
 
 
 def test_list_scenarios(capsys):

@@ -13,13 +13,11 @@ from contcount.games import (
     ResourceSharingInstance,
     SchedulingInstance,
     ValueCurve,
-    curve_smoothness,
     play_cost_sharing,
     play_cut,
     play_future_dependent,
     play_resource_sharing,
     play_scheduling,
-    shallow_check,
     verify_trace,
 )
 from contcount import instances
@@ -297,70 +295,8 @@ def test_future_dependent_shallow_perceived_bound():
         rng = RandomSource(trial, 22)
         inst = instances.random_resource_sharing(rng, n_max=20, m_max=5)
         w = max(min_w(c, inst.n - 1) if inst.n > 1 else 1.0 for c in inst.curves)
-        assert all(shallow_check(c, w + 1e-9, inst.n - 1) for c in inst.curves)
         trace = play_future_dependent(inst, PerfectCounter(inst.n, inst.m), Greedy())
         assert trace.perceived_welfare <= w * trace.social_welfare + 1e-9
-
-
-# ---------------------------------------------------------------------------
-# curve predicates
-
-
-def test_shallow_check_constant_curve():
-    curve = ValueCurve([1.0] * 10)
-    assert shallow_check(curve, 2.0, 9)
-    # at w = 1 the inequality already fails at x = 1: v(1) < 2/(1*1)
-    assert not shallow_check(curve, 1.0, 9)
-
-
-def brute_force_min_shallow_w(curve, l):
-    return max(
-        math.fsum(curve.value_at(t) for t in range(x + 1)) / (x * curve.value_at(x))
-        for x in range(1, l + 1))
-
-
-def test_shallow_check_harmonic_minimal_w():
-    curve = ValueCurve([2.0 / (k + 1) for k in range(12)])
-    for l in (3, 6, 11):
-        w_min = brute_force_min_shallow_w(curve, l)
-        assert shallow_check(curve, w_min + 1e-9, l)
-        assert not shallow_check(curve, w_min - 1e-6, l)
-
-
-def test_shallow_check_step_curve_documented_discrepancy():
-    # the step curve (w, 1/2) is claimed shallow at its own w, but the literal
-    # definition needs w = 11 at l = 2; assert the brute-force oracle value
-    curve = ValueCurve([5.0, 0.5])
-    assert brute_force_min_shallow_w(curve, 2) == pytest.approx(11.0)
-    assert not shallow_check(curve, 5.0, 2)
-    assert shallow_check(curve, 11.0, 2)
-
-
-def scan_smoothness_oracle(curve, alpha, beta):
-    psi = phi = 1.0
-    for x in range(len(curve)):
-        v_x = curve.value_at(x)
-        if v_x <= 0:
-            continue
-        psi = max(psi, curve.value_at(max(0.0, x / alpha ** 2 - 2 * beta / alpha)) / v_x)
-        phi = max(phi, v_x / curve.value_at(math.ceil(alpha ** 2 * x + 2 * alpha * beta)))
-    return psi, phi
-
-
-def test_curve_smoothness_constant():
-    psi, phi = curve_smoothness(ValueCurve([2.0] * 30), 2.0, 1.0)
-    assert (psi, phi) == (1.0, 1.0)
-
-
-@pytest.mark.parametrize("d", [1, 2])
-def test_curve_smoothness_polynomial_decay(d):
-    alpha, beta = 2.0, 1.0
-    curve = ValueCurve([1.0 / (x + 1) ** d for x in range(60)])
-    psi, phi = curve_smoothness(curve, alpha, beta)
-    oracle = scan_smoothness_oracle(curve, alpha, beta)
-    assert (psi, phi) == oracle
-    # degree-d decay keeps psi*phi within the documented (2.5 * 2 alpha^3 beta)^d
-    assert psi * phi <= (2.5 * 2 * alpha ** 3 * beta) ** d + 1e-9
 
 
 # ---------------------------------------------------------------------------

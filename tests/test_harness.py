@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from contcount.counters import TreeSum, UniformWarmupCounter
-from contcount.errors import ParameterError, UnknownScenarioError
+from contcount.errors import ParameterError, UnknownScenarioError, ValidationError
 from contcount.harness import (
     ExperimentConfig,
     MechanismSpec,
@@ -143,17 +143,17 @@ def test_scenario_reports_have_lines_and_measurements():
     assert report.passed
     assert report.claim
     assert report.lines
-    assert report.measured["sw"] == 4.0
+    assert report.checks["sw"]["value"] == 4.0
 
 
 @pytest.mark.parametrize("name, keys", [
-    ("thm:polylog", {"max_cr", "violations"}),
-    ("cor:marketlog", {"violations", "worst_margin"}),
+    ("thm:polylog", {"cr"}),
+    ("cor:marketlog", {"sw"}),
 ])
 def test_randomized_scenario_passes(name, keys):
     report = reproduce(name, seed=13, trials=10)
     assert report.passed
-    assert set(report.measured) == keys
+    assert set(report.checks) == keys
 
 
 REGISTRY = ([(f"paper:{name}", kind) for name, (kind, _) in instances.PAPER_INSTANCES.items()]
@@ -191,7 +191,100 @@ def test_reproduce_checks_trials_for_every_scenario(name):
         reproduce(name, trials=0)
     _, fn = harness._SCENARIOS[name]
     if "trials" in inspect.signature(fn).parameters:
-        assert reproduce(name, seed=1, trials=1).measured
+        assert reproduce(name, seed=1, trials=1).checks
     else:
         with pytest.raises(ParameterError, match=f"scenario '{name}' takes no 'trials'"):
             reproduce(name, trials=1)
+
+
+@pytest.mark.parametrize("name", sorted(harness._SCENARIOS))
+def test_every_check_reports_value_bound_slack_and_violations(name):
+    _, fn = harness._SCENARIOS[name]
+    trials = {"trials": 2} if "trials" in inspect.signature(fn).parameters else {}
+    report = reproduce(name, seed=1, **trials)
+    assert report.checks and len(report.lines) == len(report.checks)
+    for check in report.checks.values():
+        assert set(check) == {"value", "bound", "slack", "violations"}
+        assert isinstance(check["violations"], int) and check["violations"] >= 0
+    assert report.passed == all(c["violations"] == 0 for c in report.checks.values())
+
+
+@pytest.mark.parametrize("sense, value, bound, tol, slack, holds", [
+    ("<=", 4.25, 4.0, 0.25, -0.25, True),
+    ("<=", 4.5, 4.0, 0.25, -0.5, False),
+    ("<", 2.0, 2.0, 0.0, 0.0, False),
+    (">=", 1.0, 3.0, 0.0, -2.0, False),
+    (">=", 5.0, 3.0, 0.0, 2.0, True),
+    ("==", 4.0, 4.0, 0.0, 0.0, True),
+    ("==", 4.0, 4.0 + 1e-15, 0.0, -1e-15, False),
+    ("==", math.nan, 1.0, 1e-9, math.nan, False),
+])
+def test_check_slack_and_tolerance(sense, value, bound, tol, slack, holds):
+    check = harness.Check("x", None, sense, bound, tol)
+    got = check.slack(value, bound)
+    assert got == pytest.approx(slack, rel=1e-6, nan_ok=True)
+    assert check.holds(got) is holds
+
+
+def test_check_refuses_an_unknown_sense():
+    with pytest.raises(ParameterError, match="unknown check sense"):
+        harness.Check("x", None, "=<", 1.0)
+
+
+def test_mean_check_judges_the_mean_and_reports_the_least_slack_trial():
+    mean = harness.Check("x", None, "<", 2.0, mean=True)
+    assert harness._judge(mean, [(1.0, 2.0), (3.0, 2.0)]) == {
+        "value": 2.0, "bound": 2.0, "slack": 0.0, "violations": 1}
+    each = harness.Check("x", None, ">=", None, 1e-9)
+    rows = [(5.0, 1.0), (1.0, 2.0), (math.nan, 0.0), (0.0, 4.0)]
+    assert harness._judge(each, rows)["violations"] == 3
+    assert math.isnan(harness._judge(each, rows)["value"])
+
+
+@pytest.mark.parametrize("spec, envelope", [
+    (MechanismSpec(mech="ftsum", wraps=("clamp",), clamp_beta=3.0), "declared alpha, 3"),
+    (MechanismSpec(mech="ftsum", wraps=("clamp",), clamp_alpha=1.5), "1.5, declared beta"),
+    (MechanismSpec(mech="ftsum", wraps=("clamp",)), "declared alpha, declared beta"),
+    (MechanismSpec(mech="ftsum", wraps=("clamp",), clamp_beta=0.0), "declared alpha, 0"),
+])
+def test_clamp_target_defaults_to_the_declared_envelope(spec, envelope):
+    declared = MechanismSpec(mech="ftsum").build(16, 2, RandomSource(0)).envelope
+    assert declared.alpha == 2.0
+    alpha, beta = envelope.split(", ")
+    want = (declared.alpha if alpha == "declared alpha" else float(alpha),
+            declared.beta if beta == "declared beta" else float(beta), 0.0)
+    got = spec.build(16, 2, RandomSource(0)).envelope
+    assert (got.alpha, got.beta, got.gamma) == want
+
+
+def test_clamp_alpha_zero_is_refused():
+    with pytest.raises(ParameterError, match="alpha must be finite and >= 1"):
+        MechanismSpec(mech="treesum", wraps=("clamp",), clamp_alpha=0.0).build(
+            16, 2, RandomSource(0))
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0,3,1.0,1.0,1.0,1.0,1,1.0", "line 2: 8 cells, expected 9"),
+    ("0,3,1.0,1.0,1.0,1.0,1,1.0,2.0,x", "line 2: 10 cells, expected 9"),
+    ("", "line 2: 1 cells, expected 9"),
+    ("0,3,abc,1.0,1.0,1.0,1,1.0,1.0", "line 2: could not convert"),
+    ("0,3,1.0,1.0,1.0,1.0,yes,1.0,1.0", "line 2: invalid literal"),
+    ("0,3,1.0,1.0,1.0,1.0,1,1.0,1.0;z", "line 2: could not convert"),
+])
+def test_read_csv_rejects_malformed_rows(tmp_path, row, message):
+    path = tmp_path / "trials.csv"
+    path.write_text(f"{harness.CSV_HEADER}\n{row}\n0,3,1.0,1.0,1.0,1.0,1,1.0,1.0\n")
+    with pytest.raises(ValidationError, match=message):
+        read_csv_results(str(path))
+
+
+def test_read_csv_missing_or_foreign_file(tmp_path):
+    with pytest.raises(ParameterError, match="cannot read CSV file"):
+        read_csv_results(str(tmp_path / "missing.csv"))
+    path = tmp_path / "other.csv"
+    path.write_text("a,b\n")
+    with pytest.raises(ParameterError, match="unexpected CSV header"):
+        read_csv_results(str(path))
+    path.write_text("")
+    with pytest.raises(ParameterError, match="unexpected CSV header"):
+        read_csv_results(str(path))

@@ -38,7 +38,7 @@ def _loop_resource(rng, n_max=50, m_max=10):
     return n, [_loop_curve(rng, n).values for _ in range(m)]
 
 
-def _loop_market(rng, n_max=30, m_max=6, value_lo=1.0, value_hi=4.0):
+def _loop_market(rng, n_max=6, m_max=4, value_lo=1.0, value_hi=4.0):
     n = int(rng.integers(4, n_max + 1))
     m = int(rng.integers(2, m_max + 1))
     return n, [instances.market_curve(value_lo + (value_hi - value_lo) * rng.uniform(), n).values
@@ -51,7 +51,7 @@ def _loop_costshare(rng, n_max=8, m_max=8):
     return n, [0.5 + 4.5 * rng.generator.random(m)]
 
 
-def _loop_cut(rng, n_max=30, p=0.3):
+def _loop_cut(rng, n_max=16, p=0.3):
     n = int(rng.integers(3, n_max + 1))
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.uniform() < p]
     return n, edges or [(0, 1)]

@@ -169,7 +169,8 @@ def test_resource_sharing_matches_dense_assignment():
         check_against_dense(instances.random_resource_sharing(
             RandomSource(trial, 37), n_max=200, m_max=10))
     for trial in range(100):
-        check_against_dense(instances.random_market_sharing(RandomSource(trial, 38)))
+        check_against_dense(instances.random_market_sharing(RandomSource(trial, 38),
+                                                            n_max=30, m_max=6))
 
 
 def test_resource_sharing_long_augmenting_paths():
