@@ -56,6 +56,6 @@ from .optimal import (
     opt_resource_sharing,
     opt_scheduling,
 )
-from .strategies import BeliefGreedy, Greedy, greedy_choose, is_undominated, scripted
+from .strategies import BeliefGreedy, Greedy, is_undominated, scripted
 
 __version__ = "0.1.0"

@@ -82,11 +82,6 @@ class AccuracyEnvelope:
     def upper(self, x):
         return self.alpha * np.asarray(x, dtype=float) + self.beta
 
-    def contains(self, x, y, tol: float = 1e-12) -> bool:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return bool(np.all(y >= self.lower(x) - tol) and np.all(y <= self.upper(x) + tol))
-
 
 def validate_update(a, dim: int, bound: float = 1.0) -> np.ndarray:
     """Check membership in the (bound-scaled) simplex and return a float array.
@@ -181,10 +176,6 @@ class CounterMechanism:
     def current(self) -> np.ndarray:
         """Most recent released estimate (zeros before the first update)."""
         return self._current.copy()
-
-    @property
-    def is_underestimator(self) -> bool:
-        return False
 
     def update(self, a) -> np.ndarray:
         """Feed one update vector; returns this step's released estimate."""
@@ -396,10 +387,6 @@ class PerfectCounter(CounterMechanism):
         super().__init__(n, m, PrivacyBudget(math.inf),
                          AccuracyEnvelope(1.0, 0.0, 0.0), update_bound)
 
-    @property
-    def is_underestimator(self) -> bool:
-        return True
-
     def _step(self, a: np.ndarray) -> np.ndarray:
         return self._true.copy()
 
@@ -410,10 +397,6 @@ class EmptyCounter(CounterMechanism):
     def __init__(self, n: int, m: int, update_bound: float = 1.0):
         super().__init__(n, m, PrivacyBudget(math.inf),
                          AccuracyEnvelope(1.0, float(n) * update_bound, 0.0), update_bound)
-
-    @property
-    def is_underestimator(self) -> bool:
-        return True
 
     def _step(self, a: np.ndarray) -> np.ndarray:
         return np.zeros(self.dim)
@@ -452,14 +435,6 @@ class UnderestimatorWrapper(_Wrapper):
         self._shift_beta = env.beta
         super().__init__(inner, AccuracyEnvelope(env.alpha ** 2, 2.0 * env.beta / env.alpha, 0.0))
 
-    @property
-    def is_underestimator(self) -> bool:
-        return True
-
-    def shift(self, y):
-        """The release transform, exposed for grid checks."""
-        return self._transform(np.asarray(y, dtype=float))
-
     def _transform(self, y: np.ndarray) -> np.ndarray:
         return (y - self._shift_beta) / self._shift_alpha
 
@@ -467,19 +442,16 @@ class UnderestimatorWrapper(_Wrapper):
 class MonotoneWrapper(_Wrapper):
     """Nearest monotone integer sequence: starts at 0 and increments a
     coordinate by exactly 1 iff the wrapped noisy value exceeds the current
-    reported value by more than 1/2. Envelope beta grows by 1."""
+    reported value by more than 1/2. Envelope beta grows by 1.
+
+    Over an underestimator the result still underestimates integer true
+    counts: the reported value stays within 1/2 above the inner value, which
+    never exceeds the count."""
 
     def __init__(self, inner: CounterMechanism):
         env = inner.envelope
         self._reported = np.zeros(inner.dim)
-        # underestimation survives for integer true counts: reported stays
-        # within 1/2 above the inner value, which never exceeds the count
-        self._under = inner.is_underestimator
         super().__init__(inner, AccuracyEnvelope(env.alpha, env.beta + 1.0, env.gamma))
-
-    @property
-    def is_underestimator(self) -> bool:
-        return self._under
 
     def _transform(self, y: np.ndarray) -> np.ndarray:
         self._reported += (y > self._reported + 0.5).astype(float)

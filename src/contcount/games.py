@@ -6,9 +6,16 @@ an action, and the action's update vector is fed back into the counter. A
 :class:`GameRule` supplies what differs between games: the counter dimension
 and update bound, each player's actions in tie-break order, her slice of the
 release, the update vector of an action, the perceived utility, the realized
-utilities from the final true counts, the final usage and metrics, and
-whether the metric is maximized or minimized. Adding a game means one rule
-here plus one ``harness._ENGINES`` entry.
+utilities from the final true counts, the final usage, and ``value``: the
+objective of an action profile, a welfare to maximize or a cost to minimize.
+``value`` is each objective's one definition: the exact solvers in
+``optimal`` optimize it, ``play`` stores it as ``PlayTrace.metric``, and
+``verify_trace`` checks the realized utilities against it.
+
+Adding a game means a rule here (and an instance class when its instances
+have a new shape); a parser with its ``_PARSERS`` entry and its
+``PAPER_INSTANCES`` and ``RANDOM_GENERATORS`` entries in ``instances``; an
+exact solver in ``optimal``; and one ``harness._ENGINES`` entry.
 
 Each play returns a :class:`PlayTrace` with realized utilities (from true
 counts) and perceived utilities (from displayed counts). Conventions shared
@@ -26,7 +33,7 @@ by all games:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -213,7 +220,7 @@ class PlayTrace:
     final_usage: np.ndarray
     social_welfare: float
     perceived_welfare: float
-    metrics: dict = field(default_factory=dict)
+    metric: float               # rule.value of the actions; the welfare when fractional
 
     @property
     def actions(self) -> list:
@@ -238,8 +245,17 @@ def _check_mechanism(mech: CounterMechanism, dim: int, horizon: int, bound: floa
         raise ValidationError("counter has already consumed updates")
 
 
+def _tally(m: int, actions) -> list:
+    """Number of players on each of m resources or sets."""
+    counts = [0] * m
+    for r in actions:
+        counts[r] += 1
+    return counts
+
+
 class GameRule:
-    """The facts of one game that :func:`play`, the strategies and the harness use.
+    """The facts of one game that :func:`play`, the strategies, the solvers
+    and the harness use.
 
     The defaults are unit-demand resource sharing: one counter coordinate per
     resource, unit updates, and player i's utility v_r at the number of
@@ -248,8 +264,9 @@ class GameRule:
 
     name = "resource"           # passed to Strategy.start
     kind = "resource"           # instance shape: file format and named instances
-    sense = "max"               # metric(trace) is a welfare ("max") or a cost ("min")
+    sense = "max"               # value() is a welfare ("max") or a cost ("min")
     utility_is_cost = False     # players minimize utility() instead of maximizing it
+    tol = 0.0                   # how far realized_total() may lie from value()
 
     def dim(self, inst) -> int:
         return inst.m
@@ -279,24 +296,21 @@ class GameRule:
         utility at the true counts of each player's move stands."""
         return None
 
-    def outcome(self, inst, actions, final):
-        """(final usage, metrics) of a finished play."""
-        return final, {}
+    def usage(self, actions, final):
+        """Final usage of a finished play."""
+        return final
 
-    def metric(self, trace) -> float:
-        """The objective compared against the exact optimum."""
-        return trace.social_welfare
+    def value(self, inst, actions) -> float:
+        """The objective of a unit-demand action profile, one action per
+        player: here the welfare, the first k values of each resource's
+        curve where k players chose it."""
+        counts = _tally(inst.m, actions)
+        return math.fsum(inst.curves[r].value_at(j) for r in range(inst.m)
+                         for j in range(counts[r]))
 
-    def verify(self, trace, inst) -> None:
-        """Raise ValidationError unless the trace's bookkeeping identities hold."""
-        if "splits" in trace.metrics:
-            if int(round(float(trace.final_usage.sum()))) != len(trace.records):
-                raise ValidationError("fractional allocations do not sum to the player count")
-            return
-        vals = [inst.curves[r].value_at(j)
-                for r in range(inst.m) for j in range(int(trace.final_usage[r]))]
-        if math.fsum(vals) != trace.social_welfare:
-            raise ValidationError("resource-sharing welfare does not match final usages")
+    def realized_total(self, trace) -> float:
+        """The objective as the trace's realized utilities add it up."""
+        return math.fsum(rec.realized for rec in trace.records)
 
 
 class FutureDependentRule(GameRule):
@@ -308,11 +322,10 @@ class FutureDependentRule(GameRule):
     def settle(self, inst, actions, final):
         return [inst.curves[r].value_at(final[r] - 1.0) for r in actions]
 
-    def verify(self, trace, inst) -> None:
-        vals = [inst.curves[r].value_at(trace.final_usage[r] - 1.0)
-                for r in range(inst.m) for _ in range(int(trace.final_usage[r]))]
-        if math.fsum(vals) != trace.social_welfare:
-            raise ValidationError("future-dependent welfare does not match final usages")
+    def value(self, inst, actions) -> float:
+        counts = _tally(inst.m, actions)
+        return math.fsum(inst.curves[r].value_at(counts[r] - 1) for r in range(inst.m)
+                         for _ in range(counts[r]))
 
 
 class CutRule(GameRule):
@@ -350,24 +363,22 @@ class CutRule(GameRule):
         return [float(sum(1 for j in inst.neighbors(i) if actions[j] != actions[i]))
                 for i in range(inst.n)]
 
-    def outcome(self, inst, actions, final):
-        usage = np.array([float(actions.count(0)), float(actions.count(1))])
-        cut_edges = sum(1 for u, v in inst.edges if actions[u] != actions[v])
-        return usage, {"cut_edges": cut_edges, "colors": actions}
+    def usage(self, actions, final):
+        return np.array([float(actions.count(0)), float(actions.count(1))])
 
-    def verify(self, trace, inst) -> None:
-        if trace.social_welfare != 2.0 * trace.metrics["cut_edges"]:
-            raise ValidationError("cut welfare != 2 * cut edges")
+    def value(self, inst, actions) -> float:
+        return 2.0 * sum(1 for u, v in inst.edges if actions[u] != actions[v])
 
 
 class SchedulingRule(GameRule):
     """Load balancing on unrelated machines; utility is the negative final
-    load of the chosen machine and the metric is the makespan. Updates carry
+    load of the chosen machine and the value is the makespan. Updates carry
     job sizes, so the counter's update bound must cover the largest size."""
 
     name = "scheduling"
     kind = "scheduling"
     sense = "min"
+    tol = 1e-9
 
     def bound(self, inst) -> float:
         return max(float(inst.costs.max()), 1e-12)
@@ -384,27 +395,28 @@ class SchedulingRule(GameRule):
     def settle(self, inst, actions, final):
         return [-float(final[q]) for q in actions]
 
-    def outcome(self, inst, actions, final):
-        return final, {"makespan": float(final.max())}
+    def value(self, inst, actions) -> float:
+        loads = np.zeros(inst.m)
+        for k, q in enumerate(actions):
+            loads[q] += inst.costs[k, q]
+        return float(loads.max())
 
-    def metric(self, trace) -> float:
-        return trace.metrics["makespan"]
-
-    def verify(self, trace, inst) -> None:
-        if abs(-min(rec.realized for rec in trace.records) - trace.metrics["makespan"]) > 1e-9:
-            raise ValidationError("makespan does not match the worst realized load")
+    def realized_total(self, trace) -> float:
+        """The worst realized load."""
+        return -min(rec.realized for rec in trace.records)
 
 
 class CostSharingRule(GameRule):
     """Fair cost sharing: a player's cost is her set's cost over the number of
     its users (herself included); at the move that number is the displayed
-    count plus one, at game end the final true count. The metric sums the
+    count plus one, at game end the final true count. The value sums the
     distinct chosen sets' costs."""
 
     name = "costshare"
     kind = "costshare"
     sense = "min"
     utility_is_cost = True
+    tol = 1e-9
 
     def actions(self, inst, player) -> list:
         return sorted(inst.allowed[player])
@@ -415,15 +427,8 @@ class CostSharingRule(GameRule):
     def settle(self, inst, actions, final):
         return [float(inst.set_costs[s]) / float(final[s]) for s in actions]
 
-    def outcome(self, inst, actions, final):
-        return final, {"total_cost": math.fsum(inst.set_costs[s] for s in sorted(set(actions)))}
-
-    def metric(self, trace) -> float:
-        return trace.metrics["total_cost"]
-
-    def verify(self, trace, inst) -> None:
-        if abs(trace.social_welfare - trace.metrics["total_cost"]) > 1e-9:
-            raise ValidationError("per-player costs do not sum to the set-cost total")
+    def value(self, inst, actions) -> float:
+        return math.fsum(inst.set_costs[s] for s in set(actions))
 
 
 RESOURCE = GameRule()
@@ -445,6 +450,8 @@ def play(rule: GameRule, inst, mech: CounterMechanism, strategy, splits: int = 1
     """
     if splits < 1:
         raise ParameterError(f"splits must be >= 1, got {splits}")
+    if splits > 1 and rule is not RESOURCE:
+        raise ParameterError("fractional investments apply to the resource game only")
     dim = rule.dim(inst)
     _check_mechanism(mech, dim, inst.n, rule.bound(inst))
     strategy.start(rule.name, inst)
@@ -481,16 +488,14 @@ def play(rule: GameRule, inst, mech: CounterMechanism, strategy, splits: int = 1
     if settled is not None:
         for rec, value in zip(records, settled):
             rec.realized = value
-    usage, metrics = rule.outcome(inst, actions, true)
-    if splits > 1:
-        metrics["splits"] = splits
+    welfare = math.fsum(rec.realized for rec in records)
     return PlayTrace(
         rule=rule,
         records=records,
-        final_usage=usage,
-        social_welfare=math.fsum(rec.realized for rec in records),
+        final_usage=rule.usage(actions, true),
+        social_welfare=welfare,
         perceived_welfare=math.fsum(rec.perceived for rec in records),
-        metrics=metrics,
+        metric=welfare if splits > 1 else rule.value(inst, actions),
     )
 
 
@@ -520,14 +525,14 @@ def play_cost_sharing(inst: CostSharingInstance, mech, strategy) -> PlayTrace:
 
 
 def verify_trace(trace: PlayTrace, inst) -> None:
-    """Assert the trace's bookkeeping identities against its instance.
-
-    Resource sharing and future-dependent welfare recomputed from final usages
-    must equal the recorded per-player sum exactly (same value multiset under
-    fsum); cut welfare must equal twice the cut size; cost-sharing per-player
-    costs must sum to the distinct-set total within float tolerance.
-    """
-    trace.rule.verify(trace, inst)
+    """Raise ValidationError unless the realized utilities of a play of
+    ``inst`` add up to its metric: the welfare, twice the cut or the total
+    cost as their sum, the makespan as the worst realized load, within the
+    rule's ``tol`` (exactly for resource, future-dependent and cut play)."""
+    total = trace.rule.realized_total(trace)
+    if not abs(total - trace.metric) <= trace.rule.tol:
+        raise ValidationError(f"{trace.rule.name} realized utilities give {total!r}, "
+                              f"not the metric {trace.metric!r}")
 
 
 __all__ = [

@@ -11,7 +11,8 @@ cuts every edge). Scheduling and cut enumerate in numpy chunks of at most
 optimum in that order as the witness.
 
 Every ``OptResult`` witness re-evaluates to the reported value exactly: the
-solvers compute values through the same public evaluators the tests use.
+solvers compute values through the game rules' ``value``, the objective that
+``games.play`` reports as ``PlayTrace.metric``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,11 @@ import numpy as np
 
 from .errors import SizeError
 from .games import (
+    COST_SHARING,
+    CUT,
+    FUTURE_DEPENDENT,
+    RESOURCE,
+    SCHEDULING,
     CostSharingInstance,
     CutInstance,
     ResourceSharingInstance,
@@ -43,42 +49,13 @@ class OptResult:
     method: str
 
 
-# ---------------------------------------------------------------------------
-# assignment evaluators (shared by solvers, engines' checks, and tests)
-
-
-def resource_assignment_value(inst: ResourceSharingInstance, assignment) -> float:
-    """Welfare of a unit-demand assignment: each resource's first cnt copies."""
-    counts = np.zeros(inst.m, dtype=int)
-    for r in assignment:
-        counts[r] += 1
-    vals = [inst.curves[r].value_at(j) for r in range(inst.m) for j in range(counts[r])]
-    return math.fsum(vals)
-
-
-def future_assignment_value(inst: ResourceSharingInstance, assignment) -> float:
-    """Future-dependent welfare: cnt_r players each worth the cnt_r-th copy value."""
-    counts = np.zeros(inst.m, dtype=int)
-    for r in assignment:
-        counts[r] += 1
-    vals = [inst.curves[r].value_at(counts[r] - 1)
-            for r in range(inst.m) for _ in range(counts[r])]
-    return math.fsum(vals)
-
-
-def scheduling_makespan(inst: SchedulingInstance, assignment) -> float:
-    loads = np.zeros(inst.m)
-    for k, q in enumerate(assignment):
-        loads[q] += inst.costs[k, q]
-    return float(loads.max())
-
-
-def cut_social_welfare(inst: CutInstance, colors) -> float:
-    return 2.0 * sum(1 for u, v in inst.edges if colors[u] != colors[v])
-
-
-def cost_sharing_total(inst: CostSharingInstance, chosen_sets) -> float:
-    return math.fsum(inst.set_costs[s] for s in sorted(set(chosen_sets)))
+# The objectives the solvers optimize: each game rule's ``value``, under the
+# names the solvers call it by.
+resource_assignment_value = RESOURCE.value
+future_assignment_value = FUTURE_DEPENDENT.value
+scheduling_makespan = SCHEDULING.value
+cut_social_welfare = CUT.value
+cost_sharing_total = COST_SHARING.value
 
 
 # ---------------------------------------------------------------------------

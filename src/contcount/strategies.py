@@ -18,16 +18,7 @@ import math
 
 from .counters import AccuracyEnvelope
 from .errors import ParameterError, UnknownScenarioError, ValidationError
-from .games import RESOURCE, CutInstance, ResourceSharingInstance, SchedulingInstance
-
-
-def greedy_choose(action_set, displayed, curves) -> int:
-    """Greedy's resource-sharing pick: the best value under displayed counts,
-    ties to the lowest index."""
-    if not action_set:
-        raise ValidationError("empty action set")
-    inst = ResourceSharingInstance(curves, [list(action_set)])
-    return Greedy().choose_action(RESOURCE, inst, 0, sorted(action_set), displayed)
+from .games import CutInstance, ResourceSharingInstance, SchedulingInstance
 
 
 def belief_range(displayed: float, envelope: AccuracyEnvelope):
@@ -239,10 +230,6 @@ def scripted(name: str) -> Strategy:
     return _SCRIPTS[name]()
 
 
-def scripted_names() -> list:
-    return sorted(_SCRIPTS)
-
-
 def make_strategy(spec: str) -> Strategy:
     """Parse a CLI strategy spec: 'greedy', 'scripted:<name>', or 'belief:<offset>'."""
     if spec == "greedy":
@@ -261,13 +248,11 @@ def make_strategy(spec: str) -> Strategy:
 
 
 __all__ = [
-    "greedy_choose",
     "belief_range",
     "is_undominated",
     "Strategy",
     "Greedy",
     "BeliefGreedy",
     "scripted",
-    "scripted_names",
     "make_strategy",
 ]

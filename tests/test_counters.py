@@ -47,8 +47,8 @@ def test_envelope_validation_and_bounds():
     env = AccuracyEnvelope(2.0, 3.0, 0.1)
     assert env.lower(10.0) == 2.0
     assert env.upper(10.0) == 23.0
-    assert env.contains(10.0, 5.0)
-    assert not env.contains(10.0, 24.0)
+    assert envelope_check([10.0], [5.0], env)[0]
+    assert not envelope_check([10.0], [24.0], env)[0]
     with pytest.raises(ParameterError):
         AccuracyEnvelope(0.5, 0.0)
     with pytest.raises(ParameterError):
@@ -483,14 +483,15 @@ def test_underestimator_shift_examples():
     inner = TreeSum(8, 1, 1.0, RandomSource(0))
     clamped = ZeroFailureWrapper(inner, AccuracyEnvelope(2.0, 3.0, 0.0))
     under = UnderestimatorWrapper(clamped)
-    assert under.shift(7.0) == 2.0
     assert under.envelope.alpha == 4.0
     assert under.envelope.beta == 3.0
-    assert under.is_underestimator
+    for x in (1.0, 0.5, 1.0, 0.0, 1.0):
+        y = float(under.update([x])[0])
+        assert y == (float(clamped.current[0]) - 3.0) / 2.0
+        assert y <= float(under.true_sums[0])
 
     perfect = PerfectCounter(8, 1)
     identity = UnderestimatorWrapper(perfect)
-    assert identity.shift(5.0) == 5.0
     for x in (1.0, 1.0, 1.0):
         assert float(identity.update([x])[0]) == float(identity.inner.true_sums[0])
 
@@ -554,6 +555,22 @@ def test_monotone_wrapper_zeros_and_fuzz():
         assert mono.envelope.beta == inner.envelope.beta + 1.0
 
 
+def test_underestimator_chains_stay_below_integer_true_sums():
+    from contcount.counters import MonotoneWrapper, UnderestimatorWrapper, ZeroFailureWrapper
+
+    gen = np.random.default_rng(6)
+    for trial in range(20):
+        n, m = 40, 3
+        for mono in (False, True):
+            mech = UnderestimatorWrapper(ZeroFailureWrapper(
+                TreeSum(n, m, 0.8, RandomSource(trial, 3)), AccuracyEnvelope(1.5, 2.0, 0.0)))
+            if mono:
+                mech = MonotoneWrapper(mech)
+            for r in gen.integers(0, m, size=n):
+                y = mech.update(np.eye(m)[r])
+                assert np.all(y <= mech.true_sums + 1e-12)
+
+
 def test_zero_failure_clamp_examples():
     from contcount.counters import ZeroFailureWrapper
 
@@ -604,7 +621,6 @@ def test_perfect_and_empty_counters():
     perfect = PerfectCounter(4, 2)
     assert np.array_equal(perfect.update([1.0, 0.0]), [1.0, 0.0])
     assert np.array_equal(perfect.update([1.0, 0.0]), [2.0, 0.0])
-    assert perfect.is_underestimator
     assert perfect.envelope == AccuracyEnvelope(1.0, 0.0, 0.0)
 
     empty = EmptyCounter(4, 2)

@@ -197,7 +197,7 @@ def test_cut_cycle_scripted():
     inst = instances.cut_cycle(4)
     mech = PerfectCounter(8, 16, update_bound=2.0)
     trace = play_cut(inst, mech, scripted("all-blue-cycle"))
-    assert trace.metrics["colors"] == [1] * 7 + [0]
+    assert trace.actions == [1] * 7 + [0]
     assert trace.social_welfare == 4.0
 
 
@@ -221,10 +221,10 @@ def test_cut_greedy_private_bound_fuzz():
 def test_scheduling_2x2_greedy_and_scripted():
     inst = instances.scheduling_2x2()
     trace = play_scheduling(inst, PerfectCounter(2, 2, update_bound=1.0), Greedy())
-    assert trace.metrics["makespan"] == 0.0
+    assert trace.metric == 0.0
     scripted_trace = play_scheduling(inst, PerfectCounter(2, 2, update_bound=1.0),
                                      scripted("pessimistic-scheduler"))
-    assert scripted_trace.metrics["makespan"] >= 1.0
+    assert scripted_trace.metric >= 1.0
 
 
 def test_scheduling_greedy_below_tstar_sum():
@@ -233,7 +233,7 @@ def test_scheduling_greedy_below_tstar_sum():
         inst = instances.random_scheduling(rng, n_max=6, m_max=3)
         bound = float(inst.costs.max())
         trace = play_scheduling(inst, PerfectCounter(inst.n, inst.m, bound), Greedy())
-        assert trace.metrics["makespan"] <= float(inst.t_star.sum()) + 1e-9
+        assert trace.metric <= float(inst.t_star.sum()) + 1e-9
         verify_trace(trace, inst)
 
 
@@ -244,14 +244,14 @@ def test_scheduling_greedy_below_tstar_sum():
 def test_cost_sharing_single_set():
     inst = CostSharingInstance(np.array([2.5]), [[0], [0], [0]])
     trace = play_cost_sharing(inst, PerfectCounter(3, 1), Greedy())
-    assert trace.metrics["total_cost"] == 2.5
+    assert trace.metric == 2.5
     assert trace.social_welfare == pytest.approx(2.5, abs=1e-12)
 
 
 def test_cost_sharing_public_private():
     inst = instances.costshare_public_private(10, 0.1)
     trace = play_cost_sharing(inst, PerfectCounter(10, 11), Greedy())
-    assert trace.metrics["total_cost"] == 10.0
+    assert trace.metric == 10.0
     verify_trace(trace, inst)
 
 

@@ -19,7 +19,9 @@ from contcount.harness import (
     summarize,
 )
 from contcount import harness, instances
+from contcount.games import verify_trace
 from contcount.noise import RandomSource
+from contcount.optimal import OptResult
 
 
 def small_config(**kwargs):
@@ -183,6 +185,41 @@ def test_csv_format_stable():
     header, *rows = text.strip().splitlines()
     assert header == "trial,seed,sw,psw,opt,ratio,envelope_ok,alg_metric,final_counts"
     assert len(rows) == 2
+
+
+# a random generator for every game, sized for its exact solver
+RANDOM_OF = {"resource": "resource", "future": "future", "market": "market", "cut": "cut",
+             "scheduling": "scheduling", "costshare": "costshare"}
+
+
+@pytest.mark.parametrize("game", sorted(harness._ENGINES))
+def test_rule_value_is_the_objective_of_play_solver_and_trace_check(game):
+    _, solver, rule = harness._ENGINES[game]
+    config = ExperimentConfig(game=game, instance=f"random:{RANDOM_OF[game]}",
+                              mechanism=MechanismSpec(mech="treesum"), seed=11)
+    for trial in range(3):
+        result, trace, inst, _ = run_trial(config, trial)
+        opt = solver(inst)
+        # a cost-sharing witness is (used sets, assignment)
+        witness = opt.witness[1] if game == "costshare" else opt.witness
+        assert rule.value(inst, witness) == opt.value == result.opt
+        assert trace.metric == rule.value(inst, trace.actions) == result.alg_metric
+        # lowering the worst utility moves every total, the makespan too
+        worst = min(trace.records, key=lambda rec: rec.realized)
+        worst.realized -= rule.tol + 1e-6
+        with pytest.raises(ValidationError, match="realized utilities"):
+            verify_trace(trace, inst)
+
+
+@pytest.mark.parametrize("game, fake_opt", [("resource", -1.0), ("scheduling", 1e12),
+                                             ("costshare", 1e12)])
+def test_play_beyond_the_exact_optimum_is_refused(monkeypatch, game, fake_opt):
+    play_game, _, rule = harness._ENGINES[game]
+    monkeypatch.setitem(harness._ENGINES, game,
+                        (play_game, lambda inst: OptResult(fake_opt, None, "fake"), rule))
+    config = ExperimentConfig(game=game, instance=f"random:{RANDOM_OF[game]}", seed=11)
+    with pytest.raises(ValidationError, match="beyond the exact optimum"):
+        run_trial(config, 0)
 
 
 @pytest.mark.parametrize("name", sorted(harness._SCENARIOS))

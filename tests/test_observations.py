@@ -25,8 +25,13 @@ from contcount.counters import (
 )
 from contcount.errors import ParameterError
 from contcount.games import (
+    COST_SHARING,
+    CUT,
+    FUTURE_DEPENDENT,
+    SCHEDULING,
     ResourceSharingInstance,
     ValueCurve,
+    play,
     play_resource_sharing,
     play_resource_sharing_fractional,
     verify_trace,
@@ -42,13 +47,13 @@ class RefinedCounter(CounterMechanism):
     count: a deterministically more accurate estimate z in [display, true]."""
 
     def __init__(self, inner):
-        assert inner.is_underestimator
         super().__init__(inner.horizon, inner.dim, inner.budget, inner.envelope,
                          inner.update_bound)
         self.inner = inner
 
     def _step(self, a):
         y = self.inner.update(a)
+        assert np.all(y <= self._true + 1e-12), "the inner release overestimates"
         return 0.5 * (np.maximum(y, 0.0) + self._true)
 
 
@@ -172,6 +177,10 @@ def test_fractional_split_switches_resources_mid_turn():
     assert np.allclose(frac.final_usage, [0.5, 0.5])
     assert frac.records[0].realized == pytest.approx(0.5 * 8.0 + 0.5 * 1.0)
     assert frac.records[0].perceived == pytest.approx(0.5 * 8.0 + 0.5 * 1.0)
+    # the metric of fractional play is its welfare, not the value of the
+    # action each player invested in most
+    assert frac.metric == frac.social_welfare
+    verify_trace(frac, inst)
     unit = play_resource_sharing(inst, FixedDisplay(1, 2, [0.5, 0.0]), Greedy())
     assert unit.final_usage[0] == 1.0  # committed entirely to the jackpot
 
@@ -181,3 +190,14 @@ def test_fractional_validation():
     with pytest.raises(ParameterError):
         play_resource_sharing_fractional(inst, PerfectCounter(inst.n, inst.m),
                                          Greedy(), splits=0)
+
+
+@pytest.mark.parametrize("rule", [FUTURE_DEPENDENT, CUT, SCHEDULING, COST_SHARING],
+                         ids=lambda rule: rule.name)
+def test_fractional_play_is_refused_outside_resource_sharing(rule):
+    kind = "resource" if rule is FUTURE_DEPENDENT else rule.kind
+    inst = instances.resolve_instance(kind, f"random:{kind}", RandomSource(0, 45))
+    mech = PerfectCounter(inst.n, rule.dim(inst), rule.bound(inst))
+    with pytest.raises(ParameterError, match="resource game only"):
+        play(rule, inst, mech, Greedy(), splits=2)
+    assert mech.t == 0

@@ -10,10 +10,8 @@ from contcount.strategies import (
     BeliefGreedy,
     Greedy,
     belief_range,
-    greedy_choose,
     is_undominated,
     scripted,
-    scripted_names,
     make_strategy,
 )
 
@@ -21,16 +19,20 @@ from contcount.strategies import (
 CURVES = [ValueCurve([1.0, 0.5, 0.1]), ValueCurve([0.5, 0.5, 0.5])]
 
 
-def test_greedy_choose_basic():
-    assert greedy_choose([0, 1], [0.0, 0.0], CURVES) == 0
+def greedy_pick(action_set, displayed, curves) -> int:
+    """Greedy's resource-sharing pick for a lone player, as ``play`` asks for it."""
+    inst = ResourceSharingInstance(curves, [list(action_set)])
+    return Greedy().choose_action(RESOURCE, inst, 0, RESOURCE.actions(inst, 0), displayed)
+
+
+def test_greedy_resource_pick():
+    assert greedy_pick([0, 1], [0.0, 0.0], CURVES) == 0
     # resource 0 already crowded: v0(5) = 0.1 < v1(0) = 0.5
-    assert greedy_choose([0, 1], [5.0, 0.0], CURVES) == 1
+    assert greedy_pick([0, 1], [5.0, 0.0], CURVES) == 1
     # exact tie breaks to the lowest index
     tie = [ValueCurve([0.7, 0.7]), ValueCurve([0.7, 0.7])]
-    assert greedy_choose([0, 1], [0.0, 0.0], tie) == 0
-    assert greedy_choose([1, 0], [0.0, 0.0], tie) == 0
-    with pytest.raises(ValidationError):
-        greedy_choose([], [0.0], CURVES)
+    assert greedy_pick([0, 1], [0.0, 0.0], tie) == 0
+    assert greedy_pick([1, 0], [0.0, 0.0], tie) == 0
 
 
 def test_greedy_argmax_invariant_under_increasing_transform():
@@ -42,7 +44,7 @@ def test_greedy_argmax_invariant_under_increasing_transform():
         scaled = [ValueCurve(3.0 * v + 1.0) for v in vals]  # strictly increasing map
         displayed = 3.0 * gen.random(m)
         acts = sorted(gen.choice(m, size=int(gen.integers(1, m + 1)), replace=False).tolist())
-        assert greedy_choose(acts, displayed, curves) == greedy_choose(acts, displayed, scaled)
+        assert greedy_pick(acts, displayed, curves) == greedy_pick(acts, displayed, scaled)
 
 
 def test_belief_range():
@@ -64,7 +66,7 @@ def test_is_undominated_perfect_counters_matches_greedy():
         m = 3
         curves = [ValueCurve(np.sort(gen.random(4))[::-1]) for _ in range(m)]
         displayed = 2.0 * gen.random(m)
-        best = greedy_choose([0, 1, 2], displayed, curves)
+        best = greedy_pick([0, 1, 2], displayed, curves)
         assert is_undominated(best, [0, 1, 2], displayed, env, curves)
 
 
@@ -103,11 +105,11 @@ def test_greedy_resource_play_is_always_undominated_with_perfect_counters():
 
 
 def test_scripted_registry():
-    assert set(scripted_names()) == {
-        "fear-a-twin", "flat-resource-temptation", "all-blue-cycle",
-        "pessimistic-scheduler", "private-set-beliefs"}
+    for name in ("fear-a-twin", "flat-resource-temptation", "all-blue-cycle",
+                 "pessimistic-scheduler", "private-set-beliefs"):
+        assert make_strategy(f"scripted:{name}").name == name
     with pytest.raises(UnknownScenarioError):
-        scripted("not-a-script")
+        make_strategy("scripted:not-a-script")
 
 
 def test_scripted_fear_a_twin_play():
