@@ -79,15 +79,15 @@ def _cmd_counter_run(args) -> int:
     if stream.shape[0] > args.n:
         raise ParameterError(f"stream has {stream.shape[0]} steps but horizon is {args.n}")
     mech = _mech_spec(args).build(args.n, args.m, RandomSource(args.seed))
-    env = mech.envelope
+    xs, ys = np.zeros((2, len(stream), args.m))
+    for t, a in enumerate(stream):
+        ys[t] = mech.update(a)
+        xs[t] = mech.true_sums
+    _, bad = envelope_check(xs, ys, mech.envelope)
     rows = ["t,coord,true_x,released_y,in_envelope"]
-    true = np.zeros(args.m)
-    for t, a in enumerate(stream, start=1):
-        y = mech.update(a)
-        true += a
-        ok, bad = envelope_check(true, y, env)
+    for t, (x, y, b) in enumerate(zip(xs, ys, bad), start=1):
         for r in range(args.m):
-            rows.append(f"{t},{r},{float(true[r])!r},{float(y[r])!r},{int(not bad[0][r])}")
+            rows.append(f"{t},{r},{float(x[r])!r},{float(y[r])!r},{int(not b[r])}")
     text = "\n".join(rows) + "\n"
     if args.out:
         try:

@@ -134,8 +134,6 @@ def treesum_error_bound(n: int, m: int, eps: float, gamma: float, c_tree: float 
     (default 4.0), not theory-given; it empirically dominates the observed
     tail at the acceptance-test parameters.
     """
-    if eps == math.inf:
-        return 0.0
     return c_tree * max(1.0, math.log2(n)) * math.log2(n * m / gamma) / eps
 
 
@@ -205,12 +203,11 @@ class TreeSum(CounterMechanism):
     size. An update still touches at most ``levels`` released nodes, so eps is unchanged.
     """
 
-    def __init__(self, n: int, m: int, budget, rng: RandomSource, *,
+    def __init__(self, n: int, m: int, eps: float, rng: RandomSource, *,
                  gamma: float = 0.1, c_tree: float = 4.0, update_bound: float = 1.0):
         if n < 1 or m < 1:
             raise ParameterError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
-        if not isinstance(budget, PrivacyBudget):
-            budget = PrivacyBudget(float(budget))
+        budget = PrivacyBudget(float(eps))
         if not 0.0 < gamma < 1.0:
             raise ParameterError(f"gamma must lie in (0, 1), got {gamma}")
         if not 0.0 < c_tree < math.inf:
@@ -218,12 +215,9 @@ class TreeSum(CounterMechanism):
         beta = treesum_error_bound(n, m, budget.epsilon, gamma, c_tree)
         env_gamma = 0.0 if budget.epsilon == math.inf else gamma
         super().__init__(n, m, budget, AccuracyEnvelope(1.0, beta, env_gamma), update_bound)
-        self.gamma = gamma
-        self.c_tree = c_tree
         self.rng = rng
         self.levels = tree_levels(self.horizon)
-        self.node_scale = (0.0 if budget.epsilon == math.inf
-                           else update_bound * self.levels / budget.epsilon)
+        self.node_scale = update_bound * self.levels / budget.epsilon
         if update_bound != 1.0:
             logger.info("TreeSum noise scaled by update bound B=%.6g", update_bound)
         self._rows = None  # the noise block holding row t - 1, drawn at its first step
@@ -259,11 +253,8 @@ def ftsum_flag_count(n: int, m: int, eps: float, alpha: float, gamma: float,
 
     Clamped to k >= 1 for degenerate parameters (tiny n or infinite eps).
     """
-    if eps == math.inf:
-        raw = 0
-    else:
-        arg = alpha / (alpha - 1.0) * c_tree * math.log2(n * m / gamma) / eps
-        raw = math.ceil(math.log(arg, alpha)) if arg > 1.0 else 0
+    arg = alpha / (alpha - 1.0) * c_tree * math.log2(n * m / gamma) / eps
+    raw = math.ceil(math.log(arg, alpha)) if arg > 1.0 else 0
     if raw < 1:
         logger.warning("FTSum flag count k=%d clamped to 1 (degenerate parameters)", raw)
         return 1
@@ -278,8 +269,6 @@ def ftsum_phase_one_bound(n: int, m: int, k: int, eps_prime: float, gamma: float
     at least 1 - gamma/2, so a flag fires within 2b of its threshold and the
     step estimate is off by at most 2b + log2(n).
     """
-    if eps_prime == math.inf:
-        return max(1.0, math.log2(n))
     draws = m * (n + k + 2)
     b = (2.0 / eps_prime) * math.log(2.0 * draws / gamma)
     return 2.0 * b + max(1.0, math.log2(n))
@@ -308,42 +297,31 @@ class FTSum(CounterMechanism):
     eps/2. The per-comparison budget eps' = eps/(4m(k+1)) makes the ledger
     2m(k+1)*eps' + eps/2 close exactly at eps. Threshold and comparison noise
     come in blocks from the flag substream, which FTSum alone draws from, so
-    the unused tail of a block is never seen.
+    the unused tail of a block is never seen. The embedded tree is built first
+    and checks the parameters the two share (n, m, gamma, c_tree and the
+    update bound); FTSum itself checks only eps and alpha.
     """
 
     def __init__(self, n: int, m: int, eps: float, alpha: float, gamma: float,
                  c_tree: float, rng: RandomSource, *, update_bound: float = 1.0):
-        if n < 1 or m < 1:
-            raise ParameterError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
+        budget = PrivacyBudget(eps)
         if not 1.0 < alpha < math.inf:
             raise ParameterError(f"alpha must be finite and > 1, got {alpha}")
-        if not 0.0 < gamma < 1.0:
-            raise ParameterError(f"gamma must lie in (0, 1), got {gamma}")
-        if not 0.0 < c_tree < math.inf:
-            raise ParameterError(f"c_tree must be finite and positive, got {c_tree}")
-        budget = PrivacyBudget(eps)
+        self.tree = TreeSum(n, m, eps / 2.0, rng.substream(1), gamma=gamma, c_tree=c_tree,
+                            update_bound=update_bound)
         k = ftsum_flag_count(n, m, eps, alpha, gamma, c_tree)
         eps_prime = eps / (4.0 * m * (k + 1))
-        if eps != math.inf:
-            spent = 2.0 * m * (k + 1) * eps_prime + eps / 2.0
-            assert spent <= eps * (1.0 + 1e-12), "FTSum budget ledger exceeds eps"
+        spent = 2.0 * m * (k + 1) * eps_prime + eps / 2.0
+        assert spent <= eps * (1.0 + 1e-12), "FTSum budget ledger exceeds eps"
         beta = (ftsum_phase_one_bound(n, m, k, eps_prime, gamma)
                 + treesum_error_bound(n, m, eps / 2.0, gamma / 2.0, c_tree))
         env_gamma = 0.0 if eps == math.inf else gamma
         super().__init__(n, m, budget, AccuracyEnvelope(alpha, beta, env_gamma), update_bound)
         self.alpha = alpha
-        self.gamma = gamma
-        self.c_tree = c_tree
         self.k = k
         self.eps_prime = eps_prime
         self.log_n = math.log2(n) if n > 1 else 0.0
-        self.rng = rng
-        self.tree = TreeSum(n, m, PrivacyBudget(eps / 2.0 if eps != math.inf else math.inf),
-                            rng.substream(1), gamma=gamma, c_tree=c_tree,
-                            update_bound=update_bound)
-        self._cmp_scale = (0.0 if eps == math.inf
-                           else 2.0 * update_bound / eps_prime)
-        self._flag_noise = _block_laplace(self._cmp_scale, rng.substream(0))
+        self._flag_noise = _block_laplace(2.0 * update_bound / eps_prime, rng.substream(0))
         self.flags = np.zeros(m, dtype=int)
         self._acc = np.zeros(m)
         self.taus = np.array([self.log_n + next(self._flag_noise) for _ in range(m)])

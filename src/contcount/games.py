@@ -166,11 +166,6 @@ class SchedulingInstance:
         """Per-job minimum size over machines."""
         return self.costs.min(axis=1)
 
-    @property
-    def q_star(self) -> np.ndarray:
-        """Machine achieving each job's minimum size."""
-        return self.costs.argmin(axis=1)
-
 
 @dataclass
 class CostSharingInstance:
@@ -456,11 +451,10 @@ def play(rule: GameRule, inst, mech: CounterMechanism, strategy, splits: int = 1
     _check_mechanism(mech, dim, inst.n, rule.bound(inst))
     strategy.start(rule.name, inst)
     step = 1.0 / splits
-    true = np.zeros(dim)
     records = []
     for i in range(inst.n):
         displayed = rule.view(mech.current, i)
-        before = rule.view(true, i).copy()
+        before = rule.view(mech.true_sums, i)
         actions = rule.actions(inst, i)
         update = np.zeros(dim)
         seen, at_true = displayed, before
@@ -482,9 +476,9 @@ def play(rule: GameRule, inst, mech: CounterMechanism, strategy, splits: int = 1
         records.append(PlayerRecord(i, action, displayed, before,
                                     math.fsum(realized), math.fsum(perceived)))
         mech.update(update)
-        true += update
     actions = [rec.action for rec in records]
-    settled = rule.settle(inst, actions, true)
+    final = mech.true_sums
+    settled = rule.settle(inst, actions, final)
     if settled is not None:
         for rec, value in zip(records, settled):
             rec.realized = value
@@ -492,7 +486,7 @@ def play(rule: GameRule, inst, mech: CounterMechanism, strategy, splits: int = 1
     return PlayTrace(
         rule=rule,
         records=records,
-        final_usage=rule.usage(actions, true),
+        final_usage=rule.usage(actions, final),
         social_welfare=welfare,
         perceived_welfare=math.fsum(rec.perceived for rec in records),
         metric=welfare if splits > 1 else rule.value(inst, actions),

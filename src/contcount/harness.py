@@ -38,6 +38,7 @@ from .counters import (
     UniformWarmupCounter,
     ZeroFailureWrapper,
     envelope_check,
+    treesum_error_bound,
 )
 from .errors import ParameterError, UnknownScenarioError, ValidationError
 from .games import (
@@ -459,9 +460,9 @@ def _perceived(seed: int = 0, trials: int = 500):
     config = ExperimentConfig(game="resource", instance="random:resource", mechanism=spec,
                               trials=trials, seed=seed, compute_opt=False,
                               instance_params={"n_max": 40, "m_max": 8})
-    alpha, beta = 1.5 ** 2, 2.0 * 3.0 / 1.5
     return config, (Check("psw_over_sw", lambda r, *_: _ratio("max", r.sw, r.psw), "<=",
-                          2.0 * alpha * beta, 1e-9),)
+                          lambda r, t, i, mech: 2.0 * mech.envelope.alpha
+                          * mech.envelope.beta, 1e-9),)
 
 
 @_scenario("thm:greedy-private",
@@ -473,8 +474,8 @@ def _greedy_private(seed: int = 0, trials: int = 200):
     config = ExperimentConfig(game="resource", instance="random:resource", mechanism=spec,
                               trials=trials, seed=seed,
                               instance_params={"n_max": 40, "m_max": 8})
-    alpha, beta = 1.5 ** 2, 2.0 * 3.0 / 1.5 + 1.0
-    return config, (Check("cr", _RATIO, "<=", 8.0 * alpha * beta, 1e-9),
+    return config, (Check("cr", _RATIO, "<=", lambda r, t, i, mech: 8.0 * mech.envelope.alpha
+                          * mech.envelope.beta, 1e-9),
                     Check("envelope_pass_rate", _field("envelope_ok"), "==", 1.0, mean=True))
 
 
@@ -591,7 +592,7 @@ def _private_beats_perfect(seed: int = 0, n: int = 200, trials: int = 200,
     gamma = 1.0 / n
     # choose the tree budget so its declared error constant equals q, then
     # c = 8(p^2 + 2pq) with p = 1 (the warm-up length from the construction)
-    eps_tree = 4.0 * max(1.0, math.log2(n)) * math.log2(n * (n + 1) / gamma) / q
+    eps_tree = treesum_error_bound(n, n + 1, 1.0, gamma) / q
     c = int(round(8.0 * (1.0 + 2.0 * q)))
     config = ExperimentConfig(
         game="costshare", instance=inst_lib.costshare_public_private(n, eps),

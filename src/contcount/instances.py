@@ -277,7 +277,9 @@ def parse_resource_sharing(text: str) -> ResourceSharingInstance:
     try:
         n, m = (int(x) for x in lines[0].split())
         curves = [ValueCurve([float(v) for v in lines[1 + r].split()]) for r in range(m)]
-        action_sets = [[int(v) for v in lines[1 + m + i].split()] for i in range(n)]
+        action_sets = [[int(v) for v in line.split()] for line in lines[1 + m:]]
+        if len(action_sets) != n:
+            raise ValueError(f"expected {n} action-set lines, got {len(action_sets)}")
     except (IndexError, ValueError) as exc:
         raise ValidationError(f"malformed resource-sharing instance: {exc}") from exc
     return ResourceSharingInstance(curves, action_sets)
@@ -301,7 +303,7 @@ def parse_scheduling(text: str) -> SchedulingInstance:
     lines = _data_lines(text)
     try:
         n, m = (int(x) for x in lines[0].split())
-        costs = np.array([[float(v) for v in lines[1 + k].split()] for k in range(n)])
+        costs = np.array([[float(v) for v in line.split()] for line in lines[1:]])
         if costs.shape != (n, m):
             raise ValueError(f"expected a {n}x{m} size matrix")
     except (IndexError, ValueError) as exc:
@@ -317,7 +319,9 @@ def parse_cost_sharing(text: str) -> CostSharingInstance:
         costs = np.array([float(v) for v in lines[1].split()])
         if costs.size != m:
             raise ValueError(f"expected {m} set costs")
-        allowed = [[int(v) for v in lines[2 + i].split()] for i in range(n)]
+        allowed = [[int(v) for v in line.split()] for line in lines[2:]]
+        if len(allowed) != n:
+            raise ValueError(f"expected {n} adjacency lines, got {len(allowed)}")
     except (IndexError, ValueError) as exc:
         raise ValidationError(f"malformed cost-sharing instance: {exc}") from exc
     return CostSharingInstance(costs, allowed)

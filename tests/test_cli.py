@@ -101,6 +101,14 @@ def test_opt_malformed_cut_file(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_opt_instance_with_extra_lines(tmp_path, capsys):
+    inst = tmp_path / "inst.txt"
+    inst.write_text("2 1\n1.0 0.5\n0\n0\n0\n")
+    code, out, err = run_cli(capsys, "opt", "--game", "resource", "--instance", str(inst))
+    assert code == 1 and out == ""
+    assert err.startswith("error: malformed resource-sharing instance")
+
+
 @pytest.mark.parametrize("name", ["random", "paper"])
 def test_opt_file_named_like_a_prefix(tmp_path, capsys, monkeypatch, name):
     (tmp_path / name).write_text("2 2\n1.0 0.5\n0.8 0.8\n0 1\n0 1\n")

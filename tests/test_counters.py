@@ -15,6 +15,7 @@ from contcount.counters import (
     covering_blocks,
     envelope_check,
     ftsum_flag_count,
+    ftsum_phase_one_bound,
     tree_levels,
     treesum_error_bound,
     validate_update,
@@ -379,7 +380,7 @@ def ftsum_reference(n, m, eps, alpha, gamma, c_tree, seed, stream_id, stream,
     for FTSum's releases. Also returns how many flag draws it made."""
     rng = RandomSource(seed, stream_id, zero_noise)
     flag_rng = rng.substream(0)
-    tree = TreeSum(n, m, PrivacyBudget(eps / 2.0), rng.substream(1),
+    tree = TreeSum(n, m, eps / 2.0, rng.substream(1),
                    gamma=gamma, c_tree=c_tree, update_bound=update_bound)
     k = ftsum_flag_count(n, m, eps, alpha, gamma, c_tree)
     scale = 2.0 * update_bound / (eps / (4.0 * m * (k + 1)))
@@ -447,12 +448,40 @@ def test_ftsum_matches_per_coordinate_reference_loop():
 
 
 def test_ftsum_parameter_errors():
-    with pytest.raises(ParameterError):
-        FTSum(16, 1, 1.0, 1.0, 0.1, 4.0, RandomSource(0))
-    with pytest.raises(ParameterError):
-        FTSum(16, 1, 1.0, 2.0, 0.0, 4.0, RandomSource(0))
-    with pytest.raises(ParameterError):
-        FTSum(16, 1, 1.0, 2.0, 1.5, 4.0, RandomSource(0))
+    # the embedded tree checks n, m, gamma, c_tree and the update bound
+    for bad, message in [({"n": 0}, "n=0"), ({"m": 0}, "m=0"),
+                         ({"alpha": 1.0}, "alpha"), ({"alpha": math.inf}, "alpha"),
+                         ({"gamma": 0.0}, "gamma"), ({"gamma": 1.5}, "gamma"),
+                         ({"c_tree": 0.0}, "c_tree"), ({"c_tree": math.inf}, "c_tree"),
+                         ({"update_bound": 0.0}, "update bound"), ({"eps": 0.0}, "epsilon")]:
+        params = {"n": 16, "m": 1, "eps": 1.0, "alpha": 2.0, "gamma": 0.1, "c_tree": 4.0,
+                  "rng": RandomSource(0), "update_bound": 1.0, **bad}
+        with pytest.raises(ParameterError, match=message):
+            FTSum(**params)
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 1024])
+def test_ftsum_phase_one_bound_at_infinite_eps(n):
+    assert ftsum_phase_one_bound(n, 3, 2, math.inf, 0.1) == max(1.0, math.log2(n))
+
+
+def test_treesum_infinite_eps_has_no_noise():
+    assert TreeSum(64, 3, math.inf, RandomSource(0)).node_scale == 0.0
+
+
+@pytest.mark.parametrize("bound", [1.0, 3.0])
+def test_ftsum_infinite_eps_equals_zero_noise(bound):
+    # at eps = inf every noise scale is 0, so the releases are those of a
+    # zero-noise source; a NaN scale would draw NaN and never raise a flag
+    n, m = 64, 2
+    stream = random_simplex_stream(np.random.default_rng(11), n, m) * bound
+    runs = []
+    for zero_noise in (False, True):
+        ft = FTSum(n, m, math.inf, 2.0, 0.1, 4.0, RandomSource(5, 1, zero_noise),
+                   update_bound=bound)
+        runs.append(np.array([ft.update(a) for a in stream]))
+        assert np.all(ft.flags > ft.k)
+    assert np.array_equal(runs[0], runs[1])
 
 
 def test_ftsum_flag_count_clamped_for_degenerate_parameters():

@@ -333,6 +333,17 @@ def test_parse_other_games():
         instances.parse_scheduling("2 2\n0 1\n")
 
 
+@pytest.mark.parametrize("parse,text,kind", [
+    (instances.parse_resource_sharing, "2 1\n1.0 0.5\n0\n0\n0\n", "resource-sharing"),
+    (instances.parse_scheduling, "2 2\n0 1\n1 0\n1 1\n", "scheduling"),
+    (instances.parse_cost_sharing, "2 2\n1.5 2.5\n0\n0 1\n1\n", "cost-sharing")],
+    ids=["resource", "scheduling", "costshare"])
+def test_parse_rejects_lines_beyond_the_header(parse, text, kind):
+    # one more player (or job) than the header declares is an error, not dropped
+    with pytest.raises(ValidationError, match=f"malformed {kind} instance"):
+        parse(text)
+
+
 def test_parse_stream():
     arr = instances.parse_stream("# comment\n0.5 0.5\n0 1\n", 2)
     assert arr.shape == (2, 2)
