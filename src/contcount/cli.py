@@ -71,14 +71,10 @@ def _mech_spec(args) -> harness.MechanismSpec:
 
 
 def _cmd_counter_run(args) -> int:
-    if args.n < 1:
-        raise ParameterError("n must be >= 1")
-    if args.m < 1:
-        raise ParameterError("m must be >= 1")
+    mech = _mech_spec(args).build(args.n, args.m, RandomSource(args.seed))
     stream = instances.load_stream(args.stream, args.m)
     if stream.shape[0] > args.n:
         raise ParameterError(f"stream has {stream.shape[0]} steps but horizon is {args.n}")
-    mech = _mech_spec(args).build(args.n, args.m, RandomSource(args.seed))
     xs, ys = np.zeros((2, len(stream), args.m))
     for t, a in enumerate(stream):
         ys[t] = mech.update(a)

@@ -142,14 +142,14 @@ class CounterMechanism:
 
     States are single-owner and mutated sequentially; the stream is inherently
     ordered. ``current`` is the most recent release (zeros before any update).
+    The innermost mechanism of a chain owns the true sums; wrappers, and FTSum
+    over its embedded tree, hold the same array and clear ``_owns_true``.
     """
 
     def __init__(self, n: int, m: int, budget: PrivacyBudget,
                  envelope: AccuracyEnvelope, update_bound: float = 1.0):
-        if n < 1:
-            raise ParameterError(f"horizon n must be >= 1, got {n}")
-        if m < 1:
-            raise ParameterError(f"dimension m must be >= 1, got {m}")
+        if n < 1 or m < 1:
+            raise ParameterError(f"n must be >= 1 and m must be >= 1, got n={n}, m={m}")
         if update_bound <= 0:
             raise ParameterError(f"update bound must be positive, got {update_bound}")
         self.horizon = int(n)
@@ -159,6 +159,7 @@ class CounterMechanism:
         self.update_bound = float(update_bound)
         self._t = 0
         self._true = np.zeros(self.dim)
+        self._owns_true = True
         self._current = np.zeros(self.dim)
 
     @property
@@ -181,12 +182,13 @@ class CounterMechanism:
             raise StateError(f"update past horizon n={self.horizon}")
         a = validate_update(a, self.dim, self.update_bound)
         self._t += 1
-        self._true += a
+        if self._owns_true:
+            self._true += a
         self._current = self._step(a)
         return self._current.copy()
 
     def _step(self, a: np.ndarray) -> np.ndarray:
-        """This step's release as a fresh float array (the base class keeps it)."""
+        """This step's release as a float array (the base class keeps it)."""
         raise NotImplementedError
 
 
@@ -205,16 +207,15 @@ class TreeSum(CounterMechanism):
 
     def __init__(self, n: int, m: int, eps: float, rng: RandomSource, *,
                  gamma: float = 0.1, c_tree: float = 4.0, update_bound: float = 1.0):
-        if n < 1 or m < 1:
-            raise ParameterError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
         budget = PrivacyBudget(float(eps))
         if not 0.0 < gamma < 1.0:
             raise ParameterError(f"gamma must lie in (0, 1), got {gamma}")
         if not 0.0 < c_tree < math.inf:
             raise ParameterError(f"c_tree must be finite and positive, got {c_tree}")
+        super().__init__(n, m, budget, None, update_bound)
+        # beta is defined once the base class has checked n and m
         beta = treesum_error_bound(n, m, budget.epsilon, gamma, c_tree)
-        env_gamma = 0.0 if budget.epsilon == math.inf else gamma
-        super().__init__(n, m, budget, AccuracyEnvelope(1.0, beta, env_gamma), update_bound)
+        self.envelope = AccuracyEnvelope(1.0, beta, 0.0 if budget.epsilon == math.inf else gamma)
         self.rng = rng
         self.levels = tree_levels(self.horizon)
         self.node_scale = update_bound * self.levels / budget.epsilon
@@ -317,6 +318,7 @@ class FTSum(CounterMechanism):
                 + treesum_error_bound(n, m, eps / 2.0, gamma / 2.0, c_tree))
         env_gamma = 0.0 if eps == math.inf else gamma
         super().__init__(n, m, budget, AccuracyEnvelope(alpha, beta, env_gamma), update_bound)
+        self._true, self._owns_true = self.tree._true, False
         self.alpha = alpha
         self.k = k
         self.eps_prime = eps_prime
@@ -381,7 +383,8 @@ class EmptyCounter(CounterMechanism):
 
 
 class _Wrapper(CounterMechanism):
-    """Base for wrappers: feeds the inner mechanism, transforms its releases."""
+    """Base for wrappers: feeds the inner mechanism, transforms its releases
+    (in place: ``inner.update`` returns a fresh array)."""
 
     def __init__(self, inner: CounterMechanism, envelope: AccuracyEnvelope,
                  budget: PrivacyBudget | None = None):
@@ -390,6 +393,7 @@ class _Wrapper(CounterMechanism):
         if inner.t != 0:
             raise StateError("wrappers must be applied before any update")
         self.inner = inner
+        self._true, self._owns_true = inner._true, False
         self._current = self._transform(inner.current)
 
     def _transform(self, y: np.ndarray) -> np.ndarray:
@@ -414,7 +418,9 @@ class UnderestimatorWrapper(_Wrapper):
         super().__init__(inner, AccuracyEnvelope(env.alpha ** 2, 2.0 * env.beta / env.alpha, 0.0))
 
     def _transform(self, y: np.ndarray) -> np.ndarray:
-        return (y - self._shift_beta) / self._shift_alpha
+        y -= self._shift_beta
+        y /= self._shift_alpha
+        return y
 
 
 class MonotoneWrapper(_Wrapper):
@@ -432,8 +438,9 @@ class MonotoneWrapper(_Wrapper):
         super().__init__(inner, AccuracyEnvelope(env.alpha, env.beta + 1.0, env.gamma))
 
     def _transform(self, y: np.ndarray) -> np.ndarray:
-        self._reported += (y > self._reported + 0.5).astype(float)
-        return self._reported.copy()
+        # kept as ``_current``, which the base class copies out
+        self._reported += y > self._reported + 0.5
+        return self._reported
 
 
 class ZeroFailureWrapper(_Wrapper):
@@ -456,7 +463,8 @@ class ZeroFailureWrapper(_Wrapper):
     def _transform(self, y: np.ndarray) -> np.ndarray:
         # clip into [x/alpha - beta, alpha*x + beta]; x is zero before the first update
         env, x = self.envelope, self._true
-        return np.minimum(np.maximum(y, x / env.alpha - env.beta), env.alpha * x + env.beta)
+        np.maximum(y, x / env.alpha - env.beta, out=y)
+        return np.minimum(y, env.alpha * x + env.beta, out=y)
 
 
 class UniformWarmupCounter(_Wrapper):

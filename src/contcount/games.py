@@ -41,6 +41,7 @@ from .counters import CounterMechanism
 from .errors import ParameterError, ValidationError
 
 _MONOTONE_TOL = 1e-12
+_all = np.logical_and.reduce  # ndarray.all() without numpy's Python wrapper
 
 
 class ValueCurve:
@@ -49,17 +50,22 @@ class ValueCurve:
 
     def __init__(self, values):
         vals = np.array(values, dtype=float)
-        if vals.ndim != 1 or vals.size == 0:
-            raise ParameterError("value curve needs at least one entry")
-        if not np.all(np.isfinite(vals)):
-            raise ParameterError("value curve entries must be finite")
-        if np.any(vals < 0):
-            raise ParameterError("value curve entries must be nonnegative")
-        if np.any(np.diff(vals) > _MONOTONE_TOL):
-            raise ParameterError("value curve must be nonincreasing")
+        table = vals.tolist()
+        # a curve that never rises, starts finite and ends nonnegative is valid;
+        # the checks that name a failure (and allow a tiny rise) see the rest
+        if not (vals.ndim == 1 and table and table[0] < math.inf and table[-1] >= 0
+                and _all(vals[1:] <= vals[:-1])):
+            if vals.ndim != 1 or vals.size == 0:
+                raise ParameterError("value curve needs at least one entry")
+            if not np.all(np.isfinite(vals)):
+                raise ParameterError("value curve entries must be finite")
+            if np.any(vals < 0):
+                raise ParameterError("value curve entries must be nonnegative")
+            if np.any(np.diff(vals) > _MONOTONE_TOL):
+                raise ParameterError("value curve must be nonincreasing")
         vals.setflags(write=False)  # the lookup table below is a copy of it
         self.values = vals
-        self._table = vals.tolist()
+        self._table = table
         self._last = vals.size - 1
 
     def __len__(self) -> int:
@@ -67,7 +73,7 @@ class ValueCurve:
 
     def value_at(self, k) -> float:
         """Value at (possibly fractional, out-of-range or NaN) count k."""
-        idx = math.floor(k) if k > 0 else 0
+        idx = int(k) if k > 0 else 0  # int floors a positive k
         return self._table[min(idx, self._last)]
 
     def __repr__(self) -> str:
@@ -436,12 +442,14 @@ COST_SHARING = CostSharingRule()
 def play(rule: GameRule, inst, mech: CounterMechanism, strategy, splits: int = 1) -> PlayTrace:
     """Play one game in arrival order against a counter mechanism.
 
-    Each player sees her slice of the current release, the strategy picks an
-    action, and the action's update is fed to the counter. With ``splits`` > 1
-    (discretized continuous investments) a player places ``splits``
-    increments of 1/splits, each at her displayed counts plus her own running
-    allocation; her utilities are the Riemann sums of the increments and the
-    counter sees one combined update. ``splits=1`` is unit-demand play.
+    Each player sees her slice of the release that the previous update
+    returned (the mechanism's ``current`` for the first player), the strategy
+    picks an action, and the action's update is fed to the counter. With
+    ``splits`` > 1 (discretized continuous investments) a player places
+    ``splits`` increments of 1/splits, each at her displayed counts plus her
+    own running allocation; her utilities are the Riemann sums of the
+    increments and the counter sees one combined update. ``splits=1`` is
+    unit-demand play.
     """
     if splits < 1:
         raise ParameterError(f"splits must be >= 1, got {splits}")
@@ -452,8 +460,9 @@ def play(rule: GameRule, inst, mech: CounterMechanism, strategy, splits: int = 1
     strategy.start(rule.name, inst)
     step = 1.0 / splits
     records = []
+    release = mech.current  # then the release each update returns
     for i in range(inst.n):
-        displayed = rule.view(mech.current, i)
+        displayed = rule.view(release, i)
         before = rule.view(mech.true_sums, i)
         actions = rule.actions(inst, i)
         update = np.zeros(dim)
@@ -472,10 +481,10 @@ def play(rule: GameRule, inst, mech: CounterMechanism, strategy, splits: int = 1
             realized.append(step * rule.utility(inst, i, a, at_true))
             rule.add_update(update, inst, i, a, step)
         # the action the player invested in most, ties to the lowest index
-        action = max(sorted(set(picks)), key=picks.count)
+        action = picks[0] if splits == 1 else max(sorted(set(picks)), key=picks.count)
         records.append(PlayerRecord(i, action, displayed, before,
                                     math.fsum(realized), math.fsum(perceived)))
-        mech.update(update)
+        release = mech.update(update)
     actions = [rec.action for rec in records]
     final = mech.true_sums
     settled = rule.settle(inst, actions, final)

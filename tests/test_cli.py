@@ -47,6 +47,17 @@ def test_counter_run_validation_error(tmp_path, capsys):
     assert "n must be >= 1" in err
 
 
+@pytest.mark.parametrize("mech", ["perfect", "treesum", "ftsum"])
+@pytest.mark.parametrize("n, m", [("0", "1"), ("3", "0")])
+def test_counter_run_shape_error_is_the_mechanisms(tmp_path, capsys, mech, n, m):
+    stream = tmp_path / "stream.txt"
+    stream.write_text("1\n")
+    code, out, err = run_cli(capsys, "counter", "run", "--mech", mech,
+                             "--n", n, "--m", m, "--stream", str(stream))
+    assert code == 1 and out == ""
+    assert f"n must be >= 1 and m must be >= 1, got n={n}, m={m}" in err
+
+
 def test_counter_run_wrapped(tmp_path, capsys):
     stream = tmp_path / "stream.txt"
     stream.write_text("1\n1\n")

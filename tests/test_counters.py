@@ -678,3 +678,93 @@ def test_treesum_error_bound_shape():
     assert treesum_error_bound(1024, 2, 1.0, 0.1) == pytest.approx(
         4.0 * 10.0 * math.log2(1024 * 2 / 0.1))
     assert treesum_error_bound(16, 1, math.inf, 0.1) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# one shape check, and no aliasing along a chain
+
+
+@pytest.mark.parametrize("build", [
+    lambda n, m: TreeSum(n, m, 1.0, RandomSource(0)),
+    lambda n, m: FTSum(n, m, 1.0, 2.0, 0.1, 4.0, RandomSource(0)),
+    lambda n, m: PerfectCounter(n, m),
+], ids=["treesum", "ftsum", "perfect"])
+@pytest.mark.parametrize("n, m", [(0, 2), (4, 0), (-1, -1)])
+def test_horizon_and_dimension_share_one_check(build, n, m):
+    with pytest.raises(ParameterError) as err:
+        build(n, m)
+    assert str(err.value) == f"n must be >= 1 and m must be >= 1, got n={n}, m={m}"
+
+
+def _layers(mech):
+    """Every mechanism of a chain, outermost first; FTSum's embedded tree too."""
+    layers = []
+    while mech is not None:
+        layers.append(mech)
+        if isinstance(mech, FTSum):
+            layers.append(mech.tree)
+        mech = getattr(mech, "inner", None)
+    return layers
+
+
+def _record_returns(layers) -> dict:
+    """Patch each layer's update to keep a copy of what it returns, taken
+    before any outer layer can reshape the returned array."""
+    returned = {}
+
+    def recorder(layer):
+        update = layer.update
+
+        def recorded(a):
+            out = update(a)
+            returned[id(layer)] = out.copy()
+            return out
+        return recorded
+
+    for layer in layers:
+        layer.update = recorder(layer)
+    return returned
+
+
+def _chains():
+    from itertools import permutations
+
+    from contcount.counters import UniformWarmupCounter
+    from contcount.harness import MechanismSpec
+
+    for mech in ("treesum", "ftsum", "perfect", "empty"):
+        for size in range(4):
+            for wraps in permutations(("clamp", "under", "mono"), size):
+                spec = MechanismSpec(mech=mech, eps=4.0, wraps=wraps, clamp_alpha=1.5,
+                                     clamp_beta=3.0)
+                try:
+                    spec.build(1, 1, RandomSource(0))
+                except ParameterError:
+                    continue  # an underestimator over a gamma > 0 envelope
+                yield "-".join((mech,) + wraps), lambda n, m, s, spec=spec: spec.build(
+                    n, m, RandomSource(s))
+    yield "warmup-treesum", lambda n, m, s: UniformWarmupCounter(
+        TreeSum(n, m, 4.0, RandomSource(s)), 7, RandomSource(s, 9))
+
+
+_CHAINS = dict(_chains())
+
+
+@pytest.mark.parametrize("name", sorted(_CHAINS))
+def test_chain_layers_share_true_sums_without_aliasing_releases(name):
+    build = _CHAINS[name]
+    n, m = _NOISE_BLOCK + 6, 2  # crosses one noise-block refill
+    mech, twin = build(n, m, 5), build(n, m, 5)
+    layers = _layers(mech)
+    returned = _record_returns(layers)
+    expected = np.zeros(m)
+    for a in random_simplex_stream(np.random.default_rng(11), n, m):
+        y = mech.update(a)
+        expected += a
+        for layer in layers:
+            assert np.array_equal(layer.true_sums, expected)
+            # an in-place transform never wrote into an inner layer's kept release
+            assert np.array_equal(layer.current, returned[id(layer)])
+        # a caller that scribbles on a release changes nothing downstream
+        assert np.array_equal(y, twin.update(a))
+        y[:] = np.nan

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,34 @@ def test_value_at_of_plus_inf_raises_as_before(k):
     with pytest.raises(OverflowError) as old:
         old_value_at(curve, k)
     assert str(new.value) == str(old.value)
+
+
+@pytest.mark.parametrize("values, message", [
+    ([2.0, math.nan], "entries must be finite"),
+    ([math.nan], "entries must be finite"),
+    ([math.inf, math.inf], "entries must be finite"),
+    ([1.0, math.inf, math.inf], "entries must be finite"),
+    ([math.inf, 1.0], "entries must be finite"),
+    ([1.0, math.inf], "entries must be finite"),
+    ([1.0, -math.inf], "entries must be finite"),
+    ([1.0, -0.5], "entries must be nonnegative"),
+    ([1.0, 1.0 + 2e-12], "must be nonincreasing"),
+    ([[2.0, 1.0]], "needs at least one entry"),
+    ([], "needs at least one entry"),
+])
+def test_value_curve_rejections_keep_their_messages(values, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # e.g. inf - inf in a naive rise test
+        with pytest.raises(ParameterError, match=message):
+            ValueCurve(values)
+
+
+@pytest.mark.parametrize("values", [
+    [0.0, 1e-12], [1.0, 1.0 + 4e-13, 1.0], [-0.0], [1.0, -0.0], [0.0, -0.0, 0.0]])
+def test_value_curve_accepts_tiny_rises_and_negative_zero(values):
+    curve = ValueCurve(values)
+    assert curve.values.tolist() == values
+    assert [curve.value_at(k) for k in range(len(values))] == values
 
 
 def test_instance_validation():
