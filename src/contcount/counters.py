@@ -257,7 +257,7 @@ def ftsum_flag_count(n: int, m: int, eps: float, alpha: float, gamma: float,
     arg = alpha / (alpha - 1.0) * c_tree * math.log2(n * m / gamma) / eps
     raw = math.ceil(math.log(arg, alpha)) if arg > 1.0 else 0
     if raw < 1:
-        logger.warning("FTSum flag count k=%d clamped to 1 (degenerate parameters)", raw)
+        logger.debug("FTSum flag count k=%d clamped to 1 (degenerate parameters)", raw)
         return 1
     return raw
 

@@ -17,9 +17,9 @@ have a new shape); a parser with its ``_PARSERS`` entry and its
 ``PAPER_INSTANCES`` and ``RANDOM_GENERATORS`` entries in ``instances``; an
 exact solver in ``optimal``; and one ``harness._ENGINES`` entry.
 
-Each play returns a :class:`PlayTrace` with realized utilities (from true
-counts) and perceived utilities (from displayed counts). Conventions shared
-by all games:
+Each play returns a columnar :class:`PlayTrace`, row i for player i: her
+view of the release and of the true counts before her move, her utilities
+from both, and her action. Conventions shared by all games:
 
 * Displayed counts are real-valued; value-curve lookups floor them and clamp
   into the curve's index range (``ValueCurve.value_at``).
@@ -203,35 +203,19 @@ class CostSharingInstance:
 
 
 @dataclass
-class PlayerRecord:
-    player: int
-    action: int
-    displayed: np.ndarray
-    true_before: np.ndarray
-    realized: float
-    perceived: float
-
-
-@dataclass
 class PlayTrace:
-    """Full record of one sequential play."""
+    """Columnar record of one sequential play: row i is player i's move."""
 
     rule: GameRule
-    records: list
+    actions: list               # each player's action; her largest investment when split
+    displayed: np.ndarray       # (n, k): her view of the release before her move
+    true_before: np.ndarray     # (n, k): the same view of the true counts
+    realized: np.ndarray        # (n,): utilities from true counts, settled at game end
+    perceived: np.ndarray       # (n,): utilities from displayed counts
     final_usage: np.ndarray
     social_welfare: float
     perceived_welfare: float
     metric: float               # rule.value of the actions; the welfare when fractional
-
-    @property
-    def actions(self) -> list:
-        return [rec.action for rec in self.records]
-
-    def displayed_matrix(self) -> np.ndarray:
-        return np.array([rec.displayed for rec in self.records])
-
-    def true_matrix(self) -> np.ndarray:
-        return np.array([rec.true_before for rec in self.records])
 
 
 def _check_mechanism(mech: CounterMechanism, dim: int, horizon: int, bound: float):
@@ -292,10 +276,9 @@ class GameRule:
         """Utility of ``action`` when ``counts`` is the player's view before her move."""
         return inst.curves[action].value_at(counts[action])
 
-    def settle(self, inst, actions, final):
-        """Realized utilities from the final true counts, or None when the
-        utility at the true counts of each player's move stands."""
-        return None
+    def settle(self, inst, actions, final, realized) -> None:
+        """Overwrite ``realized`` where the final true counts settle the
+        utilities; here the utility at the true counts of each move stands."""
 
     def usage(self, actions, final):
         """Final usage of a finished play."""
@@ -311,7 +294,7 @@ class GameRule:
 
     def realized_total(self, trace) -> float:
         """The objective as the trace's realized utilities add it up."""
-        return math.fsum(rec.realized for rec in trace.records)
+        return math.fsum(trace.realized)
 
 
 class FutureDependentRule(GameRule):
@@ -320,8 +303,8 @@ class FutureDependentRule(GameRule):
 
     name = "future"
 
-    def settle(self, inst, actions, final):
-        return [inst.curves[r].value_at(final[r] - 1.0) for r in actions]
+    def settle(self, inst, actions, final, realized) -> None:
+        realized[:] = [inst.curves[r].value_at(final[r] - 1.0) for r in actions]
 
     def value(self, inst, actions) -> float:
         counts = _tally(inst.m, actions)
@@ -360,9 +343,9 @@ class CutRule(GameRule):
     def utility(self, inst, player, action, counts) -> float:
         return float(counts[1 - action])
 
-    def settle(self, inst, actions, final):
-        return [float(sum(1 for j in inst.neighbors(i) if actions[j] != actions[i]))
-                for i in range(inst.n)]
+    def settle(self, inst, actions, final, realized) -> None:
+        realized[:] = [float(sum(1 for j in inst.neighbors(i) if actions[j] != actions[i]))
+                       for i in range(inst.n)]
 
     def usage(self, actions, final):
         return np.array([float(actions.count(0)), float(actions.count(1))])
@@ -393,8 +376,8 @@ class SchedulingRule(GameRule):
     def utility(self, inst, player, action, counts) -> float:
         return -(float(counts[action]) + float(inst.costs[player, action]))
 
-    def settle(self, inst, actions, final):
-        return [-float(final[q]) for q in actions]
+    def settle(self, inst, actions, final, realized) -> None:
+        realized[:] = [-float(final[q]) for q in actions]
 
     def value(self, inst, actions) -> float:
         loads = np.zeros(inst.m)
@@ -404,7 +387,7 @@ class SchedulingRule(GameRule):
 
     def realized_total(self, trace) -> float:
         """The worst realized load."""
-        return -min(rec.realized for rec in trace.records)
+        return -float(trace.realized.min())
 
 
 class CostSharingRule(GameRule):
@@ -425,8 +408,8 @@ class CostSharingRule(GameRule):
     def utility(self, inst, player, action, counts) -> float:
         return float(inst.set_costs[action]) / (max(float(counts[action]), 0.0) + 1.0)
 
-    def settle(self, inst, actions, final):
-        return [float(inst.set_costs[s]) / float(final[s]) for s in actions]
+    def settle(self, inst, actions, final, realized) -> None:
+        realized[:] = [float(inst.set_costs[s]) / float(final[s]) for s in actions]
 
     def value(self, inst, actions) -> float:
         return math.fsum(inst.set_costs[s] for s in set(actions))
@@ -459,45 +442,47 @@ def play(rule: GameRule, inst, mech: CounterMechanism, strategy, splits: int = 1
     _check_mechanism(mech, dim, inst.n, rule.bound(inst))
     strategy.start(rule.name, inst)
     step = 1.0 / splits
-    records = []
     release = mech.current  # then the release each update returns
-    for i in range(inst.n):
-        displayed = rule.view(release, i)
-        before = rule.view(mech.true_sums, i)
-        actions = rule.actions(inst, i)
+    n, k = inst.n, len(rule.view(release, 0))
+    shown, true_before = np.empty((n, k)), np.empty((n, k))
+    realized, perceived = np.empty(n), np.empty(n)
+    actions = []
+    for i in range(n):
+        shown[i] = displayed = rule.view(release, i)
+        true_before[i] = before = rule.view(mech.true_sums, i)
+        choices = rule.actions(inst, i)
         update = np.zeros(dim)
         seen, at_true = displayed, before
-        picks, perceived, realized = [], [], []
+        picks, seen_gains, true_gains = [], [], []
         for part in range(splits):
             if part:
                 own = rule.view(update, i)
                 seen, at_true = displayed + own, before + own
-            a = strategy.choose_action(rule, inst, i, actions, seen)
-            if a not in actions:
+            a = strategy.choose_action(rule, inst, i, choices, seen)
+            if a not in choices:
                 raise ValidationError(f"strategy chose action {a} outside player {i}'s "
-                                      f"actions {actions}")
+                                      f"actions {choices}")
             picks.append(a)
-            perceived.append(step * rule.utility(inst, i, a, seen))
-            realized.append(step * rule.utility(inst, i, a, at_true))
+            seen_gains.append(step * rule.utility(inst, i, a, seen))
+            true_gains.append(step * rule.utility(inst, i, a, at_true))
             rule.add_update(update, inst, i, a, step)
         # the action the player invested in most, ties to the lowest index
-        action = picks[0] if splits == 1 else max(sorted(set(picks)), key=picks.count)
-        records.append(PlayerRecord(i, action, displayed, before,
-                                    math.fsum(realized), math.fsum(perceived)))
+        actions.append(picks[0] if splits == 1 else max(sorted(set(picks)), key=picks.count))
+        realized[i], perceived[i] = math.fsum(true_gains), math.fsum(seen_gains)
         release = mech.update(update)
-    actions = [rec.action for rec in records]
     final = mech.true_sums
-    settled = rule.settle(inst, actions, final)
-    if settled is not None:
-        for rec, value in zip(records, settled):
-            rec.realized = value
-    welfare = math.fsum(rec.realized for rec in records)
+    rule.settle(inst, actions, final, realized)
+    welfare = math.fsum(realized)
     return PlayTrace(
         rule=rule,
-        records=records,
+        actions=actions,
+        displayed=shown,
+        true_before=true_before,
+        realized=realized,
+        perceived=perceived,
         final_usage=rule.usage(actions, final),
         social_welfare=welfare,
-        perceived_welfare=math.fsum(rec.perceived for rec in records),
+        perceived_welfare=math.fsum(perceived),
         metric=welfare if splits > 1 else rule.value(inst, actions),
     )
 
@@ -544,7 +529,6 @@ __all__ = [
     "CutInstance",
     "SchedulingInstance",
     "CostSharingInstance",
-    "PlayerRecord",
     "PlayTrace",
     "GameRule",
     "RESOURCE",

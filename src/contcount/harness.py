@@ -108,7 +108,6 @@ class MechanismSpec:
 _ENGINES = {
     "resource": (play_resource_sharing, optimal.opt_resource_sharing, RESOURCE),
     "future": (play_future_dependent, optimal.opt_future_dependent, FUTURE_DEPENDENT),
-    "market": (play_future_dependent, optimal.opt_future_dependent, FUTURE_DEPENDENT),
     "cut": (play_cut, optimal.opt_cut, CUT),
     "scheduling": (play_scheduling, optimal.opt_scheduling, SCHEDULING),
     "costshare": (play_cost_sharing, optimal.opt_cost_sharing, COST_SHARING),
@@ -183,7 +182,7 @@ def run_trial(config: ExperimentConfig, trial: int, cached_opt: float | None = N
     if config.compute_opt and config.splits == 1 and gain > 1e-9:
         raise ValidationError(f"{rule.name} play reached {alg!r}, beyond the exact "
                               f"optimum {opt_value!r}")
-    ok, _ = envelope_check(trace.true_matrix(), trace.displayed_matrix(), mech.envelope)
+    ok, _ = envelope_check(trace.true_before, trace.displayed, mech.envelope)
     result = TrialResult(
         trial=trial,
         seed=config.seed,
@@ -628,7 +627,7 @@ def _marketundom(seed: int = 0, n: int = 16, eps: float = 0.01):
 def _marketlog(seed: int = 0, trials: int = 50, alpha: float = 1.5, beta: float = 2.0):
     spec = MechanismSpec(mech="treesum", eps=3.0, wraps=("clamp",),
                          clamp_alpha=alpha, clamp_beta=beta)
-    config = ExperimentConfig(game="market", instance="random:open-market",
+    config = ExperimentConfig(game="future", instance="random:open-market",
                               mechanism=spec, trials=trials, seed=seed, compute_opt=False)
 
     def bound(result, trace, inst, mech):

@@ -245,14 +245,14 @@ def opt_cost_sharing(inst: CostSharingInstance) -> OptResult:
     if 2 ** m > COVER_BUDGET:
         raise SizeError(f"2^{m} set families exceed the brute-force budget")
     player_masks = [sum(1 << s for s in acts) for acts in inst.allowed]
-    best, best_family = math.inf, None
+    best, sets = math.inf, None
     for family in range(1, 2 ** m):
         if any(mask & family == 0 for mask in player_masks):
             continue
-        cost = math.fsum(inst.set_costs[s] for s in range(m) if family >> s & 1)
+        chosen = [s for s in range(m) if family >> s & 1]
+        cost = cost_sharing_total(inst, chosen)
         if cost < best:
-            best, best_family = cost, family
-    sets = [s for s in range(m) if best_family >> s & 1]
+            best, sets = cost, chosen
     assignment = []
     for acts in inst.allowed:
         options = [s for s in acts if s in sets]

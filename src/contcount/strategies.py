@@ -22,10 +22,10 @@ from .games import CutInstance, ResourceSharingInstance, SchedulingInstance
 
 
 def belief_range(displayed: float, envelope: AccuracyEnvelope):
-    """Consistent true-count interval for one displayed value,
-    [max(0, y/alpha - beta), alpha*y + beta]."""
-    lo = max(0.0, displayed / envelope.alpha - envelope.beta)
-    hi = envelope.alpha * displayed + envelope.beta
+    """The true counts x >= 0 whose envelope [x/alpha - beta, alpha*x + beta]
+    holds the displayed value y: [max(0, (y - beta)/alpha), alpha*(y + beta)]."""
+    lo = max(0.0, (displayed - envelope.beta) / envelope.alpha)
+    hi = envelope.alpha * (displayed + envelope.beta)
     return lo, max(lo, hi)
 
 

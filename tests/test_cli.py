@@ -170,7 +170,7 @@ RANDOM_GAMES = [(name, game) for name, (kind, _) in instances.RANDOM_GENERATORS.
 def test_game_run_solves_default_random_instances(capsys, name, game):
     code, out, err = run_cli(capsys, "game", "run", "--game", game, "--instance",
                              f"random:{name}", "--trials", "3", "--seed", "5", "--json")
-    if name in TOO_BIG_FOR_FUTURE and game in ("future", "market"):
+    if name in TOO_BIG_FOR_FUTURE and game == "future":
         assert code == 1 and "exceeds the brute-force budget" in err
     else:
         assert code == 0, err

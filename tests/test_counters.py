@@ -1,3 +1,4 @@
+import logging
 import math
 import tracemalloc
 
@@ -484,9 +485,12 @@ def test_ftsum_infinite_eps_equals_zero_noise(bound):
     assert np.array_equal(runs[0], runs[1])
 
 
-def test_ftsum_flag_count_clamped_for_degenerate_parameters():
+def test_ftsum_flag_count_clamped_for_degenerate_parameters(caplog):
+    caplog.set_level(logging.DEBUG, logger="contcount.counters")
     assert ftsum_flag_count(4, 1, 1000.0, 2.0, 0.5, 0.01) == 1
     assert ftsum_flag_count(4, 1, math.inf, 2.0, 0.5, 4.0) == 1
+    # the clamp is logged, but below WARNING: it happens on every such build
+    assert [level for _, level, _ in caplog.record_tuples] == [logging.DEBUG] * 2
 
 
 def test_degenerate_single_step_horizon():

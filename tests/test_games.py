@@ -180,7 +180,7 @@ def test_play_determinism():
     t2 = play_resource_sharing(inst, spec.build(inst.n, inst.m, RandomSource(9, 4)), Greedy())
     assert t1.actions == t2.actions
     assert t1.social_welfare == t2.social_welfare
-    assert np.array_equal(t1.displayed_matrix(), t2.displayed_matrix())
+    assert np.array_equal(t1.displayed, t2.displayed)
 
 
 def test_bookkeeping_on_fuzzed_plays():
@@ -191,7 +191,7 @@ def test_bookkeeping_on_fuzzed_plays():
         mech = TreeSum(inst.n, inst.m, 1.0, rng.substream(1))
         trace = play_resource_sharing(inst, mech, Greedy())
         verify_trace(trace, inst)
-        assert trace.social_welfare == math.fsum(r.realized for r in trace.records)
+        assert trace.social_welfare == math.fsum(trace.realized)
         assert int(trace.final_usage.sum()) == inst.n
 
 
@@ -300,7 +300,7 @@ def test_single_market_forced():
     n, c = 8, 3.0
     inst = ResourceSharingInstance([instances.market_curve(c, n)], [[0]] * n)
     trace = play_future_dependent(inst, PerfectCounter(n, 1), Greedy())
-    assert all(r.realized == pytest.approx(c / n) for r in trace.records)
+    assert trace.realized == pytest.approx([c / n] * n)
     assert trace.social_welfare == pytest.approx(c, abs=1e-12)
 
 

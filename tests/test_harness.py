@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from contcount.counters import TreeSum, UniformWarmupCounter
+from contcount.counters import (
+    AccuracyEnvelope,
+    CounterMechanism,
+    PrivacyBudget,
+    TreeSum,
+    UniformWarmupCounter,
+)
 from contcount.errors import ParameterError, UnknownScenarioError, ValidationError
 from contcount.harness import (
     ExperimentConfig,
@@ -176,7 +182,63 @@ def test_registry_instance_plays_under_its_kind(spec, kind):
                                   mechanism=MechanismSpec(mech="perfect"), compute_opt=False)
         result, trace, instance, _ = run_trial(config, 0)
         assert result.envelope_ok
-        assert len(trace.records) == instance.n
+        assert len(trace.actions) == len(trace.realized) == len(trace.displayed) == instance.n
+
+
+class ShiftedCounter(CounterMechanism):
+    """Declares the envelope (1, 1, 0) but releases the true sums plus
+    ``shift`` on the coordinates ``coords(t)`` picks after t updates."""
+
+    def __init__(self, n, m, update_bound, shift, coords):
+        super().__init__(n, m, PrivacyBudget(math.inf), AccuracyEnvelope(1.0, 1.0, 0.0),
+                         update_bound)
+        self.shift, self.coords = shift, coords
+
+    def _step(self, a):
+        y = self._true.copy()
+        y[self.coords(self.t)] += self.shift
+        return y
+
+
+class ShiftedSpec:
+    """A MechanismSpec stand-in that builds a ShiftedCounter."""
+
+    def __init__(self, shift, coords):
+        self.shift, self.coords = shift, coords
+
+    def build(self, n, m, rng, update_bound=1.0):
+        return ShiftedCounter(n, m, update_bound, self.shift, self.coords)
+
+
+def _everywhere(t):
+    return slice(None)
+
+
+def _moved_players(t):
+    # the cut coordinates of the t players who already moved: no later view
+    return slice(0, 2 * t)
+
+
+def _next_player(t):
+    # the two cut coordinates that player t sees next
+    return slice(2 * t, 2 * t + 2)
+
+
+@pytest.mark.parametrize("game, instance, shift, coords, ok", [
+    ("resource", "random:resource", 0.5, _everywhere, True),
+    ("resource", "random:resource", 2.0, _everywhere, False),
+    ("resource", "random:resource", -2.0, _everywhere, False),
+    ("cut", "paper:cut-cycle", 100.0, _moved_players, True),
+    ("cut", "paper:cut-cycle", 2.0, _next_player, False),
+])
+def test_envelope_ok_reports_releases_outside_the_envelope(game, instance, shift, coords, ok):
+    config = ExperimentConfig(game=game, instance=instance, compute_opt=False,
+                              mechanism=ShiftedSpec(shift, coords))
+    result, trace, inst, _ = run_trial(config, 0)
+    assert result.envelope_ok is ok
+    # the check reads each player's view: m coordinates, or her 2 for cut
+    view = (inst.n, 2 if game == "cut" else inst.m)
+    assert trace.displayed.shape == trace.true_before.shape == view
 
 
 def test_csv_format_stable():
@@ -188,7 +250,7 @@ def test_csv_format_stable():
 
 
 # a random generator for every game, sized for its exact solver
-RANDOM_OF = {"resource": "resource", "future": "future", "market": "market", "cut": "cut",
+RANDOM_OF = {"resource": "resource", "future": "future", "cut": "cut",
              "scheduling": "scheduling", "costshare": "costshare"}
 
 
@@ -205,8 +267,7 @@ def test_rule_value_is_the_objective_of_play_solver_and_trace_check(game):
         assert rule.value(inst, witness) == opt.value == result.opt
         assert trace.metric == rule.value(inst, trace.actions) == result.alg_metric
         # lowering the worst utility moves every total, the makespan too
-        worst = min(trace.records, key=lambda rec: rec.realized)
-        worst.realized -= rule.tol + 1e-6
+        trace.realized[trace.realized.argmin()] -= rule.tol + 1e-6
         with pytest.raises(ValidationError, match="realized utilities"):
             verify_trace(trace, inst)
 

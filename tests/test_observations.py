@@ -148,8 +148,7 @@ def test_fractional_riemann_sum_oracle():
         inst2, PerfectCounter(2, 1), Greedy(), splits=4)
     # both players invest fully in the only resource; the curve is flat within
     # each unit interval, so each player earns v(own unit) exactly
-    assert trace2.records[0].realized == 4.0
-    assert trace2.records[1].realized == 2.0
+    assert trace2.realized.tolist() == [4.0, 2.0]
     assert np.allclose(trace2.final_usage, [2.0])
 
 
@@ -175,8 +174,8 @@ def test_fractional_split_switches_resources_mid_turn():
     frac = play_resource_sharing_fractional(
         inst, FixedDisplay(1, 2, [0.5, 0.0]), Greedy(), splits=2)
     assert np.allclose(frac.final_usage, [0.5, 0.5])
-    assert frac.records[0].realized == pytest.approx(0.5 * 8.0 + 0.5 * 1.0)
-    assert frac.records[0].perceived == pytest.approx(0.5 * 8.0 + 0.5 * 1.0)
+    assert frac.realized[0] == pytest.approx(0.5 * 8.0 + 0.5 * 1.0)
+    assert frac.perceived[0] == pytest.approx(0.5 * 8.0 + 0.5 * 1.0)
     # the metric of fractional play is its welfare, not the value of the
     # action each player invested in most
     assert frac.metric == frac.social_welfare

@@ -50,9 +50,29 @@ def test_greedy_argmax_invariant_under_increasing_transform():
 def test_belief_range():
     env = AccuracyEnvelope(2.0, 3.0, 0.0)
     lo, hi = belief_range(4.0, env)
-    assert lo == 0.0 and hi == 11.0
+    assert lo == 0.5 and hi == 14.0
     lo, hi = belief_range(10.0, env)
-    assert lo == 2.0 and hi == 23.0
+    assert lo == 3.5 and hi == 26.0
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 3.0])
+def test_belief_range_inverts_the_envelope(alpha, beta):
+    # every display the envelope of x allows keeps x among its beliefs
+    env = AccuracyEnvelope(alpha, beta, 0.0)
+    for x in np.linspace(0.0, 20.0, 41):
+        for y in np.linspace(float(env.lower(x)), float(env.upper(x)), 17):
+            lo, hi = belief_range(y, env)
+            assert lo - 1e-9 <= x <= hi + 1e-9, (x, y, lo, hi)
+
+
+def test_undominated_against_a_display_the_true_count_can_show():
+    # x = 10 may display y = 4 under (2, 1): its envelope is [4, 21]; at
+    # x = 10 resource 1 is worth 0 < 0.5, so action 0 is not dominated
+    env = AccuracyEnvelope(2.0, 1.0, 0.0)
+    curves = [ValueCurve([0.5] * 12), ValueCurve([1.0] * 10 + [0.0] * 2)]
+    assert env.lower(10.0) <= 4.0 <= env.upper(10.0)
+    assert is_undominated(0, [0, 1], [0.0, 4.0], env, curves)
 
 
 def test_is_undominated_perfect_counters_matches_greedy():
@@ -99,9 +119,9 @@ def test_greedy_resource_play_is_always_undominated_with_perfect_counters():
         inst = instances.random_resource_sharing(rng, n_max=15, m_max=5)
         mech = PerfectCounter(inst.n, inst.m)
         trace = play_resource_sharing(inst, mech, Greedy())
-        for rec in trace.records:
-            assert is_undominated(rec.action, inst.action_sets[rec.player],
-                                  rec.displayed, env, inst.curves)
+        for i, action in enumerate(trace.actions):
+            assert is_undominated(action, inst.action_sets[i], trace.displayed[i],
+                                  env, inst.curves)
 
 
 def test_scripted_registry():
