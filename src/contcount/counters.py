@@ -41,8 +41,7 @@ logger = logging.getLogger(__name__)
 
 _L1_TOL = 1e-9
 _NOISE_BLOCK = 1024
-# the kernels ndarray.min() and .sum() reach through numpy's Python wrappers
-_min = np.minimum.reduce
+# the kernel ndarray.sum() reaches through numpy's Python wrappers
 _sum = np.add.reduce
 
 
@@ -86,12 +85,13 @@ class AccuracyEnvelope:
 def validate_update(a, dim: int, bound: float = 1.0) -> np.ndarray:
     """Check membership in the (bound-scaled) simplex and return a float array.
 
-    Nonnegative entries with a bounded sum are each bounded, and NaN fails both
-    tests, so one min and one sum accept every valid update; only a failing
-    update reaches the checks that name what is wrong.
+    Nonnegative entries with a bounded sum are each bounded, so one argmin
+    (the smallest entry, or the first NaN, is not negative) and one sum accept
+    every valid update; only a failing update reaches the checks that name
+    what is wrong.
     """
     arr = np.asarray(a, dtype=float)
-    if arr.shape == (dim,) and _min(arr) >= 0 and _sum(arr) <= bound + _L1_TOL:
+    if arr.shape == (dim,) and arr[arr.argmin()] >= 0 and _sum(arr) <= bound + _L1_TOL:
         return arr
     if arr.shape != (dim,):
         raise ValidationError(f"update must have shape ({dim},), got {arr.shape}")
@@ -201,8 +201,11 @@ class TreeSum(CounterMechanism):
     Releases sum only even-index nodes, and step t ends one: (L, (t >> L) - 1)
     with L = lowbit(t), whose noise is row t - 1 of one (n, m) Laplace stream.
     Rows are drawn from the single-owner source in blocks of at most
-    ``_NOISE_BLOCK`` as steps reach them, so releases do not depend on the block
-    size. An update still touches at most ``levels`` released nodes, so eps is unchanged.
+    ``_NOISE_BLOCK`` as steps reach them. ``_cover_block`` turns each block
+    into a table of its steps' cover noises (integer bit arithmetic and
+    strided adds, no numpy-2-only call), so a step adds one table row to the
+    true sums. Releases do not depend on the block size. An update still
+    touches at most ``levels`` released nodes, so eps is unchanged.
     """
 
     def __init__(self, n: int, m: int, eps: float, rng: RandomSource, *,
@@ -221,31 +224,49 @@ class TreeSum(CounterMechanism):
         self.node_scale = update_bound * self.levels / budget.epsilon
         if update_bound != 1.0:
             logger.info("TreeSum noise scaled by update bound B=%.6g", update_bound)
-        self._rows = None  # the noise block holding row t - 1, drawn at its first step
-        # Slot l holds the cover noise of the last step whose lowest set bit is
-        # l; the extra last slot stays zero and stands for the empty cover of 0.
+        self._rows = None  # the cover noise of the block holding step t, made at its first step
+        # Slot l holds the cover noise of the last step before the block whose
+        # lowest set bit is l; the extra last slot stays zero and stands for
+        # the empty cover of 0.
         self._covers = np.zeros((self.levels + 1, self.dim))
 
-    def _step(self, a: np.ndarray) -> np.ndarray:
-        """Add one node to a stored partial cover.
+    def _cover_block(self, t0: int) -> np.ndarray:
+        """Draw the noise rows of the block starting at step t0 and turn each,
+        in place, into the cover noise of its step.
 
-        With L the lowest set bit of t, the cover of [1, t] is the cover of
-        [1, t - 2^L] plus node (L, (t >> L) - 1). Every step in between has a
-        lower lowest bit, so slot lowbit(t - 2^L) still holds that cover
-        (slot -1, always zero, when t is a power of two). The node noises are
-        added from 0.0 in ``covering_blocks`` order, as a loop over the blocks
-        would add them, so releases are bit-identical to that loop.
+        With L = lowbit(t), cover(t) = cover(t - 2^L) + node (L, (t >> L) - 1),
+        the row of t. A level's steps are every 2^(L+1)-th row and t - 2^L has
+        a higher lowest bit (or is 0), so levels go highest first, one strided
+        add each; only a level's first row can need a cover from before the
+        block, which slot lowbit(t - 2^L) holds. The slots take each level's
+        last row only after the whole block, as a lower level may still read
+        one. The adds run in ``covering_blocks`` order from 0.0, so releases
+        are bit-identical to summing the covering nodes in a loop.
         """
-        t = self._t
-        row = (t - 1) % _NOISE_BLOCK
+        rows = laplace(self.node_scale, self.rng,
+                       size=(min(_NOISE_BLOCK, self.horizon - t0 + 1), self.dim))
+        k = len(rows)
+        lasts = []
+        for level in range(self.levels - 1, -1, -1):
+            half, step = 1 << level, 2 << level
+            first = (half - t0) % step  # row of the block's first step at this level
+            if first >= k:
+                continue
+            lasts.append((level, first + (k - 1 - first) // step * step))
+            if first < half:
+                prev = t0 + first - half
+                rows[first] += self._covers[(prev & -prev).bit_length() - 1]
+                first += step
+            rows[first::step] += rows[first - half:k - half:step]
+        for level, last in lasts:
+            self._covers[level] = rows[last]
+        return rows
+
+    def _step(self, a: np.ndarray) -> np.ndarray:
+        row = (self._t - 1) % _NOISE_BLOCK
         if row == 0:
-            self._rows = laplace(self.node_scale, self.rng,
-                                 size=(min(_NOISE_BLOCK, self.horizon - t + 1), self.dim))
-        low = t & -t
-        prev = t - low
-        cover = self._covers[low.bit_length() - 1]
-        np.add(self._covers[(prev & -prev).bit_length() - 1], self._rows[row], out=cover)
-        return self._true + cover
+            self._rows = self._cover_block(self._t)
+        return self._true + self._rows[row]
 
 
 def ftsum_flag_count(n: int, m: int, eps: float, alpha: float, gamma: float,

@@ -512,11 +512,11 @@ def play_cost_sharing(inst: CostSharingInstance, mech, strategy) -> PlayTrace:
     return play(COST_SHARING, inst, mech, strategy)
 
 
-def verify_trace(trace: PlayTrace, inst) -> None:
-    """Raise ValidationError unless the realized utilities of a play of
-    ``inst`` add up to its metric: the welfare, twice the cut or the total
-    cost as their sum, the makespan as the worst realized load, within the
-    rule's ``tol`` (exactly for resource, future-dependent and cut play)."""
+def verify_trace(trace: PlayTrace) -> None:
+    """Raise ValidationError unless the realized utilities of a play add up
+    to its metric: the welfare, twice the cut or the total cost as their
+    sum, the makespan as the worst realized load, within the rule's ``tol``
+    (exactly for resource, future-dependent and cut play)."""
     total = trace.rule.realized_total(trace)
     if not abs(total - trace.metric) <= trace.rule.tol:
         raise ValidationError(f"{trace.rule.name} realized utilities give {total!r}, "

@@ -141,6 +141,11 @@ class ExperimentConfig:
 
 @dataclass
 class TrialResult:
+    """One trial's outcome. ``envelope_ok`` says whether every value a player
+    saw lay in the mechanism's declared envelope: it checks each player's view
+    of the release (``PlayTrace.displayed``), which on cut is 2 of the
+    counter's 2n coordinates per step, not the whole release."""
+
     trial: int
     seed: int
     sw: float
@@ -160,6 +165,12 @@ def _ratio(sense: str, alg: float, opt: float) -> float:
 
 
 def run_trial(config: ExperimentConfig, trial: int, cached_opt: float | None = None):
+    """Play one trial of ``config``; returns (result, trace, instance, mech).
+
+    The trace must pass ``verify_trace``, and unit-demand play may not beat
+    the exact optimum. ``envelope_ok`` checks the players' views only (see
+    ``TrialResult``).
+    """
     play_game, opt_solver, rule = _ENGINES[config.game]
     rng = RandomSource(config.seed, 0).substream(trial)
     instance = inst_lib.resolve_instance(rule.kind, config.instance,
@@ -171,7 +182,7 @@ def run_trial(config: ExperimentConfig, trial: int, cached_opt: float | None = N
         trace = play_resource_sharing_fractional(instance, mech, strategy, config.splits)
     else:
         trace = play_game(instance, mech, strategy)
-    verify_trace(trace, instance)
+    verify_trace(trace)
     opt_value = math.nan
     if config.compute_opt:
         opt_value = cached_opt if cached_opt is not None else opt_solver(instance).value

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from contcount.counters import (
+    _L1_TOL,
     _NOISE_BLOCK,
     AccuracyEnvelope,
     EmptyCounter,
@@ -75,6 +76,41 @@ def test_update_validation():
                 [0.0, -math.inf, 0.0], [0.5, -1e-300, 0.0], [1.0, 1.0, 1.0 + 2e-9]):
         with pytest.raises(ValidationError):
             validate_update(bad, 3, bound=3.0)
+
+
+def test_update_validation_accepts_exactly_the_valid_updates():
+    # the fast path (one argmin, then one sum) agrees with the definition on
+    # random arrays salted with -0.0, NaN, +-inf and -1e-300, NaN also beside
+    # a smaller entry, and a sum exactly on the tolerance still passes
+    def accepts(arr, bound):
+        try:
+            validate_update(arr, len(arr), bound)
+        except ValidationError:
+            return False
+        return True
+
+    gen = np.random.default_rng(17)
+    specials = (-0.0, math.nan, math.inf, -math.inf, -1e-300)
+    cases = [([-1.0, math.nan], 1.0), ([math.nan, -1.0], 1.0), ([0.1, math.nan, 0.0], 1.0),
+             ([-0.0, 0.5], 1.0), ([-0.0, -0.0], 1.0)]
+    for _ in range(4000):
+        m = int(gen.integers(1, 9))
+        bound = float(gen.choice([1.0, 3.0, 5.0]))
+        arr = gen.random(m) * 1.5 * bound / m  # sums on both sides of the bound
+        if gen.random() < 0.2:
+            arr -= 0.05 * gen.random(m)
+        for _ in range(int(gen.integers(0, 3))):
+            arr[gen.integers(m)] = specials[gen.integers(len(specials))]
+        cases.append((arr.tolist(), bound))
+    for entries, bound in cases:
+        arr = np.array(entries)
+        expected = bool(np.all(arr >= 0) and arr.sum() <= bound + 1e-9)
+        assert accepts(arr, bound) == expected, (entries, bound)
+    for bound in (1.0, 3.0, 5.0):
+        edge = bound + _L1_TOL
+        for entries in ([edge], [0.0, edge], [edge / 2, edge / 2]):
+            assert accepts(np.array(entries), bound)
+        assert not accepts(np.array([np.nextafter(edge, math.inf)]), bound)
 
 
 def test_nan_update_refused_by_every_mechanism():
@@ -167,23 +203,26 @@ def test_treesum_decomposition_recoverable_from_transcript():
         assert np.array_equal(y, true + cover)
 
 
-def test_treesum_release_is_node_sum_in_cover_order():
+def test_treesum_release_is_node_sum_in_cover_order(monkeypatch):
     # horizon not a power of two and a bound B != 1: every release equals the
     # true sum plus the covering-node noises added from 0.0 highest level
-    # first, bit for bit, at every step
-    n, m, bound = 1000, 3, 3.0
+    # first, bit for bit, at every step and block size; across refills,
+    # t = 2048 and t = 3072 read their covers from the level slots
+    n, m, bound = 3000, 3, 3.0
     gen = np.random.default_rng(11)
     stream = bound * random_simplex_stream(gen, n, m)
-    ts = TreeSum(n, m, 0.8, RandomSource(5, 2), update_bound=bound)
-    node = treesum_transcript(ts, 5, 2)
-    true = np.zeros(m)
-    for t, a in enumerate(stream, start=1):
-        y = ts.update(a)
-        true += a
-        cover = np.zeros(m)
-        for level, idx in covering_blocks(t, ts.levels):
-            cover += node(level, idx)
-        assert np.array_equal(y, true + cover), f"step {t}"
+    for block in (1, 7, _NOISE_BLOCK):
+        monkeypatch.setattr("contcount.counters._NOISE_BLOCK", block)
+        ts = TreeSum(n, m, 0.8, RandomSource(5, 2), update_bound=bound)
+        node = treesum_transcript(ts, 5, 2)
+        true = np.zeros(m)
+        for t, a in enumerate(stream, start=1):
+            y = ts.update(a)
+            true += a
+            cover = np.zeros(m)
+            for level, idx in covering_blocks(t, ts.levels):
+                cover += node(level, idx)
+            assert np.array_equal(y, true + cover), f"block {block}, step {t}"
 
 
 def test_treesum_releases_do_not_depend_on_block_size(monkeypatch):

@@ -151,7 +151,7 @@ def test_illustrative_instance_small():
     trace = play_resource_sharing(inst, EmptyCounter(n, inst.m), Greedy())
     assert trace.actions == [0] * n
     assert trace.social_welfare == pytest.approx(instances.harmonic_number(n), abs=1e-12)
-    verify_trace(trace, inst)
+    verify_trace(trace)
 
 
 def test_illustrative_instance_perfect_counters_within_factor_four():
@@ -190,7 +190,7 @@ def test_bookkeeping_on_fuzzed_plays():
         inst = instances.random_resource_sharing(rng, n_max=25, m_max=6)
         mech = TreeSum(inst.n, inst.m, 1.0, rng.substream(1))
         trace = play_resource_sharing(inst, mech, Greedy())
-        verify_trace(trace, inst)
+        verify_trace(trace)
         assert trace.social_welfare == math.fsum(trace.realized)
         assert int(trace.final_usage.sum()) == inst.n
 
@@ -213,7 +213,7 @@ def test_cut_triangle_greedy():
     trace = play_cut(inst, mech, Greedy())
     assert trace.social_welfare == 4.0
     assert trace.social_welfare == brute_force_max_cut_sw(inst)
-    verify_trace(trace, inst)
+    verify_trace(trace)
 
 
 def test_cut_edgeless():
@@ -263,7 +263,7 @@ def test_scheduling_greedy_below_tstar_sum():
         bound = float(inst.costs.max())
         trace = play_scheduling(inst, PerfectCounter(inst.n, inst.m, bound), Greedy())
         assert trace.metric <= float(inst.t_star.sum()) + 1e-9
-        verify_trace(trace, inst)
+        verify_trace(trace)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +281,7 @@ def test_cost_sharing_public_private():
     inst = instances.costshare_public_private(10, 0.1)
     trace = play_cost_sharing(inst, PerfectCounter(10, 11), Greedy())
     assert trace.metric == 10.0
-    verify_trace(trace, inst)
+    verify_trace(trace)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +293,7 @@ def test_future_step_instance():
     trace = play_future_dependent(inst, PerfectCounter(2, 2), Greedy())
     assert trace.actions == [0, 0]
     assert trace.social_welfare == 1.0
-    verify_trace(trace, inst)
+    verify_trace(trace)
 
 
 def test_single_market_forced():

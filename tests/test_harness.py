@@ -269,7 +269,7 @@ def test_rule_value_is_the_objective_of_play_solver_and_trace_check(game):
         # lowering the worst utility moves every total, the makespan too
         trace.realized[trace.realized.argmin()] -= rule.tol + 1e-6
         with pytest.raises(ValidationError, match="realized utilities"):
-            verify_trace(trace, inst)
+            verify_trace(trace)
 
 
 @pytest.mark.parametrize("game, fake_opt", [("resource", -1.0), ("scheduling", 1e12),

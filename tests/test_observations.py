@@ -140,7 +140,7 @@ def test_fractional_riemann_sum_oracle():
     trace = play_resource_sharing_fractional(
         inst, PerfectCounter(1, 2), Greedy(), splits=4)
     assert trace.social_welfare == 1.0
-    verify_trace(trace, inst)
+    verify_trace(trace)
 
     # decaying curve: the Riemann sum of v over [0, 1] in quarter steps
     inst2 = ResourceSharingInstance([ValueCurve([4.0, 2.0, 1.0])], [[0], [0]])
@@ -179,7 +179,7 @@ def test_fractional_split_switches_resources_mid_turn():
     # the metric of fractional play is its welfare, not the value of the
     # action each player invested in most
     assert frac.metric == frac.social_welfare
-    verify_trace(frac, inst)
+    verify_trace(frac)
     unit = play_resource_sharing(inst, FixedDisplay(1, 2, [0.5, 0.0]), Greedy())
     assert unit.final_usage[0] == 1.0  # committed entirely to the jackpot
 
