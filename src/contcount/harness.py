@@ -3,6 +3,10 @@ envelope-frequency measurement, and named reproduction scenarios.
 
 Every run is deterministic given the base seed: trial t draws from the
 substream (seed, t), so rerunning a config yields byte-identical CSV output.
+The trials of one config may run in forked workers, one contiguous chunk of
+trials per usable CPU (see ``_map_trials``); the parent joins their rows in
+trial order, so the bytes are the same for any worker count, and the run
+stays serial where forking is unsafe.
 Worst-case competitive ratios are estimated as the max over trials (an
 observed lower bound on the true worst case), so closed-form claims are
 checked as one-sided inequalities. Minimization games report cost ratios
@@ -20,6 +24,11 @@ from __future__ import annotations
 import inspect
 import io
 import math
+import os
+import pickle
+import signal
+import sys
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -208,21 +217,101 @@ def run_trial(config: ExperimentConfig, trial: int, cached_opt: float | None = N
     return result, trace, instance, mech
 
 
-def _trials(config: ExperimentConfig):
-    """Yield run_trial(config, t) for each trial t, solving a fixed instance's optimum once."""
-    cached_opt = None
+_WORKERS = None    # processes for one config's trials; None: the usable CPUs
+
+
+def _worker_count(trials: int) -> int:
+    """How many chunks to cut ``trials`` into: 1 (serial) unless forking is safe."""
+    if (trials < 2 or not hasattr(os, "fork") or sys.gettrace() or sys.getprofile()
+            or threading.active_count() > 1):
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(_WORKERS or cpus or 1, trials)
+
+
+def _chunks(trials: int, workers: int) -> list:
+    """``range(trials)`` cut into ``workers`` contiguous, near-equal ranges."""
+    return [range(trials * k // workers, trials * (k + 1) // workers) for k in range(workers)]
+
+
+def _fork_chunk(run, trials: range):
+    """Fork a child that pickles ``(True, run(trials))``, or ``(False, error)``,
+    into a pipe and exits; returns (pid, read end of the pipe)."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            try:
+                payload = (True, run(trials))
+            except BaseException as exc:  # sent to the parent, which re-raises it
+                payload = (False, exc)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pickle.dump(payload, pipe)
+            code = 0
+        finally:
+            os._exit(code)  # never return into the caller, flush its stdio or run its atexit
+    os.close(write_fd)
+    return pid, os.fdopen(read_fd, "rb")
+
+
+def _map_trials(config: ExperimentConfig, fn) -> list:
+    """``[fn(*run_trial(config, t)) for t in range(config.trials)]``, in trial order.
+
+    Trial 0 runs first, so a fixed instance's optimum is solved once. The
+    parent runs the first chunk of trials and forks a child for each later
+    one (or runs it itself if fork fails). It raises the error of the lowest
+    failing trial, as a serial run would, and no child outlives the call.
+    """
+    first = run_trial(config, 0)
     fixed_instance = not (isinstance(config.instance, str)
                           and config.instance.startswith("random:"))
-    for trial in range(config.trials):
-        out = run_trial(config, trial, cached_opt)
-        if fixed_instance and config.compute_opt:
-            cached_opt = out[0].opt
-        yield out
+    cached_opt = first[0].opt if fixed_instance and config.compute_opt else None
+
+    def run(trials):
+        return [fn(*run_trial(config, t, cached_opt)) for t in trials]
+
+    chunks = _chunks(config.trials, _worker_count(config.trials))
+    children = {}                       # chunk index -> (pid, read end)
+    try:
+        for k in range(1, len(chunks)):
+            try:
+                children[k] = _fork_chunk(run, chunks[k])
+            except OSError:
+                break
+        rows = [fn(*first)]
+        for k, trials in enumerate(chunks):
+            if k not in children:
+                rows += run(trials[1:] if k == 0 else trials)
+                continue
+            pid, pipe = children[k]
+            data = pipe.read()          # to EOF first: a payload can exceed the pipe buffer
+            pipe.close()
+            status = os.waitpid(pid, 0)[1]
+            del children[k]
+            if status != 0:
+                raise RuntimeError(f"trial worker for chunk {k} (trials {trials.start}-"
+                                   f"{trials.stop - 1}) left no result; wait status {status}")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            rows += value
+        return rows
+    finally:
+        for pid, pipe in children.values():
+            os.kill(pid, signal.SIGKILL)
+            pipe.close()
+            os.waitpid(pid, 0)
 
 
 def run_experiment(config: ExperimentConfig):
     """Run all trials; returns (results, summary). Deterministic in the seed."""
-    results = [result for result, _, _, _ in _trials(config)]
+    results = _map_trials(config, lambda result, *_: result)
     summary = summarize(results)
     summary.update(game=config.game, strategy=config.strategy, mechanism=config.mechanism.mech,
                    wraps=list(config.mechanism.wraps), seed=config.seed)
@@ -380,12 +469,14 @@ def reproduce(name: str, seed: int = 0, **overrides) -> ScenarioReport:
         if key not in params:
             raise ParameterError(f"scenario '{name}' takes no '{key}' parameter")
     config, checks = fn(seed=seed, **overrides)
-    rows = [[] for _ in checks]
-    for trial in _trials(config):
-        for check, row in zip(checks, rows):
-            bound = check.bound(*trial) if callable(check.bound) else check.bound
-            row.append((float(check.value(*trial)), float(bound)))
-    judged = [_judge(check, row) for check, row in zip(checks, rows)]
+
+    def evaluate(*trial):
+        return [(float(check.value(*trial)),
+                 float(check.bound(*trial) if callable(check.bound) else check.bound))
+                for check in checks]
+
+    rows = _map_trials(config, evaluate)
+    judged = [_judge(check, [row[i] for row in rows]) for i, check in enumerate(checks)]
     lines = [f"{c.name}{' (mean)' if c.mean else ''}: {r['value']:.6g} {c.sense} "
              f"{r['bound']:.6g}, slack {r['slack']:.4g}, "
              f"violations {r['violations']}/{1 if c.mean else config.trials}"

@@ -7,8 +7,9 @@ statistically independent streams, so parallel trials and embedded mechanisms
 each derive their own substream instead of sharing state.
 
 The Laplace sampler uses the inverse CDF (deterministic and portable, unlike
-rejection sampling). Bulk draws are transformed in place, so a draw of shape
-``size`` allocates its result and a boolean sign mask, nothing more. It is
+rejection sampling). Bulk draws are transformed in place, chunk by chunk,
+so a draw of shape ``size`` allocates its result, a boolean mask of its zero
+draws and one chunk of signs, nothing more. It is
 simulation-grade: floating-point side channels of Laplace sampling, a known
 attack surface for deployed DP systems, are not mitigated here.
 """
@@ -22,6 +23,7 @@ import numpy as np
 from .errors import ParameterError
 
 _MASK64 = (1 << 64) - 1
+_CHUNK = 4096          # entries per chunk of the in-place Laplace transform
 
 
 def _splitmix64(x: int) -> int:
@@ -73,18 +75,21 @@ class RandomSource:
 
 
 def _laplace_in_place(scale: float, u: np.ndarray) -> np.ndarray:
-    """Overwrite u, draws in (-1/2, 1/2), with -scale*sign(u)*ln(1-2|u|).
+    """Overwrite u, C-contiguous draws in (-1/2, 1/2), with -scale*sign(u)*ln(1-2|u|).
 
-    Negating ``scale * log1p(-2|u|)`` where u >= 0 gives the same value and
-    sign bit as multiplying by ``-scale * sign(u)``: both round one product,
-    and u == 0 lands on +0.0 either way. Only the sign mask is allocated.
+    ``scale * log1p(-2|u|)`` given the sign of ``u + 0.0`` has the value and
+    sign bit of its product with ``-scale * sign(u)``, +0.0 at u == +-0. The
+    pass runs by chunks, so only one chunk of signs is allocated.
     """
-    nonneg = u >= 0.0
-    np.abs(u, out=u)
-    u *= -2.0
-    np.log1p(u, out=u)
-    u *= scale
-    np.negative(u, out=u, where=nonneg)
+    flat = u.reshape(-1)
+    for start in range(0, flat.size, _CHUNK):
+        part = flat[start:start + _CHUNK]
+        sign = part + 0.0
+        np.abs(part, out=part)
+        part *= -2.0
+        np.log1p(part, out=part)
+        part *= scale
+        np.copysign(part, sign, out=part)
     return u
 
 

@@ -122,7 +122,7 @@ def assert_same_bits(got, expected):
 
 
 @pytest.mark.parametrize("scale", [1e-300, 0.5, 1e6])
-@pytest.mark.parametrize("size", [1, 1000, (3, 5), (64, 2)])
+@pytest.mark.parametrize("size", [1, 1000, (3, 5), (64, 2), (3, 5000)])
 def test_bulk_draw_matches_reference_expression(scale, size):
     for seed in range(4):
         assert_same_bits(laplace(scale, RandomSource(seed, 9), size=size),
@@ -177,8 +177,9 @@ def test_bulk_draws_never_share_memory():
 
 
 def test_bulk_draw_peaks_at_most_twice_its_result():
-    # the draw is transformed in place: one result array plus a sign mask,
-    # against five result-sized arrays for the expression over temporaries
+    # the draw is transformed in place: one result array, a mask of its zero
+    # draws and one chunk of signs, against five result-sized arrays for the
+    # expression over temporaries
     tracemalloc.start()
     try:
         out = laplace(1.0, RandomSource(0), size=1 << 17)
