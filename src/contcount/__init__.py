@@ -24,6 +24,11 @@ from .errors import (
     ValidationError,
 )
 from .games import (
+    COST_SHARING,
+    CUT,
+    FUTURE_DEPENDENT,
+    RESOURCE,
+    SCHEDULING,
     CostSharingInstance,
     CutInstance,
     GameRule,
@@ -32,12 +37,6 @@ from .games import (
     SchedulingInstance,
     ValueCurve,
     play,
-    play_cost_sharing,
-    play_cut,
-    play_future_dependent,
-    play_resource_sharing,
-    play_resource_sharing_fractional,
-    play_scheduling,
     verify_trace,
 )
 from .harness import (

@@ -86,11 +86,7 @@ def _cmd_counter_run(args) -> int:
             rows.append(f"{t},{r},{float(x[r])!r},{float(y[r])!r},{int(not b[r])}")
     text = "\n".join(rows) + "\n"
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ParameterError(f"cannot write CSV file '{args.out}': {exc.strerror}") from exc
+        harness._write_csv_text(text, args.out)
         print(f"wrote {len(stream)} steps x {args.m} coords to {args.out} (seed {args.seed})")
     else:
         sys.stdout.write(text)
@@ -126,8 +122,9 @@ def _config_flags(args) -> list:
                 flags.append(f"--inst={key[5:]}={value}")
         elif key == "config":
             raise ParameterError("a config file cannot name another config file")
-        # exact option names only: argparse would also take a prefix
-        elif key not in vars(args):
+        # exact option names only (argparse would also take a prefix), not the
+        # parser's own attributes
+        elif key not in vars(args) or key in ("fn", "command", "subcommand"):
             raise ParameterError(f"unknown config key '{key}'")
         elif key == "wrap":
             if not args.wrap:
@@ -171,9 +168,10 @@ def _cmd_game_run(args) -> int:
 
 
 def _cmd_opt(args) -> int:
-    _, solver, rule = harness._ENGINES[args.game]
-    instance = instances.resolve_instance(rule.kind, args.instance, RandomSource(args.seed))
-    result = solver(instance)
+    # the instance trial 0 of ``game run --seed`` plays
+    config = harness.ExperimentConfig(game=args.game, instance=args.instance, seed=args.seed)
+    _, instance = harness._trial_instance(config, 0)
+    result = harness._ENGINES[args.game][1](instance)
     print(f"value = {result.value!r}")
     print(f"method = {result.method}")
     print(f"witness = {result.witness}")

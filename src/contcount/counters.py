@@ -111,21 +111,6 @@ def tree_levels(n: int) -> int:
     return 1 if n <= 1 else math.ceil(math.log2(n)) + 1
 
 
-def covering_blocks(t: int, levels: int):
-    """Dyadic blocks partitioning [1, t], highest level first.
-
-    Returns (level, index) pairs; block (l, j) covers steps
-    [j*2^l + 1, (j+1)*2^l]. There are popcount(t) <= levels blocks.
-    """
-    blocks = []
-    pos = 0
-    for level in range(levels - 1, -1, -1):
-        if t & (1 << level):
-            blocks.append((level, pos >> level))
-            pos += 1 << level
-    return blocks
-
-
 def treesum_error_bound(n: int, m: int, eps: float, gamma: float, c_tree: float = 4.0) -> float:
     """Declared all-steps additive error bound for TreeSum.
 
@@ -240,7 +225,7 @@ class TreeSum(CounterMechanism):
         add each; only a level's first row can need a cover from before the
         block, which slot lowbit(t - 2^L) holds. The slots take each level's
         last row only after the whole block, as a lower level may still read
-        one. The adds run in ``covering_blocks`` order from 0.0, so releases
+        one. The adds run from 0.0, highest covering node first, so releases
         are bit-identical to summing the covering nodes in a loop.
         """
         rows = laplace(self.node_scale, self.rng,
@@ -526,7 +511,6 @@ __all__ = [
     "AccuracyEnvelope",
     "validate_update",
     "tree_levels",
-    "covering_blocks",
     "treesum_error_bound",
     "ftsum_flag_count",
     "ftsum_phase_one_bound",

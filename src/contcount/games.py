@@ -15,7 +15,9 @@ objective of an action profile, a welfare to maximize or a cost to minimize.
 Adding a game means a rule here (and an instance class when its instances
 have a new shape); a parser with its ``_PARSERS`` entry and its
 ``PAPER_INSTANCES`` and ``RANDOM_GENERATORS`` entries in ``instances``; an
-exact solver in ``optimal``; and one ``harness._ENGINES`` entry.
+exact solver in ``optimal``; and one ``harness._ENGINES`` entry. Callers play
+a game as ``play(RULE, ...)``; the ``play_<game>`` aliases below remain only
+for ``harness._ENGINES`` and the benchmark's timing shims.
 
 Each play returns a columnar :class:`PlayTrace`, row i for player i: her
 view of the release and of the true counts before her move, her utilities
@@ -32,6 +34,7 @@ from both, and her action. Conventions shared by all games:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -487,29 +490,13 @@ def play(rule: GameRule, inst, mech: CounterMechanism, strategy, splits: int = 1
     )
 
 
-def play_resource_sharing(inst: ResourceSharingInstance, mech, strategy) -> PlayTrace:
-    return play(RESOURCE, inst, mech, strategy)
-
-
-def play_resource_sharing_fractional(inst: ResourceSharingInstance, mech, strategy,
-                                     splits: int) -> PlayTrace:
-    return play(RESOURCE, inst, mech, strategy, splits)
-
-
-def play_future_dependent(inst: ResourceSharingInstance, mech, strategy) -> PlayTrace:
-    return play(FUTURE_DEPENDENT, inst, mech, strategy)
-
-
-def play_cut(inst: CutInstance, mech, strategy) -> PlayTrace:
-    return play(CUT, inst, mech, strategy)
-
-
-def play_scheduling(inst: SchedulingInstance, mech, strategy) -> PlayTrace:
-    return play(SCHEDULING, inst, mech, strategy)
-
-
-def play_cost_sharing(inst: CostSharingInstance, mech, strategy) -> PlayTrace:
-    return play(COST_SHARING, inst, mech, strategy)
+# one object per name: the benchmark's timing shims rebind each by identity
+play_resource_sharing = functools.partial(play, RESOURCE)
+play_resource_sharing_fractional = functools.partial(play, RESOURCE)  # takes ``splits``
+play_future_dependent = functools.partial(play, FUTURE_DEPENDENT)
+play_cut = functools.partial(play, CUT)
+play_scheduling = functools.partial(play, SCHEDULING)
+play_cost_sharing = functools.partial(play, COST_SHARING)
 
 
 def verify_trace(trace: PlayTrace) -> None:
@@ -537,11 +524,5 @@ __all__ = [
     "SCHEDULING",
     "COST_SHARING",
     "play",
-    "play_resource_sharing",
-    "play_resource_sharing_fractional",
-    "play_future_dependent",
-    "play_cut",
-    "play_scheduling",
-    "play_cost_sharing",
     "verify_trace",
 ]

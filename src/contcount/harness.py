@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import games, optimal
 from . import instances as inst_lib
-from . import optimal
 from .counters import (
     AccuracyEnvelope,
     CounterMechanism,
@@ -56,12 +56,7 @@ from .games import (
     FUTURE_DEPENDENT,
     RESOURCE,
     SCHEDULING,
-    play_cost_sharing,
-    play_cut,
-    play_future_dependent,
-    play_resource_sharing,
-    play_resource_sharing_fractional,
-    play_scheduling,
+    play,
     verify_trace,
 )
 from .noise import RandomSource
@@ -115,11 +110,11 @@ class MechanismSpec:
 
 # game name -> (play function, exact solver, rule): the one per-game table
 _ENGINES = {
-    "resource": (play_resource_sharing, optimal.opt_resource_sharing, RESOURCE),
-    "future": (play_future_dependent, optimal.opt_future_dependent, FUTURE_DEPENDENT),
-    "cut": (play_cut, optimal.opt_cut, CUT),
-    "scheduling": (play_scheduling, optimal.opt_scheduling, SCHEDULING),
-    "costshare": (play_cost_sharing, optimal.opt_cost_sharing, COST_SHARING),
+    "resource": (games.play_resource_sharing, optimal.opt_resource_sharing, RESOURCE),
+    "future": (games.play_future_dependent, optimal.opt_future_dependent, FUTURE_DEPENDENT),
+    "cut": (games.play_cut, optimal.opt_cut, CUT),
+    "scheduling": (games.play_scheduling, optimal.opt_scheduling, SCHEDULING),
+    "costshare": (games.play_cost_sharing, optimal.opt_cost_sharing, COST_SHARING),
 }
 
 
@@ -173,6 +168,14 @@ def _ratio(sense: str, alg: float, opt: float) -> float:
     return better / worse
 
 
+def _trial_instance(config: ExperimentConfig, trial: int):
+    """Trial ``trial``'s random source (seed, trial) and the instance of
+    ``config`` it draws, from substream 0; the mechanism draws from substream 1."""
+    rng = RandomSource(config.seed, 0).substream(trial)
+    return rng, inst_lib.resolve_instance(_ENGINES[config.game][2].kind, config.instance,
+                                          rng.substream(0), **config.instance_params)
+
+
 def run_trial(config: ExperimentConfig, trial: int, cached_opt: float | None = None):
     """Play one trial of ``config``; returns (result, trace, instance, mech).
 
@@ -181,14 +184,12 @@ def run_trial(config: ExperimentConfig, trial: int, cached_opt: float | None = N
     ``TrialResult``).
     """
     play_game, opt_solver, rule = _ENGINES[config.game]
-    rng = RandomSource(config.seed, 0).substream(trial)
-    instance = inst_lib.resolve_instance(rule.kind, config.instance,
-                                         rng.substream(0), **config.instance_params)
+    rng, instance = _trial_instance(config, trial)
     mech = config.mechanism.build(instance.n, rule.dim(instance), rng.substream(1),
                                   rule.bound(instance))
     strategy = make_strategy(config.strategy)
     if config.splits > 1:
-        trace = play_resource_sharing_fractional(instance, mech, strategy, config.splits)
+        trace = games.play_resource_sharing_fractional(instance, mech, strategy, config.splits)
     else:
         trace = play_game(instance, mech, strategy)
     verify_trace(trace)
@@ -357,7 +358,10 @@ def results_to_csv(results) -> str:
 
 
 def write_csv(results, path: str) -> None:
-    text = results_to_csv(results)
+    _write_csv_text(results_to_csv(results), path)
+
+
+def _write_csv_text(text: str, path: str) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -509,7 +513,7 @@ def _illustrative(seed: int = 0, n: int = 100, eps: float = 0.01):
     config = ExperimentConfig(game="resource", instance=instance,
                               mechanism=MechanismSpec(mech="empty"), seed=seed)
     h_n = inst_lib.harmonic_number(n)
-    benchmark = optimal.resource_assignment_value(instance, [i + 1 for i in range(n)])
+    benchmark = RESOURCE.value(instance, [i + 1 for i in range(n)])
     return config, (
         Check("sw", _SW, "==", h_n, 1e-9),
         Check("benchmark", lambda *_: benchmark, "==", n * (1.0 - eps)),
@@ -547,8 +551,8 @@ def _lb_undom(seed: int = 0, rho: float = 0.05, beta: float = 1.0):
     return config, (
         Check("undominated", lambda r, t, inst, m: is_undominated(
             1, [0, 1], np.zeros(2), AccuracyEnvelope(1.0, beta, 0.0), inst.curves), "==", 1.0),
-        Check("sw_spite", lambda r, t, inst, m: optimal.resource_assignment_value(inst, [1, 1]),
-              "==", 2 * rho, 1e-12),
+        Check("sw_spite", lambda r, t, inst, m: RESOURCE.value(inst, [1, 1]), "==", 2 * rho,
+              1e-12),
         Check("opt", _OPT, "==", 1 + rho, 1e-12))
 
 
@@ -643,7 +647,7 @@ def _scheduling(seed: int = 0, trials: int = 100, alpha: float = 1.5, beta: floa
     def perfect_makespan(result, trace, inst, mech):
         # the same instance played with exact counts
         counter = PerfectCounter(inst.n, SCHEDULING.dim(inst), SCHEDULING.bound(inst))
-        return play_scheduling(inst, counter, Greedy()).metric
+        return play(SCHEDULING, inst, counter, Greedy()).metric
 
     return config, (
         Check("makespan", _METRIC, "<=", bound, 1e-9),

@@ -217,12 +217,6 @@ def random_cost_sharing(rng: RandomSource, n_max: int = 8, m_max: int = 8) -> Co
     return CostSharingInstance(costs, _random_subsets(rng, n, m))
 
 
-def random_future(rng: RandomSource, n_max: int = 5, m_max: int = 3) -> ResourceSharingInstance:
-    """Resource-sharing instances small enough for the future-dependent
-    brute-force optimum."""
-    return random_resource_sharing(rng, n_max, m_max)
-
-
 def random_open_market(rng: RandomSource) -> ResourceSharingInstance:
     """Market sharing with 10-30 players, 2-6 markets open to every player and
     market values of 20n to 40n. There are at least as many players as
@@ -242,7 +236,8 @@ RANDOM_GENERATORS = {
     "cut": ("cut", random_cut),
     "scheduling": ("scheduling", random_scheduling),
     "costshare": ("costshare", random_cost_sharing),
-    "future": ("resource", random_future),
+    # small enough for the future-dependent brute-force optimum
+    "future": ("resource", functools.partial(random_resource_sharing, n_max=5, m_max=3)),
 }
 
 
@@ -339,11 +334,15 @@ def resolve_instance(kind: str, spec, rng: RandomSource | None = None, **params)
     """Resolve an instance reference of the given kind (a game rule's
     ``kind``): an instance object, 'paper:<name>', 'random:<generator>'
     (needs rng), or a file path. Named and random instances must be of that
-    kind; bad parameters for their builders raise ParameterError."""
-    if not isinstance(spec, str):
-        return spec
-    prefix, sep, name = spec.partition(":")
+    kind; bad parameters for their builders, and any parameters for an
+    instance object or a file, raise ParameterError."""
+    prefix, sep, name = spec.partition(":") if isinstance(spec, str) else ("", "", "")
     if not sep or prefix not in ("paper", "random"):
+        if params:
+            raise ParameterError(f"instance parameters {params} apply only to paper: and "
+                                 "random: instances")
+        if not isinstance(spec, str):
+            return spec
         if kind not in _PARSERS:
             raise ParameterError(f"unknown instance kind '{kind}'")
         return _PARSERS[kind](_read_text(spec, "instance"))
@@ -406,7 +405,6 @@ __all__ = [
     "random_cut",
     "random_scheduling",
     "random_cost_sharing",
-    "random_future",
     "random_open_market",
     "resolve_instance",
     "parse_stream",

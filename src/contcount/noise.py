@@ -93,15 +93,6 @@ def _laplace_in_place(scale: float, u: np.ndarray) -> np.ndarray:
     return u
 
 
-def _laplace_from_uniform(scale: float, u):
-    """Inverse-CDF Laplace sample(s) from u in (-1/2, 1/2): -scale*sign(u)*ln(1-2|u|).
-
-    Works on a copy, so the caller's array is left as it was.
-    """
-    out = _laplace_in_place(scale, np.array(u, dtype=float))
-    return float(out) if out.ndim == 0 else out
-
-
 def laplace(scale: float, rng: RandomSource, size=None):
     """Sample from the Laplace distribution with mean 0 and the given scale.
 

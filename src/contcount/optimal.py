@@ -49,8 +49,8 @@ class OptResult:
     method: str
 
 
-# The objectives the solvers optimize: each game rule's ``value``, under the
-# names the solvers call it by.
+# Each game rule's ``value`` under the name the solvers call it by, which the
+# benchmark's shims count; other callers use ``RULE.value``.
 resource_assignment_value = RESOURCE.value
 future_assignment_value = FUTURE_DEPENDENT.value
 scheduling_makespan = SCHEDULING.value
@@ -279,11 +279,6 @@ def opt_future_dependent(inst: ResourceSharingInstance) -> OptResult:
 
 __all__ = [
     "OptResult",
-    "resource_assignment_value",
-    "future_assignment_value",
-    "scheduling_makespan",
-    "cut_social_welfare",
-    "cost_sharing_total",
     "opt_resource_sharing",
     "opt_scheduling",
     "scheduling_lower_bound",

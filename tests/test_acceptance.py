@@ -21,7 +21,7 @@ from contcount.counters import (
     ZeroFailureWrapper,
     envelope_check,
 )
-from contcount.games import play_resource_sharing
+from contcount.games import COST_SHARING, CUT, FUTURE_DEPENDENT, RESOURCE, SCHEDULING, play
 from contcount.harness import reproduce
 from contcount import instances, optimal
 from contcount.noise import RandomSource, laplace
@@ -194,10 +194,10 @@ def test_06_greedy4_bound():
 def test_07_illustrative_exact_numbers():
     n, eps = 100, 0.01
     inst = instances.illustrative_shared_vs_private(n, eps)
-    trace = play_resource_sharing(inst, EmptyCounter(n, inst.m), Greedy())
+    trace = play(RESOURCE, inst, EmptyCounter(n, inst.m), Greedy())
     h_n = instances.harmonic_number(n)
     assert abs(trace.social_welfare - h_n) <= 1e-9
-    benchmark = optimal.resource_assignment_value(inst, [i + 1 for i in range(n)])
+    benchmark = RESOURCE.value(inst, [i + 1 for i in range(n)])
     assert benchmark == 99.0
     cr = benchmark / trace.social_welfare
     assert abs(cr - 99.0 / h_n) <= 1e-9
@@ -292,23 +292,23 @@ def test_14_opt_cross_validation():
     total = 0
 
     def brute_resource(inst):
-        return max(optimal.resource_assignment_value(inst, a)
+        return max(RESOURCE.value(inst, a)
                    for a in itertools.product(*inst.action_sets))
 
     def brute_scheduling(inst):
-        return min(optimal.scheduling_makespan(inst, a)
+        return min(SCHEDULING.value(inst, a)
                    for a in itertools.product(range(inst.m), repeat=inst.n))
 
     def brute_cut(inst):
-        return max(optimal.cut_social_welfare(inst, c)
+        return max(CUT.value(inst, c)
                    for c in itertools.product((0, 1), repeat=inst.n))
 
     def brute_cost(inst):
-        return min(optimal.cost_sharing_total(inst, a)
+        return min(COST_SHARING.value(inst, a)
                    for a in itertools.product(*inst.allowed))
 
     def brute_future(inst):
-        return max(optimal.future_assignment_value(inst, a)
+        return max(FUTURE_DEPENDENT.value(inst, a)
                    for a in itertools.product(*inst.action_sets))
 
     plans = [
@@ -320,7 +320,7 @@ def test_14_opt_cross_validation():
          optimal.opt_cut, brute_cut),
         (40, lambda r: instances.random_cost_sharing(r, n_max=8, m_max=6),
          optimal.opt_cost_sharing, brute_cost),
-        (30, lambda r: instances.random_future(r, n_max=5, m_max=3),
+        (30, lambda r: instances.random_resource_sharing(r, n_max=5, m_max=3),
          optimal.opt_future_dependent, brute_future),
     ]
     for count, make, solver, oracle in plans:

@@ -3,7 +3,11 @@ import json
 
 import pytest
 
+import numpy as np
+
 from contcount import cli, harness, instances
+from contcount.games import RESOURCE, play
+from contcount.strategies import Greedy
 
 
 def run_cli(capsys, *argv):
@@ -89,6 +93,26 @@ def test_game_run_with_config(tmp_path, capsys):
     assert "mean_ratio" in out
 
 
+def test_game_run_splits_plays_fractional_resource_sharing(tmp_path, capsys):
+    csv = tmp_path / "out.csv"
+    code, _, err = run_cli(capsys, "game", "run", "--game", "resource", "--instance",
+                           "random:resource", "--mech", "treesum", "--eps", "2", "--splits", "4",
+                           "--seed", "3", "--out", str(csv), "--json")
+    assert code == 0 and not err
+    (row,) = harness.read_csv_results(str(csv))
+    config = harness.ExperimentConfig(game="resource", instance="random:resource", seed=3,
+                                      mechanism=harness.MechanismSpec(mech="treesum", eps=2.0),
+                                      splits=4)
+    rng, inst = harness._trial_instance(config, 0)
+    mech = config.mechanism.build(inst.n, inst.m, rng.substream(1), RESOURCE.bound(inst))
+    trace = play(RESOURCE, inst, mech, Greedy(), splits=4)
+    assert (row.sw, row.psw, row.alg_metric) == (
+        trace.social_welfare, trace.perceived_welfare, trace.metric)
+    assert np.array_equal(row.final_counts, trace.final_usage)
+    # fractional investments leave non-integral usage somewhere
+    assert not np.array_equal(trace.final_usage, np.round(trace.final_usage))
+
+
 def test_game_run_missing_instance(capsys):
     code, _, err = run_cli(capsys, "game", "run", "--game", "resource")
     assert code == 1
@@ -118,6 +142,21 @@ def test_opt_instance_with_extra_lines(tmp_path, capsys):
     code, out, err = run_cli(capsys, "opt", "--game", "resource", "--instance", str(inst))
     assert code == 1 and out == ""
     assert err.startswith("error: malformed resource-sharing instance")
+
+
+@pytest.mark.parametrize("game, instance", [
+    ("resource", "random:resource"), ("cut", "random:cut"), ("future", "random:future"),
+    ("scheduling", "paper:sched2x2")])
+@pytest.mark.parametrize("seed", ["0", "3"])
+def test_opt_solves_the_instance_trial_0_of_game_run_plays(capsys, game, instance, seed):
+    code, out, _ = run_cli(capsys, "opt", "--game", game, "--instance", instance, "--seed", seed)
+    assert code == 0
+    code, csv, _ = run_cli(capsys, "game", "run", "--game", game, "--instance", instance,
+                           "--seed", seed)
+    assert code == 0
+    header, trial0 = csv.splitlines()[:2]
+    opt = trial0.split(",")[header.split(",").index("opt")]
+    assert out.splitlines()[0] == f"value = {opt}"
 
 
 @pytest.mark.parametrize("name", ["random", "paper"])
@@ -157,6 +196,16 @@ def test_game_run_bad_parameters(capsys, argv, message):
     assert code == 1
     assert err.startswith("error:")
     assert message in err
+
+
+@pytest.mark.parametrize("argv", [["--n", "50"], ["--inst", "bogus=3"]])
+def test_instance_file_takes_no_instance_parameters(tmp_path, capsys, argv):
+    inst = tmp_path / "inst.txt"
+    inst.write_text("2 2\n1.0 0.5\n0.8 0.8\n0 1\n0 1\n")
+    code, out, err = run_cli(capsys, "game", "run", "--game", "resource", "--instance",
+                             str(inst), *argv, "--json")
+    assert code == 1 and out == ""
+    assert err.startswith("error: instance parameters")
 
 
 # default sizes of these generators exceed the future-dependent brute force
@@ -435,6 +484,9 @@ def test_bad_config_values_exit_one(tmp_path, capsys, line, message):
     ("bogus = 1", "unknown config key 'bogus'"),
     ("tri = 3", "unknown config key 'tri'"),
     ("config = other.cfg", "cannot name another config file"),
+    ("fn = x", "unknown config key 'fn'"),
+    ("command = opt", "unknown config key 'command'"),
+    ("subcommand = run", "unknown config key 'subcommand'"),
     ("no equals sign", "config line without '='"),
 ])
 def test_bad_config_lines_exit_one(tmp_path, capsys, line, message):

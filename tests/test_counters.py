@@ -14,7 +14,6 @@ from contcount.counters import (
     PerfectCounter,
     PrivacyBudget,
     TreeSum,
-    covering_blocks,
     envelope_check,
     ftsum_flag_count,
     ftsum_phase_one_bound,
@@ -128,6 +127,18 @@ def test_nan_update_refused_by_every_mechanism():
 
 # ---------------------------------------------------------------------------
 # TreeSum
+
+
+def covering_blocks(t: int, levels: int):
+    """Dyadic blocks partitioning [1, t], highest level first: the reference
+    cover order. Block (l, j) covers steps [j*2^l + 1, (j+1)*2^l]."""
+    blocks = []
+    pos = 0
+    for level in range(levels - 1, -1, -1):
+        if t & (1 << level):
+            blocks.append((level, pos >> level))
+            pos += 1 << level
+    return blocks
 
 
 def test_tree_levels_and_blocks():

@@ -13,12 +13,13 @@ from contcount.games import (
     CutInstance,
     ResourceSharingInstance,
     SchedulingInstance,
+    COST_SHARING,
+    CUT,
+    FUTURE_DEPENDENT,
+    RESOURCE,
+    SCHEDULING,
     ValueCurve,
-    play_cost_sharing,
-    play_cut,
-    play_future_dependent,
-    play_resource_sharing,
-    play_scheduling,
+    play,
     verify_trace,
 )
 from contcount import instances
@@ -140,7 +141,7 @@ def test_non_finite_numbers_rejected(build, bad):
 def test_single_player_takes_best_initial_value():
     inst = ResourceSharingInstance(
         [ValueCurve([0.3]), ValueCurve([0.9]), ValueCurve([0.5])], [[0, 1, 2]])
-    trace = play_resource_sharing(inst, PerfectCounter(1, 3), Greedy())
+    trace = play(RESOURCE, inst, PerfectCounter(1, 3), Greedy())
     assert trace.actions == [1]
     assert trace.social_welfare == 0.9
 
@@ -148,7 +149,7 @@ def test_single_player_takes_best_initial_value():
 def test_illustrative_instance_small():
     n = 10
     inst = instances.illustrative_shared_vs_private(n, 0.01)
-    trace = play_resource_sharing(inst, EmptyCounter(n, inst.m), Greedy())
+    trace = play(RESOURCE, inst, EmptyCounter(n, inst.m), Greedy())
     assert trace.actions == [0] * n
     assert trace.social_welfare == pytest.approx(instances.harmonic_number(n), abs=1e-12)
     verify_trace(trace)
@@ -157,7 +158,7 @@ def test_illustrative_instance_small():
 def test_illustrative_instance_perfect_counters_within_factor_four():
     n = 20
     inst = instances.illustrative_shared_vs_private(n, 0.01)
-    trace = play_resource_sharing(inst, PerfectCounter(n, inst.m), Greedy())
+    trace = play(RESOURCE, inst, PerfectCounter(n, inst.m), Greedy())
     from contcount.optimal import opt_resource_sharing
     opt = opt_resource_sharing(inst).value
     assert trace.social_welfare >= opt / 4.0 - 1e-9
@@ -169,15 +170,15 @@ def test_illustrative_instance_perfect_counters_within_factor_four():
 def test_dimension_mismatch_rejected():
     inst = instances.illustrative_shared_vs_private(5, 0.01)
     with pytest.raises(ValidationError):
-        play_resource_sharing(inst, PerfectCounter(5, 2), Greedy())
+        play(RESOURCE, inst, PerfectCounter(5, 2), Greedy())
 
 
 def test_play_determinism():
     rng_inst = RandomSource(3, 1)
     inst = instances.random_resource_sharing(rng_inst, n_max=20, m_max=5)
     spec = MechanismSpec(mech="treesum", eps=1.0)
-    t1 = play_resource_sharing(inst, spec.build(inst.n, inst.m, RandomSource(9, 4)), Greedy())
-    t2 = play_resource_sharing(inst, spec.build(inst.n, inst.m, RandomSource(9, 4)), Greedy())
+    t1 = play(RESOURCE, inst, spec.build(inst.n, inst.m, RandomSource(9, 4)), Greedy())
+    t2 = play(RESOURCE, inst, spec.build(inst.n, inst.m, RandomSource(9, 4)), Greedy())
     assert t1.actions == t2.actions
     assert t1.social_welfare == t2.social_welfare
     assert np.array_equal(t1.displayed, t2.displayed)
@@ -189,7 +190,7 @@ def test_bookkeeping_on_fuzzed_plays():
         rng = RandomSource(trial, 8)
         inst = instances.random_resource_sharing(rng, n_max=25, m_max=6)
         mech = TreeSum(inst.n, inst.m, 1.0, rng.substream(1))
-        trace = play_resource_sharing(inst, mech, Greedy())
+        trace = play(RESOURCE, inst, mech, Greedy())
         verify_trace(trace)
         assert trace.social_welfare == math.fsum(trace.realized)
         assert int(trace.final_usage.sum()) == inst.n
@@ -210,7 +211,7 @@ def brute_force_max_cut_sw(inst):
 def test_cut_triangle_greedy():
     inst = CutInstance(3, [(0, 1), (1, 2), (0, 2)])
     mech = PerfectCounter(3, 6, update_bound=2.0)
-    trace = play_cut(inst, mech, Greedy())
+    trace = play(CUT, inst, mech, Greedy())
     assert trace.social_welfare == 4.0
     assert trace.social_welfare == brute_force_max_cut_sw(inst)
     verify_trace(trace)
@@ -218,14 +219,14 @@ def test_cut_triangle_greedy():
 
 def test_cut_edgeless():
     inst = CutInstance(3, [])
-    trace = play_cut(inst, PerfectCounter(3, 6), Greedy())
+    trace = play(CUT, inst, PerfectCounter(3, 6), Greedy())
     assert trace.social_welfare == 0.0 == brute_force_max_cut_sw(inst)
 
 
 def test_cut_cycle_scripted():
     inst = instances.cut_cycle(4)
     mech = PerfectCounter(8, 16, update_bound=2.0)
-    trace = play_cut(inst, mech, scripted("all-blue-cycle"))
+    trace = play(CUT, inst, mech, scripted("all-blue-cycle"))
     assert trace.actions == [1] * 7 + [0]
     assert trace.social_welfare == 4.0
 
@@ -238,7 +239,7 @@ def test_cut_greedy_private_bound_fuzz():
         inner = TreeSum(inst.n, 2 * inst.n, 3.0, rng.substream(1),
                         update_bound=float(max(inst.max_degree, 1)))
         mech = ZeroFailureWrapper(inner, AccuracyEnvelope(alpha, beta, 0.0))
-        trace = play_cut(inst, mech, Greedy())
+        trace = play(CUT, inst, mech, Greedy())
         bound = 2 * len(inst.edges) / (2 * alpha ** 2) - 2 * beta * inst.n / alpha
         assert trace.social_welfare >= bound - 1e-9
 
@@ -249,10 +250,10 @@ def test_cut_greedy_private_bound_fuzz():
 
 def test_scheduling_2x2_greedy_and_scripted():
     inst = instances.scheduling_2x2()
-    trace = play_scheduling(inst, PerfectCounter(2, 2, update_bound=1.0), Greedy())
+    trace = play(SCHEDULING, inst, PerfectCounter(2, 2, update_bound=1.0), Greedy())
     assert trace.metric == 0.0
-    scripted_trace = play_scheduling(inst, PerfectCounter(2, 2, update_bound=1.0),
-                                     scripted("pessimistic-scheduler"))
+    scripted_trace = play(SCHEDULING, inst, PerfectCounter(2, 2, update_bound=1.0),
+                          scripted("pessimistic-scheduler"))
     assert scripted_trace.metric >= 1.0
 
 
@@ -261,7 +262,7 @@ def test_scheduling_greedy_below_tstar_sum():
         rng = RandomSource(trial, 5)
         inst = instances.random_scheduling(rng, n_max=6, m_max=3)
         bound = float(inst.costs.max())
-        trace = play_scheduling(inst, PerfectCounter(inst.n, inst.m, bound), Greedy())
+        trace = play(SCHEDULING, inst, PerfectCounter(inst.n, inst.m, bound), Greedy())
         assert trace.metric <= float(inst.t_star.sum()) + 1e-9
         verify_trace(trace)
 
@@ -272,14 +273,14 @@ def test_scheduling_greedy_below_tstar_sum():
 
 def test_cost_sharing_single_set():
     inst = CostSharingInstance(np.array([2.5]), [[0], [0], [0]])
-    trace = play_cost_sharing(inst, PerfectCounter(3, 1), Greedy())
+    trace = play(COST_SHARING, inst, PerfectCounter(3, 1), Greedy())
     assert trace.metric == 2.5
     assert trace.social_welfare == pytest.approx(2.5, abs=1e-12)
 
 
 def test_cost_sharing_public_private():
     inst = instances.costshare_public_private(10, 0.1)
-    trace = play_cost_sharing(inst, PerfectCounter(10, 11), Greedy())
+    trace = play(COST_SHARING, inst, PerfectCounter(10, 11), Greedy())
     assert trace.metric == 10.0
     verify_trace(trace)
 
@@ -290,7 +291,7 @@ def test_cost_sharing_public_private():
 
 def test_future_step_instance():
     inst = instances.future_step(5.0, 0.1)
-    trace = play_future_dependent(inst, PerfectCounter(2, 2), Greedy())
+    trace = play(FUTURE_DEPENDENT, inst, PerfectCounter(2, 2), Greedy())
     assert trace.actions == [0, 0]
     assert trace.social_welfare == 1.0
     verify_trace(trace)
@@ -299,15 +300,14 @@ def test_future_step_instance():
 def test_single_market_forced():
     n, c = 8, 3.0
     inst = ResourceSharingInstance([instances.market_curve(c, n)], [[0]] * n)
-    trace = play_future_dependent(inst, PerfectCounter(n, 1), Greedy())
+    trace = play(FUTURE_DEPENDENT, inst, PerfectCounter(n, 1), Greedy())
     assert trace.realized == pytest.approx([c / n] * n)
     assert trace.social_welfare == pytest.approx(c, abs=1e-12)
 
 
 def test_market_undom_scripted():
     inst = instances.market_log_loss(16, 0.01)
-    trace = play_future_dependent(inst, PerfectCounter(16, 17),
-                                  scripted("private-set-beliefs"))
+    trace = play(FUTURE_DEPENDENT, inst, PerfectCounter(16, 17), scripted("private-set-beliefs"))
     assert trace.social_welfare == 1.0
 
 
@@ -324,7 +324,7 @@ def test_future_dependent_shallow_perceived_bound():
         rng = RandomSource(trial, 22)
         inst = instances.random_resource_sharing(rng, n_max=20, m_max=5)
         w = max(min_w(c, inst.n - 1) if inst.n > 1 else 1.0 for c in inst.curves)
-        trace = play_future_dependent(inst, PerfectCounter(inst.n, inst.m), Greedy())
+        trace = play(FUTURE_DEPENDENT, inst, PerfectCounter(inst.n, inst.m), Greedy())
         assert trace.perceived_welfare <= w * trace.social_welfare + 1e-9
 
 
@@ -387,3 +387,14 @@ def test_resolve_named_instances():
         instances.resolve_instance("resource", "paper:nope")
     with pytest.raises(ParameterError):
         instances.resolve_instance("cut", "paper:sched2x2")
+
+
+def test_package_exports_play_and_the_rules_not_the_aliases():
+    import contcount
+    from contcount import games
+
+    for name in ("play", "RESOURCE", "FUTURE_DEPENDENT", "CUT", "SCHEDULING", "COST_SHARING"):
+        assert getattr(contcount, name) is getattr(games, name)
+    aliases = [name for name in vars(games) if name.startswith("play_")]
+    assert len(aliases) == 6
+    assert not set(aliases) & (set(vars(contcount)) | set(games.__all__))

@@ -1,7 +1,8 @@
 """Output checks against committed golden files, byte for byte.
 
 * ``data/reproduce_seed0.json``: every registered scenario's
-  ``reproduce --seed 0 --json`` report.
+  ``reproduce --seed 0 --json`` report, with the trials run by 1, 2 and 3
+  workers.
 * ``data/cli_golden.json``: the CSV bytes and the printed lines of the
   commands the benchmark runs: ``game run`` at the ``resource-trials``
   arguments (seeds 0, 1 and 2) and ``counter run`` through ``treesum``,
@@ -17,8 +18,11 @@ change; the diff of the files then shows each value before and after:
 import contextlib
 import io
 import json
+import os
 import pathlib
 import tempfile
+
+import pytest
 
 from contcount import cli, harness
 
@@ -42,9 +46,10 @@ COUNTER_RUNS = {
 
 
 def _main(argv) -> list:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        cli.main(list(argv))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    assert (code, err.getvalue()) == (0, ""), f"{argv}: exit {code}, stderr {err.getvalue()!r}"
     return out.getvalue().splitlines()
 
 
@@ -90,8 +95,12 @@ def cli_outputs() -> str:
     return json.dumps(outputs, indent=1, sort_keys=True) + "\n"
 
 
-def test_reproduce_seed0_matches_golden():
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_reproduce_seed0_matches_golden(monkeypatch, workers):
+    monkeypatch.setattr(harness, "_WORKERS", workers)
     assert reproduce_seed0() == GOLDEN.read_text(encoding="utf-8")
+    with pytest.raises(ChildProcessError):  # no child outlived its run
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_benchmarked_commands_match_golden():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from contcount import instances
+from contcount.errors import ParameterError
 from contcount.games import ValueCurve
 from contcount.noise import RandomSource
 
@@ -126,3 +127,24 @@ def test_random_open_market_matches_value_loop():
         n, curves = _loop_open_market(RandomSource(seed, 5))
         assert _same_bits(_curve_values(inst), curves)
         assert inst.action_sets == [list(range(len(curves)))] * n
+
+
+def test_instance_objects_and_files_take_no_parameters(tmp_path):
+    inst = instances.twin_temptation(4, 10.0)
+    assert instances.resolve_instance("resource", inst) is inst
+    path = tmp_path / "inst.txt"
+    path.write_text("2 2\n1.0 0.5\n0.8 0.8\n0 1\n0 1\n")
+    for spec in (inst, str(path)):
+        with pytest.raises(ParameterError, match="apply only to paper: and random:"):
+            instances.resolve_instance("resource", spec, n=3)
+
+
+def test_future_generator_draws_small_resource_instances():
+    kind, make = instances.RANDOM_GENERATORS["future"]
+    assert kind == "resource"
+    for seed in range(20):
+        got = make(RandomSource(seed, 6))
+        want = instances.random_resource_sharing(RandomSource(seed, 6), 5, 3)
+        assert got.action_sets == want.action_sets
+        assert _same_bits(_curve_values(got), _curve_values(want))
+        assert 2 <= got.n <= 5

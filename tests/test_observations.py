@@ -31,9 +31,8 @@ from contcount.games import (
     SCHEDULING,
     ResourceSharingInstance,
     ValueCurve,
+    RESOURCE,
     play,
-    play_resource_sharing,
-    play_resource_sharing_fractional,
     verify_trace,
 )
 from contcount import instances
@@ -69,7 +68,7 @@ def test_refined_estimates_keep_the_welfare_bound():
         rng = RandomSource(trial, 41)
         inst = instances.random_resource_sharing(rng.substream(0), n_max=30, m_max=6)
         refined = RefinedCounter(make_underestimator(inst.n, inst.m, rng.substream(1)))
-        trace = play_resource_sharing(inst, refined, Greedy())
+        trace = play(RESOURCE, inst, refined, Greedy())
         opt = opt_resource_sharing(inst).value
         assert trace.social_welfare >= opt / (8.0 * alpha * beta) - 1e-9
 
@@ -105,13 +104,13 @@ def test_expectation_accuracy_is_not_enough():
     n = 64
     inst = jackpot_instance(n)
     opt = opt_resource_sharing(inst).value
-    perfect = play_resource_sharing(inst, PerfectCounter(n, inst.m), Greedy())
+    perfect = play(RESOURCE, inst, PerfectCounter(n, inst.m), Greedy())
     assert opt / perfect.social_welfare <= 1.0 + 1e-9
 
     ratios = []
     for trial in range(20):
         mech = OccasionalUndercount(n, inst.m, RandomSource(trial, 42))
-        trace = play_resource_sharing(inst, mech, Greedy())
+        trace = play(RESOURCE, inst, mech, Greedy())
         ratios.append(opt / trace.social_welfare)
     # phantom-vacancy displays lure players onto exhausted jackpots
     assert float(np.mean(ratios)) >= 2.0
@@ -125,9 +124,8 @@ def test_fractional_splits_one_matches_unit_demand():
     for trial in range(10):
         rng = RandomSource(trial, 43)
         inst = instances.random_resource_sharing(rng.substream(0), n_max=15, m_max=5)
-        a = play_resource_sharing(inst, PerfectCounter(inst.n, inst.m), Greedy())
-        b = play_resource_sharing_fractional(inst, PerfectCounter(inst.n, inst.m),
-                                             Greedy(), splits=1)
+        a = play(RESOURCE, inst, PerfectCounter(inst.n, inst.m), Greedy())
+        b = play(RESOURCE, inst, PerfectCounter(inst.n, inst.m), Greedy(), splits=1)
         assert a.actions == b.actions
         assert a.social_welfare == b.social_welfare
 
@@ -137,15 +135,13 @@ def test_fractional_riemann_sum_oracle():
     inst = ResourceSharingInstance(
         [ValueCurve([1.0, 1.0, 1.0, 1.0]), ValueCurve([1.0, 1.0, 1.0, 1.0])],
         [[0, 1]])
-    trace = play_resource_sharing_fractional(
-        inst, PerfectCounter(1, 2), Greedy(), splits=4)
+    trace = play(RESOURCE, inst, PerfectCounter(1, 2), Greedy(), splits=4)
     assert trace.social_welfare == 1.0
     verify_trace(trace)
 
     # decaying curve: the Riemann sum of v over [0, 1] in quarter steps
     inst2 = ResourceSharingInstance([ValueCurve([4.0, 2.0, 1.0])], [[0], [0]])
-    trace2 = play_resource_sharing_fractional(
-        inst2, PerfectCounter(2, 1), Greedy(), splits=4)
+    trace2 = play(RESOURCE, inst2, PerfectCounter(2, 1), Greedy(), splits=4)
     # both players invest fully in the only resource; the curve is flat within
     # each unit interval, so each player earns v(own unit) exactly
     assert trace2.realized.tolist() == [4.0, 2.0]
@@ -171,8 +167,7 @@ def test_fractional_split_switches_resources_mid_turn():
     # fallback, which a unit-demand player cannot do
     inst = ResourceSharingInstance(
         [ValueCurve([8.0, 0.0]), ValueCurve([1.0, 1.0])], [[0, 1]])
-    frac = play_resource_sharing_fractional(
-        inst, FixedDisplay(1, 2, [0.5, 0.0]), Greedy(), splits=2)
+    frac = play(RESOURCE, inst, FixedDisplay(1, 2, [0.5, 0.0]), Greedy(), splits=2)
     assert np.allclose(frac.final_usage, [0.5, 0.5])
     assert frac.realized[0] == pytest.approx(0.5 * 8.0 + 0.5 * 1.0)
     assert frac.perceived[0] == pytest.approx(0.5 * 8.0 + 0.5 * 1.0)
@@ -180,15 +175,14 @@ def test_fractional_split_switches_resources_mid_turn():
     # action each player invested in most
     assert frac.metric == frac.social_welfare
     verify_trace(frac)
-    unit = play_resource_sharing(inst, FixedDisplay(1, 2, [0.5, 0.0]), Greedy())
+    unit = play(RESOURCE, inst, FixedDisplay(1, 2, [0.5, 0.0]), Greedy())
     assert unit.final_usage[0] == 1.0  # committed entirely to the jackpot
 
 
 def test_fractional_validation():
     inst = instances.random_resource_sharing(RandomSource(0, 44), n_max=5, m_max=3)
     with pytest.raises(ParameterError):
-        play_resource_sharing_fractional(inst, PerfectCounter(inst.n, inst.m),
-                                         Greedy(), splits=0)
+        play(RESOURCE, inst, PerfectCounter(inst.n, inst.m), Greedy(), splits=0)
 
 
 @pytest.mark.parametrize("rule", [FUTURE_DEPENDENT, CUT, SCHEDULING, COST_SHARING],

@@ -9,21 +9,27 @@ import numpy as np
 import pytest
 
 from contcount.errors import SizeError
-from contcount.games import CostSharingInstance, CutInstance, ResourceSharingInstance, ValueCurve
+from contcount.games import (
+    COST_SHARING,
+    CUT,
+    FUTURE_DEPENDENT,
+    RESOURCE,
+    SCHEDULING,
+    CostSharingInstance,
+    CutInstance,
+    ResourceSharingInstance,
+    ValueCurve,
+    play,
+)
 from contcount import instances, optimal
 from contcount.noise import RandomSource
 from contcount.optimal import (
-    cost_sharing_total,
-    cut_social_welfare,
-    future_assignment_value,
     opt_cost_sharing,
     opt_cut,
     opt_future_dependent,
     opt_resource_sharing,
     opt_scheduling,
-    resource_assignment_value,
     scheduling_lower_bound,
-    scheduling_makespan,
 )
 
 
@@ -33,7 +39,7 @@ from contcount.optimal import (
 def brute_resource(inst):
     best = -math.inf
     for assign in itertools.product(*inst.action_sets):
-        best = max(best, resource_assignment_value(inst, assign))
+        best = max(best, RESOURCE.value(inst, assign))
     return best
 
 
@@ -63,14 +69,14 @@ def brute_cost_sharing(inst):
     # enumerate player->set assignments rather than set families
     best = math.inf
     for assign in itertools.product(*inst.allowed):
-        best = min(best, cost_sharing_total(inst, assign))
+        best = min(best, COST_SHARING.value(inst, assign))
     return best
 
 
 def brute_future(inst):
     best = -math.inf
     for assign in itertools.product(*inst.action_sets):
-        best = max(best, future_assignment_value(inst, assign))
+        best = max(best, FUTURE_DEPENDENT.value(inst, assign))
     return best
 
 
@@ -83,8 +89,8 @@ def test_resource_sharing_illustrative_exact_matching():
     # exact matching puts one player on the public copy worth 1.0; the
     # all-private assignment the scenario reports as benchmark is worth 99
     assert result.value == pytest.approx(99.01, abs=1e-9)
-    assert resource_assignment_value(inst, result.witness) == result.value
-    benchmark = resource_assignment_value(inst, [i + 1 for i in range(100)])
+    assert RESOURCE.value(inst, result.witness) == result.value
+    benchmark = RESOURCE.value(inst, [i + 1 for i in range(100)])
     assert benchmark == 99.0
     assert result.value > benchmark
 
@@ -102,7 +108,7 @@ def test_resource_sharing_matches_brute_force():
         inst = instances.random_resource_sharing(rng, n_max=6, m_max=4)
         result = opt_resource_sharing(inst)
         assert result.value == pytest.approx(brute_resource(inst), abs=1e-12)
-        assert resource_assignment_value(inst, result.witness) == result.value
+        assert RESOURCE.value(inst, result.witness) == result.value
 
 
 # the dense assignment solver the matroid greedy replaced, as an oracle at
@@ -127,7 +133,7 @@ def dense_assignment_resource(inst):
     weights[mask] = forbidden
     rows, cols = linear_sum_assignment(weights, maximize=True)
     assert not mask[rows, cols].any()
-    return resource_assignment_value(inst, (cols // n).tolist())
+    return RESOURCE.value(inst, (cols // n).tolist())
 
 
 def first_fit_resource(inst):
@@ -140,7 +146,7 @@ def first_fit_resource(inst):
         free = [i for i, acts in enumerate(inst.action_sets) if r in acts and where[i] is None]
         if free:
             where[free[0]] = r
-    return resource_assignment_value(inst, where)
+    return RESOURCE.value(inst, where)
 
 
 def check_against_dense(inst):
@@ -148,7 +154,7 @@ def check_against_dense(inst):
     assert result.value == dense_assignment_resource(inst)
     assert len(result.witness) == inst.n
     assert all(r in acts for r, acts in zip(result.witness, inst.action_sets))
-    assert resource_assignment_value(inst, result.witness) == result.value
+    assert RESOURCE.value(inst, result.witness) == result.value
 
 
 def test_resource_budget_counts_candidate_copies(monkeypatch):
@@ -216,7 +222,7 @@ def test_scheduling_exact_and_bounds():
         result = opt_scheduling(inst)
         assert result.value == pytest.approx(brute_scheduling(inst), abs=1e-12)
         assert result.value >= scheduling_lower_bound(inst) - 1e-9
-        assert scheduling_makespan(inst, result.witness) == result.value
+        assert SCHEDULING.value(inst, result.witness) == result.value
     with pytest.raises(SizeError):
         opt_scheduling(instances.SchedulingInstance(np.ones((30, 4))))
 
@@ -225,7 +231,7 @@ def test_cut_closed_forms_and_brute_force():
     cycle = instances.cut_cycle(20)
     result = opt_cut(cycle)
     assert result.value == 80.0 and result.method == "closed-form"
-    assert cut_social_welfare(cycle, result.witness) == result.value
+    assert CUT.value(cycle, result.witness) == result.value
 
     k33 = CutInstance(6, [(u, v) for u in range(3) for v in range(3, 6)])
     assert opt_cut(k33).value == 18.0
@@ -235,7 +241,7 @@ def test_cut_closed_forms_and_brute_force():
         inst = instances.random_cut(rng, n_max=12, p=0.4)
         result = opt_cut(inst)
         assert result.value == brute_cut(inst)
-        assert cut_social_welfare(inst, result.witness) == result.value
+        assert CUT.value(inst, result.witness) == result.value
     with pytest.raises(SizeError):
         opt_cut(CutInstance(40, [(i, (i + 1) % 40) for i in range(40)] + [(0, 2)]))
 
@@ -252,7 +258,7 @@ def test_cost_sharing_exact():
         result = opt_cost_sharing(inst)
         assert result.value == pytest.approx(brute_cost_sharing(inst), abs=1e-12)
         used, assignment = result.witness
-        assert cost_sharing_total(inst, assignment) == result.value
+        assert COST_SHARING.value(inst, assignment) == result.value
         assert sorted(set(assignment)) == used
 
 
@@ -260,7 +266,7 @@ def test_future_dependent_exact():
     inst = instances.future_step(5.0, 0.1)
     result = opt_future_dependent(inst)
     assert result.value == pytest.approx(9.9, abs=1e-12)
-    assert future_assignment_value(inst, result.witness) == result.value
+    assert FUTURE_DEPENDENT.value(inst, result.witness) == result.value
 
     n, c = 5, 2.0
     single = ResourceSharingInstance([instances.market_curve(c, n)], [[0]] * n)
@@ -268,7 +274,7 @@ def test_future_dependent_exact():
 
     for trial in range(20):
         rng = RandomSource(trial, 35)
-        inst = instances.random_future(rng, n_max=5, m_max=3)
+        inst = instances.random_resource_sharing(rng, n_max=5, m_max=3)
         result = opt_future_dependent(inst)
         assert result.value == pytest.approx(brute_future(inst), abs=1e-12)
 
@@ -279,19 +285,18 @@ def test_market_undom_closed_form_matches_brute_force():
         assert instances.market_undom_exact_opt(n, 0.01) == pytest.approx(
             brute_future(inst), abs=1e-12)
         assert instances.market_undom_benchmark(n, 0.01) == pytest.approx(
-            future_assignment_value(inst, [i + 1 for i in range(n)]), abs=1e-12)
+            FUTURE_DEPENDENT.value(inst, [i + 1 for i in range(n)]), abs=1e-12)
 
 
 def test_opt_upper_bounds_any_play():
     from contcount.counters import TreeSum
-    from contcount.games import play_resource_sharing
     from contcount.strategies import Greedy
 
     for trial in range(10):
         rng = RandomSource(trial, 36)
         inst = instances.random_resource_sharing(rng, n_max=10, m_max=4)
         mech = TreeSum(inst.n, inst.m, 0.5, rng.substream(1))
-        trace = play_resource_sharing(inst, mech, Greedy())
+        trace = play(RESOURCE, inst, mech, Greedy())
         assert opt_resource_sharing(inst).value >= trace.social_welfare - 1e-9
 
 

@@ -39,17 +39,6 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_reproduce_reports_are_the_same_bytes_for_any_worker_count(monkeypatch):
-    reports = {}
-    for workers in WORKER_COUNTS:
-        monkeypatch.setattr(harness, "_WORKERS", workers)
-        reports[workers] = [_main(["reproduce", name, "--seed", "0", "--json"])
-                            for name, _ in harness.list_scenarios()]
-    assert len(reports[1]) == 18
-    assert reports[2] == reports[1] and reports[3] == reports[1]
-    assert_no_child_left()
-
-
 @pytest.mark.parametrize("game", sorted(GAME_INSTANCES))
 def test_game_run_csv_and_summary_are_the_same_bytes_for_any_worker_count(
         monkeypatch, tmp_path, game):

@@ -3,7 +3,7 @@ import pytest
 
 from contcount.counters import AccuracyEnvelope, PerfectCounter
 from contcount.errors import ParameterError, UnknownScenarioError, ValidationError
-from contcount.games import RESOURCE, ResourceSharingInstance, ValueCurve, play_resource_sharing
+from contcount.games import RESOURCE, ResourceSharingInstance, ValueCurve, play
 from contcount import instances
 from contcount.noise import RandomSource
 from contcount.strategies import (
@@ -118,7 +118,7 @@ def test_greedy_resource_play_is_always_undominated_with_perfect_counters():
         rng = RandomSource(trial, 13)
         inst = instances.random_resource_sharing(rng, n_max=15, m_max=5)
         mech = PerfectCounter(inst.n, inst.m)
-        trace = play_resource_sharing(inst, mech, Greedy())
+        trace = play(RESOURCE, inst, mech, Greedy())
         for i, action in enumerate(trace.actions):
             assert is_undominated(action, inst.action_sets[i], trace.displayed[i],
                                   env, inst.curves)
@@ -135,7 +135,7 @@ def test_scripted_registry():
 def test_scripted_fear_a_twin_play():
     inst = instances.twin_temptation(6, 50.0)
     from contcount.counters import EmptyCounter
-    trace = play_resource_sharing(inst, EmptyCounter(6, 7), scripted("fear-a-twin"))
+    trace = play(RESOURCE, inst, EmptyCounter(6, 7), scripted("fear-a-twin"))
     assert trace.actions == [6] * 6
     assert trace.social_welfare == 6.0
 
@@ -143,7 +143,7 @@ def test_scripted_fear_a_twin_play():
 def test_scripted_guard_rejects_mismatched_instance():
     inst = instances.illustrative_shared_vs_private(5, 0.01)
     with pytest.raises(ParameterError):
-        play_resource_sharing(inst, PerfectCounter(5, inst.m), scripted("fear-a-twin"))
+        play(RESOURCE, inst, PerfectCounter(5, inst.m), scripted("fear-a-twin"))
     sched = instances.scheduling_2x2()
     with pytest.raises(ParameterError):
         scripted("all-blue-cycle").start("cut", sched)
