@@ -23,14 +23,13 @@ import numpy as np
 from . import harness, instances
 from .counters import envelope_check
 from .errors import ContcountError, ParameterError
+from .games import GAMES
 from .noise import RandomSource
 
 
 def _add_mech_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mech", default="perfect",
-                        choices=["treesum", "ftsum", "perfect", "empty"])
-    parser.add_argument("--wrap", action="append", default=[],
-                        choices=["under", "mono", "clamp"],
+    parser.add_argument("--mech", default="perfect", choices=list(harness._MECHANISMS))
+    parser.add_argument("--wrap", action="append", default=[], choices=list(harness._WRAPPERS),
                         help="wrapper chain, applied in order (repeatable)")
     parser.add_argument("--eps", type=float, default=1.0, help="privacy budget epsilon")
     parser.add_argument("--alpha", type=float, default=2.0,
@@ -207,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Private counter vectors under continual observation and "
                     "a sequential-game simulation laboratory.")
     sub = parser.add_subparsers(dest="command", required=True)
-    games = sorted(harness._ENGINES)
 
     counter = sub.add_parser("counter", help="counter mechanisms")
     counter_sub = counter.add_subparsers(dest="subcommand", required=True)
@@ -222,9 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     game = sub.add_parser("game", help="sequential games")
     game_sub = game.add_subparsers(dest="subcommand", required=True)
     grun = game_sub.add_parser("run", help="play a game against a counter mechanism")
-    grun.add_argument("--game", default=None, choices=games)
+    grun.add_argument("--game", default=None, choices=sorted(GAMES))
     grun.add_argument("--instance", default=None,
-                      help="instance file, paper:<name>, or random:<kind>")
+                      help="instance file, paper:<name>, or random:<name>")
     grun.add_argument("--strategy", default="greedy",
                       help="greedy | scripted:<name> | belief:<offset>")
     grun.add_argument("--n", type=int, default=None,
@@ -244,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     grun.set_defaults(fn=_cmd_game_run)
 
     opt = sub.add_parser("opt", help="exact optimum of an instance")
-    opt.add_argument("--game", required=True, choices=games)
+    opt.add_argument("--game", required=True, choices=sorted(GAMES))
     opt.add_argument("--instance", required=True)
     opt.add_argument("--seed", type=int, default=0)
     opt.set_defaults(fn=_cmd_opt)

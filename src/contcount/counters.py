@@ -135,8 +135,8 @@ class CounterMechanism:
                  envelope: AccuracyEnvelope, update_bound: float = 1.0):
         if n < 1 or m < 1:
             raise ParameterError(f"n must be >= 1 and m must be >= 1, got n={n}, m={m}")
-        if update_bound <= 0:
-            raise ParameterError(f"update bound must be positive, got {update_bound}")
+        if not 0.0 < update_bound < math.inf:
+            raise ParameterError(f"update bound must be finite and positive, got {update_bound}")
         self.horizon = int(n)
         self.dim = int(m)
         self.budget = budget
@@ -381,8 +381,8 @@ class EmptyCounter(CounterMechanism):
     """Releases the all-zero vector at every step; envelope (1, n*B, 0)."""
 
     def __init__(self, n: int, m: int, update_bound: float = 1.0):
-        super().__init__(n, m, PrivacyBudget(math.inf),
-                         AccuracyEnvelope(1.0, float(n) * update_bound, 0.0), update_bound)
+        super().__init__(n, m, PrivacyBudget(math.inf), None, update_bound)
+        self.envelope = AccuracyEnvelope(1.0, self.horizon * self.update_bound, 0.0)
 
     def _step(self, a: np.ndarray) -> np.ndarray:
         return np.zeros(self.dim)
@@ -496,13 +496,13 @@ def envelope_check(true_xs, released_ys, env: AccuracyEnvelope, tol: float = 1e-
     """Check a whole trace against an envelope.
 
     Returns (ok, violations) where violations is a boolean (steps, m) mask of
-    out-of-envelope entries.
+    the entries that fail either bound (a NaN release fails both).
     """
     xs = np.atleast_2d(np.asarray(true_xs, dtype=float))
     ys = np.atleast_2d(np.asarray(released_ys, dtype=float))
     if xs.shape != ys.shape:
         raise ValidationError(f"trace shapes differ: {xs.shape} vs {ys.shape}")
-    bad = (ys < env.lower(xs) - tol) | (ys > env.upper(xs) + tol)
+    bad = ~((ys >= env.lower(xs) - tol) & (ys <= env.upper(xs) + tol))
     return not bool(bad.any()), bad
 
 

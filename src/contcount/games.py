@@ -12,11 +12,11 @@ objective of an action profile, a welfare to maximize or a cost to minimize.
 ``optimal`` optimize it, ``play`` stores it as ``PlayTrace.metric``, and
 ``verify_trace`` checks the realized utilities against it.
 
-Adding a game means a rule here (and an instance class when its instances
-have a new shape); a parser with its ``_PARSERS`` entry and its
-``PAPER_INSTANCES`` and ``RANDOM_GENERATORS`` entries in ``instances``; an
-exact solver in ``optimal``; and one ``harness._ENGINES`` entry. Callers play
-a game as ``play(RULE, ...)``; the ``play_<game>`` aliases below remain only
+Each game is one rule in :data:`GAMES`, which the harness and the CLI read;
+its ``instance_type`` is the only instance class ``play`` accepts. Adding a
+game means a rule here (for a new instance class, also its parser in
+``instances._PARSERS`` and its builders), an exact solver in ``optimal``, and
+one ``harness._ENGINES`` entry. The ``play_<game>`` aliases below remain only
 for ``harness._ENGINES`` and the benchmark's timing shims.
 
 Each play returns a columnar :class:`PlayTrace`, row i for player i: her
@@ -250,11 +250,17 @@ class GameRule:
     earlier choosers of her resource r. Players are ``inst.n`` in arrival order.
     """
 
-    name = "resource"           # passed to Strategy.start
-    kind = "resource"           # instance shape: file format and named instances
+    name = "resource"           # the game's key in GAMES
+    instance_type = ResourceSharingInstance   # the one instance class play accepts
     sense = "max"               # value() is a welfare ("max") or a cost ("min")
     utility_is_cost = False     # players minimize utility() instead of maximizing it
     tol = 0.0                   # how far realized_total() may lie from value()
+
+    def check_instance(self, inst) -> None:
+        """Raise ParameterError unless ``inst`` is of this game's instance class."""
+        if not isinstance(inst, self.instance_type):
+            raise ParameterError(f"the {self.name} game plays a {self.instance_type.__name__}, "
+                                 f"not a {type(inst).__name__}")
 
     def dim(self, inst) -> int:
         return inst.m
@@ -325,7 +331,7 @@ class CutRule(GameRule):
     """
 
     name = "cut"
-    kind = "cut"
+    instance_type = CutInstance
 
     def dim(self, inst) -> int:
         return 2 * inst.n
@@ -363,7 +369,7 @@ class SchedulingRule(GameRule):
     job sizes, so the counter's update bound must cover the largest size."""
 
     name = "scheduling"
-    kind = "scheduling"
+    instance_type = SchedulingInstance
     sense = "min"
     tol = 1e-9
 
@@ -400,7 +406,7 @@ class CostSharingRule(GameRule):
     distinct chosen sets' costs."""
 
     name = "costshare"
-    kind = "costshare"
+    instance_type = CostSharingInstance
     sense = "min"
     utility_is_cost = True
     tol = 1e-9
@@ -423,6 +429,7 @@ FUTURE_DEPENDENT = FutureDependentRule()
 CUT = CutRule()
 SCHEDULING = SchedulingRule()
 COST_SHARING = CostSharingRule()
+GAMES = {rule.name: rule for rule in (RESOURCE, FUTURE_DEPENDENT, CUT, SCHEDULING, COST_SHARING)}
 
 
 def play(rule: GameRule, inst, mech: CounterMechanism, strategy, splits: int = 1) -> PlayTrace:
@@ -441,9 +448,10 @@ def play(rule: GameRule, inst, mech: CounterMechanism, strategy, splits: int = 1
         raise ParameterError(f"splits must be >= 1, got {splits}")
     if splits > 1 and rule is not RESOURCE:
         raise ParameterError("fractional investments apply to the resource game only")
+    rule.check_instance(inst)
     dim = rule.dim(inst)
     _check_mechanism(mech, dim, inst.n, rule.bound(inst))
-    strategy.start(rule.name, inst)
+    strategy.start(rule, inst)
     step = 1.0 / splits
     release = mech.current  # then the release each update returns
     n, k = inst.n, len(rule.view(release, 0))
@@ -523,6 +531,7 @@ __all__ = [
     "CUT",
     "SCHEDULING",
     "COST_SHARING",
+    "GAMES",
     "play",
     "verify_trace",
 ]

@@ -50,29 +50,42 @@ from .counters import (
     treesum_error_bound,
 )
 from .errors import ParameterError, UnknownScenarioError, ValidationError
-from .games import (
-    COST_SHARING,
-    CUT,
-    FUTURE_DEPENDENT,
-    RESOURCE,
-    SCHEDULING,
-    play,
-    verify_trace,
-)
+from .games import GAMES, RESOURCE, SCHEDULING, play, verify_trace
 from .noise import RandomSource
 from .strategies import Greedy, is_undominated, make_strategy
+
+
+# mechanism name -> build(spec, n, m, rng, update_bound): the --mech choices
+_MECHANISMS = {
+    "treesum": lambda s, n, m, rng, b: TreeSum(n, m, s.eps, rng, gamma=s.gamma,
+                                               c_tree=s.c_tree, update_bound=b),
+    "ftsum": lambda s, n, m, rng, b: FTSum(n, m, s.eps, s.alpha, s.gamma, s.c_tree, rng,
+                                           update_bound=b),
+    "perfect": lambda s, n, m, rng, b: PerfectCounter(n, m, b),
+    "empty": lambda s, n, m, rng, b: EmptyCounter(n, m, b),
+}
+
+# wrapper name -> wrap(spec, inner): the --wrap choices
+_WRAPPERS = {
+    # an unset target coordinate keeps the inner declared one
+    "clamp": lambda s, inner: ZeroFailureWrapper(inner, AccuracyEnvelope(
+        inner.envelope.alpha if s.clamp_alpha is None else s.clamp_alpha,
+        inner.envelope.beta if s.clamp_beta is None else s.clamp_beta, 0.0)),
+    "under": lambda s, inner: UnderestimatorWrapper(inner),
+    "mono": lambda s, inner: MonotoneWrapper(inner),
+}
 
 
 @dataclass(frozen=True)
 class MechanismSpec:
     """Counter mechanism recipe: base mechanism plus an ordered wrapper chain."""
 
-    mech: str = "perfect"            # treesum | ftsum | perfect | empty
+    mech: str = "perfect"            # a _MECHANISMS name
     eps: float = 1.0
     alpha: float = 2.0
     gamma: float = 0.1
     c_tree: float = 4.0
-    wraps: tuple = ()                # any of: clamp | under | mono
+    wraps: tuple = ()                # _WRAPPERS names, innermost first
     clamp_alpha: float | None = None
     clamp_beta: float | None = None
     zero_noise: bool = False
@@ -80,48 +93,30 @@ class MechanismSpec:
     def build(self, n: int, m: int, rng: RandomSource,
               update_bound: float = 1.0) -> CounterMechanism:
         rng = RandomSource(rng.seed, rng.stream_id, self.zero_noise or rng.zero_noise)
-        if self.mech == "treesum":
-            mech = TreeSum(n, m, self.eps, rng, gamma=self.gamma,
-                           c_tree=self.c_tree, update_bound=update_bound)
-        elif self.mech == "ftsum":
-            mech = FTSum(n, m, self.eps, self.alpha, self.gamma, self.c_tree,
-                         rng, update_bound=update_bound)
-        elif self.mech == "perfect":
-            mech = PerfectCounter(n, m, update_bound)
-        elif self.mech == "empty":
-            mech = EmptyCounter(n, m, update_bound)
-        else:
+        if self.mech not in _MECHANISMS:
             raise ParameterError(f"unknown mechanism '{self.mech}'")
+        mech = _MECHANISMS[self.mech](self, n, m, rng, update_bound)
         for wrap in self.wraps:
-            if wrap == "clamp":
-                # an unset target coordinate keeps the inner declared one
-                env = mech.envelope
-                mech = ZeroFailureWrapper(mech, AccuracyEnvelope(
-                    env.alpha if self.clamp_alpha is None else self.clamp_alpha,
-                    env.beta if self.clamp_beta is None else self.clamp_beta, 0.0))
-            elif wrap == "under":
-                mech = UnderestimatorWrapper(mech)
-            elif wrap == "mono":
-                mech = MonotoneWrapper(mech)
-            else:
+            if wrap not in _WRAPPERS:
                 raise ParameterError(f"unknown wrapper '{wrap}'")
+            mech = _WRAPPERS[wrap](self, mech)
         return mech
 
 
-# game name -> (play function, exact solver, rule): the one per-game table
+# game name -> (play function, exact solver); the rules are games.GAMES
 _ENGINES = {
-    "resource": (games.play_resource_sharing, optimal.opt_resource_sharing, RESOURCE),
-    "future": (games.play_future_dependent, optimal.opt_future_dependent, FUTURE_DEPENDENT),
-    "cut": (games.play_cut, optimal.opt_cut, CUT),
-    "scheduling": (games.play_scheduling, optimal.opt_scheduling, SCHEDULING),
-    "costshare": (games.play_cost_sharing, optimal.opt_cost_sharing, COST_SHARING),
+    "resource": (games.play_resource_sharing, optimal.opt_resource_sharing),
+    "future": (games.play_future_dependent, optimal.opt_future_dependent),
+    "cut": (games.play_cut, optimal.opt_cut),
+    "scheduling": (games.play_scheduling, optimal.opt_scheduling),
+    "costshare": (games.play_cost_sharing, optimal.opt_cost_sharing),
 }
 
 
 @dataclass
 class ExperimentConfig:
     game: str
-    instance: object                      # instance, 'paper:<name>', 'random:<kind>', or path
+    instance: object                      # instance, 'paper:<name>', 'random:<name>', or path
     mechanism: MechanismSpec = field(default_factory=MechanismSpec)
     strategy: str = "greedy"
     trials: int = 1
@@ -132,15 +127,11 @@ class ExperimentConfig:
     splits: int = 1                       # >1: discretized continuous investments
 
     def __post_init__(self):
-        if self.game not in _ENGINES:
+        if self.game not in GAMES:
             raise ParameterError(f"unknown game '{self.game}' "
-                                 f"(have: {', '.join(sorted(_ENGINES))})")
+                                 f"(have: {', '.join(sorted(GAMES))})")
         if self.trials < 1:
             raise ParameterError("trial count must be >= 1")
-        if self.splits < 1:
-            raise ParameterError("splits must be >= 1")
-        if self.splits > 1 and self.game != "resource":
-            raise ParameterError("fractional investments apply to the resource game only")
 
 
 @dataclass
@@ -172,7 +163,7 @@ def _trial_instance(config: ExperimentConfig, trial: int):
     """Trial ``trial``'s random source (seed, trial) and the instance of
     ``config`` it draws, from substream 0; the mechanism draws from substream 1."""
     rng = RandomSource(config.seed, 0).substream(trial)
-    return rng, inst_lib.resolve_instance(_ENGINES[config.game][2].kind, config.instance,
+    return rng, inst_lib.resolve_instance(GAMES[config.game], config.instance,
                                           rng.substream(0), **config.instance_params)
 
 
@@ -183,15 +174,14 @@ def run_trial(config: ExperimentConfig, trial: int, cached_opt: float | None = N
     the exact optimum. ``envelope_ok`` checks the players' views only (see
     ``TrialResult``).
     """
-    play_game, opt_solver, rule = _ENGINES[config.game]
+    rule = GAMES[config.game]
+    play_game, opt_solver = _ENGINES[config.game]
+    if config.splits > 1 and rule is RESOURCE:
+        play_game = games.play_resource_sharing_fractional
     rng, instance = _trial_instance(config, trial)
     mech = config.mechanism.build(instance.n, rule.dim(instance), rng.substream(1),
                                   rule.bound(instance))
-    strategy = make_strategy(config.strategy)
-    if config.splits > 1:
-        trace = games.play_resource_sharing_fractional(instance, mech, strategy, config.splits)
-    else:
-        trace = play_game(instance, mech, strategy)
+    trace = play_game(instance, mech, make_strategy(config.strategy), config.splits)
     verify_trace(trace)
     opt_value = math.nan
     if config.compute_opt:

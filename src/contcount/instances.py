@@ -17,6 +17,7 @@ from .errors import ParameterError, ValidationError
 from .games import (
     CostSharingInstance,
     CutInstance,
+    GameRule,
     ResourceSharingInstance,
     SchedulingInstance,
     ValueCurve,
@@ -72,6 +73,8 @@ def fragile_first_mover(rho: float = 0.05) -> ResourceSharingInstance:
 
 def cut_cycle(n: int = 20) -> CutInstance:
     """Even cycle with 2n nodes; the optimum cuts every edge (welfare 4n)."""
+    if n < 2:
+        raise ParameterError(f"cut-cycle needs n >= 2 (a cycle of at least 4 nodes), got n={n}")
     nodes = 2 * n
     edges = [(i, (i + 1) % nodes) for i in range(nodes)]
     return CutInstance(nodes, edges)
@@ -130,17 +133,17 @@ def market_undom_exact_opt(n: int, eps: float) -> float:
     return math.fsum(values)
 
 
-# name -> (instance kind, builder); kinds are the game rules' ``kind``
+# name -> builder(**params)
 PAPER_INSTANCES = {
-    "sec1.1": ("resource", illustrative_shared_vs_private),
-    "noinfo": ("resource", twin_temptation),
-    "noinfospecial": ("resource", slow_decay_temptation),
-    "lb-undom": ("resource", fragile_first_mover),
-    "cut-cycle": ("cut", cut_cycle),
-    "sched2x2": ("scheduling", scheduling_2x2),
-    "costshare-public-private": ("costshare", costshare_public_private),
-    "future-lb": ("resource", future_step),
-    "marketundom": ("resource", market_log_loss),
+    "sec1.1": illustrative_shared_vs_private,
+    "noinfo": twin_temptation,
+    "noinfospecial": slow_decay_temptation,
+    "lb-undom": fragile_first_mover,
+    "cut-cycle": cut_cycle,
+    "sched2x2": scheduling_2x2,
+    "costshare-public-private": costshare_public_private,
+    "future-lb": future_step,
+    "marketundom": market_log_loss,
 }
 
 
@@ -149,12 +152,12 @@ PAPER_INSTANCES = {
 
 
 def _random_curve(rng: RandomSource, horizon: int) -> ValueCurve:
-    kind = int(rng.integers(0, 3))
+    family = int(rng.integers(0, 3))
     v0 = 0.5 + 1.5 * rng.uniform()
-    if kind == 0:
+    if family == 0:
         p = 0.5 + 1.5 * rng.uniform()
         vals = [v0 / (k + 1) ** p for k in range(horizon)]
-    elif kind == 1:
+    elif family == 1:
         q = 0.5 + 0.45 * rng.uniform()
         vals = [v0 * q ** k for k in range(horizon)]
     else:
@@ -228,16 +231,16 @@ def random_open_market(rng: RandomSource) -> ResourceSharingInstance:
     return ResourceSharingInstance(curves, [list(range(m)) for _ in range(n)])
 
 
-# name -> (instance kind, generator(rng, **params)), like PAPER_INSTANCES
+# name -> generator(rng, **params)
 RANDOM_GENERATORS = {
-    "resource": ("resource", random_resource_sharing),
-    "market": ("resource", random_market_sharing),
-    "open-market": ("resource", random_open_market),
-    "cut": ("cut", random_cut),
-    "scheduling": ("scheduling", random_scheduling),
-    "costshare": ("costshare", random_cost_sharing),
+    "resource": random_resource_sharing,
+    "market": random_market_sharing,
+    "open-market": random_open_market,
+    "cut": random_cut,
+    "scheduling": random_scheduling,
+    "costshare": random_cost_sharing,
     # small enough for the future-dependent brute-force optimum
-    "future": ("resource", functools.partial(random_resource_sharing, n_max=5, m_max=3)),
+    "future": functools.partial(random_resource_sharing, n_max=5, m_max=3),
 }
 
 
@@ -323,46 +326,42 @@ def parse_cost_sharing(text: str) -> CostSharingInstance:
 
 
 _PARSERS = {
-    "resource": parse_resource_sharing,
-    "cut": parse_cut,
-    "scheduling": parse_scheduling,
-    "costshare": parse_cost_sharing,
+    ResourceSharingInstance: parse_resource_sharing,
+    CutInstance: parse_cut,
+    SchedulingInstance: parse_scheduling,
+    CostSharingInstance: parse_cost_sharing,
 }
 
 
-def resolve_instance(kind: str, spec, rng: RandomSource | None = None, **params):
-    """Resolve an instance reference of the given kind (a game rule's
-    ``kind``): an instance object, 'paper:<name>', 'random:<generator>'
-    (needs rng), or a file path. Named and random instances must be of that
-    kind; bad parameters for their builders, and any parameters for an
-    instance object or a file, raise ParameterError."""
+def resolve_instance(rule: GameRule, spec, rng: RandomSource | None = None, **params):
+    """The instance ``spec`` names for the game ``rule``: an instance object,
+    'paper:<name>', 'random:<name>' (drawn from ``rng``), or a file that the
+    parser of ``rule.instance_type`` reads. Parameters for an object or a
+    file, ones the builder rejects, and an instance of another type than
+    ``rule.instance_type`` raise ParameterError."""
     prefix, sep, name = spec.partition(":") if isinstance(spec, str) else ("", "", "")
     if not sep or prefix not in ("paper", "random"):
         if params:
             raise ParameterError(f"instance parameters {params} apply only to paper: and "
                                  "random: instances")
-        if not isinstance(spec, str):
-            return spec
-        if kind not in _PARSERS:
-            raise ParameterError(f"unknown instance kind '{kind}'")
-        return _PARSERS[kind](_read_text(spec, "instance"))
-    table = PAPER_INSTANCES if prefix == "paper" else RANDOM_GENERATORS
-    if name not in table:
-        raise ParameterError(f"unknown {prefix} instance '{name}' "
-                             f"(have: {', '.join(sorted(table))})")
-    expected, make = table[name]
-    if kind != expected:
-        raise ParameterError(f"instance '{spec}' is a {expected} instance, not {kind}")
-    if prefix == "random":
-        if rng is None:
-            raise ParameterError("random instances need a RandomSource")
-        make = functools.partial(make, rng)
-    if not params:
-        return make()
-    try:
-        return make(**params)
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"bad parameters {params} for '{spec}': {exc}") from exc
+        inst = (_PARSERS[rule.instance_type](_read_text(spec, "instance"))
+                if isinstance(spec, str) else spec)
+    else:
+        table = PAPER_INSTANCES if prefix == "paper" else RANDOM_GENERATORS
+        if name not in table:
+            raise ParameterError(f"unknown {prefix} instance '{name}' "
+                                 f"(have: {', '.join(sorted(table))})")
+        make = table[name]
+        if prefix == "random":
+            if rng is None:
+                raise ParameterError("random instances need a RandomSource")
+            make = functools.partial(make, rng)
+        try:
+            inst = make(**params)
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"bad parameters {params} for '{spec}': {exc}") from exc
+    rule.check_instance(inst)
+    return inst
 
 
 def parse_stream(text: str, m: int) -> np.ndarray:

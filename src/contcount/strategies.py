@@ -18,7 +18,7 @@ import math
 
 from .counters import AccuracyEnvelope
 from .errors import ParameterError, UnknownScenarioError, ValidationError
-from .games import CutInstance, ResourceSharingInstance, SchedulingInstance
+from .games import CUT, FUTURE_DEPENDENT, RESOURCE, SCHEDULING, GameRule
 
 
 def belief_range(displayed: float, envelope: AccuracyEnvelope):
@@ -55,8 +55,9 @@ class Strategy:
     with the game's rule, the instance, the player, her actions in tie-break
     order, and her displayed counts."""
 
-    def start(self, game: str, instance) -> None:
-        """Called once before play; scripted strategies validate the instance here."""
+    def start(self, rule: GameRule, instance) -> None:
+        """Called once before play with the game's rule and an instance of its
+        ``instance_type``; scripted strategies check the instance's shape here."""
 
     def choose_action(self, rule, inst, player, actions, displayed):
         raise NotImplementedError
@@ -91,11 +92,12 @@ class BeliefGreedy(Greedy):
 
 class _Script(Strategy):
     name = "?"
-    game = "?"
+    rule: GameRule              # the game the script plays
 
-    def start(self, game: str, instance) -> None:
-        if game != self.game:
-            raise ParameterError(f"script '{self.name}' plays the {self.game} game, not {game}")
+    def start(self, rule: GameRule, instance) -> None:
+        if rule is not self.rule:
+            raise ParameterError(f"script '{self.name}' plays the {self.rule.name} game, "
+                                 f"not {rule.name}")
         self.check(instance)
 
     def check(self, instance) -> None:
@@ -108,11 +110,9 @@ class FearATwin(_Script):
     empty counters (any belief is consistent)."""
 
     name = "fear-a-twin"
-    game = "resource"
+    rule = RESOURCE
 
     def check(self, instance) -> None:
-        if not isinstance(instance, ResourceSharingInstance):
-            raise ParameterError("fear-a-twin needs a resource-sharing instance")
         n, m = instance.n, instance.m
         if m != n + 1 or any(instance.action_sets[i] != [i, n] for i in range(n)):
             raise ParameterError(
@@ -134,8 +134,6 @@ class FlatResourceTemptation(FearATwin):
     name = "flat-resource-temptation"
 
     def check(self, instance) -> None:
-        if not isinstance(instance, ResourceSharingInstance):
-            raise ParameterError("flat-resource-temptation needs a resource-sharing instance")
         if instance.m != instance.n + 1:
             raise ParameterError("expected one resource per player plus a shared last resource")
 
@@ -146,11 +144,9 @@ class AllBlueCycle(_Script):
     neighbors, is forced to red. Requires exact displayed counts."""
 
     name = "all-blue-cycle"
-    game = "cut"
+    rule = CUT
 
     def check(self, instance) -> None:
-        if not isinstance(instance, CutInstance):
-            raise ParameterError("all-blue-cycle needs a cut instance")
         n = instance.n
         if n < 4 or n % 2 != 0:
             raise ParameterError("all-blue-cycle expects an even cycle with >= 4 nodes")
@@ -174,11 +170,9 @@ class PessimisticScheduler(_Script):
     because a heavy second job may grab the free one; everyone after is greedy."""
 
     name = "pessimistic-scheduler"
-    game = "scheduling"
+    rule = SCHEDULING
 
     def check(self, instance) -> None:
-        if not isinstance(instance, SchedulingInstance):
-            raise ParameterError("pessimistic-scheduler needs a scheduling instance")
         if instance.n < 2 or instance.m < 2 or instance.costs[0, 0] != 0.0:
             raise ParameterError(
                 "pessimistic-scheduler expects player 0 to have a free first machine")
@@ -194,11 +188,9 @@ class PrivateSetBeliefs(_Script):
     her own market, making the shared market strictly better; all pile onto it."""
 
     name = "private-set-beliefs"
-    game = "future"
+    rule = FUTURE_DEPENDENT
 
     def check(self, instance) -> None:
-        if not isinstance(instance, ResourceSharingInstance):
-            raise ParameterError("private-set-beliefs needs a market-sharing instance")
         n = instance.n
         if instance.m != n + 1 or any(instance.action_sets[i] != [0, i + 1] for i in range(n)):
             raise ParameterError(

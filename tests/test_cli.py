@@ -6,7 +6,8 @@ import pytest
 import numpy as np
 
 from contcount import cli, harness, instances
-from contcount.games import RESOURCE, play
+from contcount.games import GAMES, RESOURCE, play
+from contcount.noise import RandomSource
 from contcount.strategies import Greedy
 
 
@@ -51,7 +52,7 @@ def test_counter_run_validation_error(tmp_path, capsys):
     assert "n must be >= 1" in err
 
 
-@pytest.mark.parametrize("mech", ["perfect", "treesum", "ftsum"])
+@pytest.mark.parametrize("mech", ["perfect", "treesum", "ftsum", "empty"])
 @pytest.mark.parametrize("n, m", [("0", "1"), ("3", "0")])
 def test_counter_run_shape_error_is_the_mechanisms(tmp_path, capsys, mech, n, m):
     stream = tmp_path / "stream.txt"
@@ -60,6 +61,15 @@ def test_counter_run_shape_error_is_the_mechanisms(tmp_path, capsys, mech, n, m)
                              "--n", n, "--m", m, "--stream", str(stream))
     assert code == 1 and out == ""
     assert f"n must be >= 1 and m must be >= 1, got n={n}, m={m}" in err
+
+
+def test_counter_run_refuses_a_stream_past_the_horizon(tmp_path, capsys):
+    stream = tmp_path / "stream.txt"
+    stream.write_text("1\n0\n1\n")
+    code, out, err = run_cli(capsys, "counter", "run", "--n", "2", "--m", "1",
+                             "--stream", str(stream))
+    assert code == 1 and out == ""
+    assert err == "error: stream has 3 steps but horizon is 2\n"
 
 
 def test_counter_run_wrapped(tmp_path, capsys):
@@ -117,6 +127,21 @@ def test_game_run_missing_instance(capsys):
     code, _, err = run_cli(capsys, "game", "run", "--game", "resource")
     assert code == 1
     assert "instance" in err
+
+
+def test_game_run_missing_game(capsys):
+    code, out, err = run_cli(capsys, "game", "run", "--instance", "paper:noinfo")
+    assert code == 1 and out == ""
+    assert err == "error: --game (or a config file providing it) is required\n"
+
+
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_cut_cycle_needs_two_nodes_a_side(capsys, n):
+    code, out, err = run_cli(capsys, "game", "run", "--game", "cut", "--instance",
+                             "paper:cut-cycle", "--n", n)
+    assert code == 1 and out == ""
+    assert err.startswith("error:")
+    assert f"cut-cycle needs n >= 2 (a cycle of at least 4 nodes), got n={n}" in err
 
 
 def test_opt_command(tmp_path, capsys):
@@ -190,6 +215,7 @@ def test_opt_file_named_like_a_prefix(tmp_path, capsys, monkeypatch, name):
      "c_tree must be finite and positive"),
     (["--instance", "paper:noinfo", "--mech", "treesum", "--wrap", "clamp",
       "--clamp-alpha", "0"], "alpha must be finite and >= 1"),
+    (["--instance", "paper:noinfo", "--inst", "high"], "--inst expects KEY=VALUE, got 'high'"),
 ])
 def test_game_run_bad_parameters(capsys, argv, message):
     code, _, err = run_cli(capsys, "game", "run", "--game", "resource", *argv)
@@ -210,8 +236,9 @@ def test_instance_file_takes_no_instance_parameters(tmp_path, capsys, argv):
 
 # default sizes of these generators exceed the future-dependent brute force
 TOO_BIG_FOR_FUTURE = {"resource", "open-market"}
-RANDOM_GAMES = [(name, game) for name, (kind, _) in instances.RANDOM_GENERATORS.items()
-                for game, (_, _, rule) in harness._ENGINES.items() if rule.kind == kind]
+RANDOM_GAMES = [(name, game) for name, make in instances.RANDOM_GENERATORS.items()
+                for game, rule in GAMES.items()
+                if isinstance(make(RandomSource(0)), rule.instance_type)]
 
 
 @pytest.mark.parametrize("name, game", RANDOM_GAMES,
@@ -226,17 +253,21 @@ def test_game_run_solves_default_random_instances(capsys, name, game):
         assert json.loads(out)["min_ratio"] >= 1.0
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["game", "run", "--game", "cut", "--instance", "random:resource"],
-     "is a resource instance, not cut"),
-    (["opt", "--game", "scheduling", "--instance", "random:cut"],
-     "is a cut instance, not scheduling"),
-])
-def test_random_instance_kind_checked(capsys, argv, message):
-    code, _, err = run_cli(capsys, *argv)
-    assert code == 1
-    assert err.startswith("error:")
-    assert message in err
+# each game given an instance of another game's type
+MISMATCHES = [("resource", "paper:costshare-public-private", "ResourceSharingInstance",
+               "CostSharingInstance"),
+              ("cut", "random:resource", "CutInstance", "ResourceSharingInstance"),
+              ("scheduling", "random:cut", "SchedulingInstance", "CutInstance"),
+              ("costshare", "paper:sched2x2", "CostSharingInstance", "SchedulingInstance")]
+
+
+@pytest.mark.parametrize("command", [["game", "run"], ["opt"]])
+@pytest.mark.parametrize("game, spec, wanted, given", MISMATCHES,
+                         ids=[f"{game}-{spec}" for game, spec, _, _ in MISMATCHES])
+def test_instance_of_the_wrong_type_exits_one(capsys, command, game, spec, wanted, given):
+    code, out, err = run_cli(capsys, *command, "--game", game, "--instance", spec)
+    assert code == 1 and out == ""
+    assert err == f"error: the {game} game plays a {wanted}, not a {given}\n"
 
 
 def test_counter_run_malformed_stream(tmp_path, capsys):

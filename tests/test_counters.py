@@ -726,6 +726,9 @@ def test_envelope_check_cases():
     assert ok
     with pytest.raises(ValidationError):
         envelope_check(xs, ys[:5], AccuracyEnvelope(1.0, 0.0, 0.0))
+    # a NaN release meets neither bound
+    ok, bad = envelope_check([[1.0, 1.0]], [[math.nan, 1.0]], AccuracyEnvelope(1.0, 0.0, 0.0))
+    assert not ok and bad.tolist() == [[True, False]]
 
 
 def test_treesum_error_bound_shape():
@@ -738,16 +741,30 @@ def test_treesum_error_bound_shape():
 # one shape check, and no aliasing along a chain
 
 
-@pytest.mark.parametrize("build", [
-    lambda n, m: TreeSum(n, m, 1.0, RandomSource(0)),
-    lambda n, m: FTSum(n, m, 1.0, 2.0, 0.1, 4.0, RandomSource(0)),
-    lambda n, m: PerfectCounter(n, m),
-], ids=["treesum", "ftsum", "perfect"])
+BUILDS = {
+    "treesum": lambda n, m, b=1.0: TreeSum(n, m, 1.0, RandomSource(0), update_bound=b),
+    "ftsum": lambda n, m, b=1.0: FTSum(n, m, 1.0, 2.0, 0.1, 4.0, RandomSource(0),
+                                       update_bound=b),
+    "perfect": lambda n, m, b=1.0: PerfectCounter(n, m, b),
+    "empty": lambda n, m, b=1.0: EmptyCounter(n, m, b),
+}
+
+
+@pytest.mark.parametrize("build", list(BUILDS.values()), ids=list(BUILDS))
 @pytest.mark.parametrize("n, m", [(0, 2), (4, 0), (-1, -1)])
 def test_horizon_and_dimension_share_one_check(build, n, m):
     with pytest.raises(ParameterError) as err:
         build(n, m)
     assert str(err.value) == f"n must be >= 1 and m must be >= 1, got n={n}, m={m}"
+
+
+@pytest.mark.parametrize("build", list(BUILDS.values()), ids=list(BUILDS))
+@pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_update_bound_must_be_finite_and_positive(build, bound):
+    # a NaN bound used to release NaN, an infinite one -inf
+    with pytest.raises(ParameterError) as err:
+        build(8, 1, bound)
+    assert str(err.value) == f"update bound must be finite and positive, got {bound}"
 
 
 def _layers(mech):

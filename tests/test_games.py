@@ -173,6 +173,25 @@ def test_dimension_mismatch_rejected():
         play(RESOURCE, inst, PerfectCounter(5, 2), Greedy())
 
 
+def _used_counter():
+    mech = PerfectCounter(5, 5)
+    mech.update(np.zeros(5))
+    return mech
+
+
+@pytest.mark.parametrize("make_mech, message", [
+    (lambda: PerfectCounter(3, 5), "counter horizon 3 < 4 players"),
+    (lambda: PerfectCounter(4, 5, 0.5),
+     "counter update bound 0.5 cannot carry updates of l1 norm 1.0"),
+    (_used_counter, "counter has already consumed updates"),
+], ids=["horizon", "update-bound", "used"])
+def test_play_refuses_a_counter_that_cannot_carry_the_game(make_mech, message):
+    inst = instances.twin_temptation(4, 10.0)
+    with pytest.raises(ValidationError) as err:
+        play(RESOURCE, inst, make_mech(), Greedy())
+    assert str(err.value) == message
+
+
 def test_play_determinism():
     rng_inst = RandomSource(3, 1)
     inst = instances.random_resource_sharing(rng_inst, n_max=20, m_max=5)
@@ -381,12 +400,12 @@ def test_parse_stream():
 
 
 def test_resolve_named_instances():
-    inst = instances.resolve_instance("resource", "paper:noinfo", n=4, high=10.0)
+    inst = instances.resolve_instance(RESOURCE, "paper:noinfo", n=4, high=10.0)
     assert inst.n == 4 and inst.m == 5
     with pytest.raises(ParameterError):
-        instances.resolve_instance("resource", "paper:nope")
+        instances.resolve_instance(RESOURCE, "paper:nope")
     with pytest.raises(ParameterError):
-        instances.resolve_instance("cut", "paper:sched2x2")
+        instances.resolve_instance(CUT, "paper:sched2x2")
 
 
 def test_package_exports_play_and_the_rules_not_the_aliases():

@@ -8,6 +8,7 @@ import pytest
 from contcount.counters import (
     AccuracyEnvelope,
     CounterMechanism,
+    PerfectCounter,
     PrivacyBudget,
     TreeSum,
     UniformWarmupCounter,
@@ -25,7 +26,8 @@ from contcount.harness import (
     summarize,
 )
 from contcount import harness, instances
-from contcount.games import verify_trace
+from contcount.games import COST_SHARING, CUT, GAMES, RESOURCE, SCHEDULING, play, verify_trace
+from contcount.strategies import Greedy
 from contcount.noise import RandomSource
 from contcount.optimal import OptResult
 
@@ -164,25 +166,48 @@ def test_randomized_scenario_passes(name, keys):
     assert set(report.checks) == keys
 
 
-REGISTRY = ([(f"paper:{name}", kind) for name, (kind, _) in instances.PAPER_INSTANCES.items()]
-            + [(f"random:{name}", kind)
-               for name, (kind, _) in instances.RANDOM_GENERATORS.items()])
+REGISTRY = ([f"paper:{name}" for name in instances.PAPER_INSTANCES]
+            + [f"random:{name}" for name in instances.RANDOM_GENERATORS])
 
 
-@pytest.mark.parametrize("spec, kind", REGISTRY, ids=[spec for spec, _ in REGISTRY])
-def test_registry_instance_plays_under_its_kind(spec, kind):
-    assert instances.resolve_instance(kind, spec, RandomSource(0)) is not None
-    for other in {"resource", "cut", "scheduling", "costshare"} - {kind}:
-        with pytest.raises(ParameterError, match=f"not {other}"):
-            instances.resolve_instance(other, spec, RandomSource(0))
-    games = [game for game, (_, _, rule) in harness._ENGINES.items() if rule.kind == kind]
-    assert games
-    for game in games:
+@pytest.mark.parametrize("spec", REGISTRY, ids=REGISTRY)
+def test_registry_instance_plays_under_its_kind(spec):
+    """Every game whose instance type the entry builds plays it; every other
+    game refuses it, naming both types."""
+    played = []
+    for game, rule in GAMES.items():
+        try:
+            instances.resolve_instance(rule, spec, RandomSource(0))
+        except ParameterError as exc:
+            assert str(exc).startswith(
+                f"the {game} game plays a {rule.instance_type.__name__}, not a ")
+            continue
+        played.append(game)
         config = ExperimentConfig(game=game, instance=spec,
                                   mechanism=MechanismSpec(mech="perfect"), compute_opt=False)
         result, trace, instance, _ = run_trial(config, 0)
         assert result.envelope_ok
         assert len(trace.actions) == len(trace.realized) == len(trace.displayed) == instance.n
+    assert played
+
+
+# each game given an instance object of another game's type
+MISMATCHED = [(RESOURCE, instances.cut_cycle(3)), (CUT, instances.scheduling_2x2()),
+              (SCHEDULING, instances.costshare_public_private(3)),
+              (COST_SHARING, instances.twin_temptation(3))]
+
+
+@pytest.mark.parametrize("rule, inst", MISMATCHED, ids=[rule.name for rule, _ in MISMATCHED])
+def test_play_and_run_experiment_refuse_an_instance_of_another_type(rule, inst):
+    message = (f"the {rule.name} game plays a {rule.instance_type.__name__}, "
+               f"not a {type(inst).__name__}")
+    mech = PerfectCounter(inst.n, 8)
+    with pytest.raises(ParameterError) as err:
+        play(rule, inst, mech, Greedy())
+    assert str(err.value) == message and mech.t == 0
+    with pytest.raises(ParameterError) as err:
+        run_experiment(ExperimentConfig(game=rule.name, instance=inst))
+    assert str(err.value) == message
 
 
 class ShiftedCounter(CounterMechanism):
@@ -254,9 +279,9 @@ RANDOM_OF = {"resource": "resource", "future": "future", "cut": "cut",
              "scheduling": "scheduling", "costshare": "costshare"}
 
 
-@pytest.mark.parametrize("game", sorted(harness._ENGINES))
+@pytest.mark.parametrize("game", sorted(GAMES))
 def test_rule_value_is_the_objective_of_play_solver_and_trace_check(game):
-    _, solver, rule = harness._ENGINES[game]
+    solver, rule = harness._ENGINES[game][1], GAMES[game]
     config = ExperimentConfig(game=game, instance=f"random:{RANDOM_OF[game]}",
                               mechanism=MechanismSpec(mech="treesum"), seed=11)
     for trial in range(3):
@@ -275,9 +300,9 @@ def test_rule_value_is_the_objective_of_play_solver_and_trace_check(game):
 @pytest.mark.parametrize("game, fake_opt", [("resource", -1.0), ("scheduling", 1e12),
                                              ("costshare", 1e12)])
 def test_play_beyond_the_exact_optimum_is_refused(monkeypatch, game, fake_opt):
-    play_game, _, rule = harness._ENGINES[game]
+    play_game, _ = harness._ENGINES[game]
     monkeypatch.setitem(harness._ENGINES, game,
-                        (play_game, lambda inst: OptResult(fake_opt, None, "fake"), rule))
+                        (play_game, lambda inst: OptResult(fake_opt, None, "fake")))
     config = ExperimentConfig(game=game, instance=f"random:{RANDOM_OF[game]}", seed=11)
     with pytest.raises(ValidationError, match="beyond the exact optimum"):
         run_trial(config, 0)

@@ -8,7 +8,7 @@ import pytest
 
 from contcount import instances
 from contcount.errors import ParameterError
-from contcount.games import ValueCurve
+from contcount.games import RESOURCE, ResourceSharingInstance, ValueCurve
 from contcount.noise import RandomSource
 
 
@@ -103,7 +103,7 @@ def _curve_values(inst):
     ("costshare", _loop_costshare, lambda inst: [inst.set_costs]),
 ])
 def test_only_action_sets_moved(name, loop, drawn):
-    make = instances.RANDOM_GENERATORS[name][1]
+    make = instances.RANDOM_GENERATORS[name]
     for seed in range(50):
         inst = make(RandomSource(seed, 3))
         n, arrays = loop(RandomSource(seed, 3))
@@ -131,19 +131,19 @@ def test_random_open_market_matches_value_loop():
 
 def test_instance_objects_and_files_take_no_parameters(tmp_path):
     inst = instances.twin_temptation(4, 10.0)
-    assert instances.resolve_instance("resource", inst) is inst
+    assert instances.resolve_instance(RESOURCE, inst) is inst
     path = tmp_path / "inst.txt"
     path.write_text("2 2\n1.0 0.5\n0.8 0.8\n0 1\n0 1\n")
     for spec in (inst, str(path)):
         with pytest.raises(ParameterError, match="apply only to paper: and random:"):
-            instances.resolve_instance("resource", spec, n=3)
+            instances.resolve_instance(RESOURCE, spec, n=3)
 
 
 def test_future_generator_draws_small_resource_instances():
-    kind, make = instances.RANDOM_GENERATORS["future"]
-    assert kind == "resource"
+    make = instances.RANDOM_GENERATORS["future"]
     for seed in range(20):
         got = make(RandomSource(seed, 6))
+        assert isinstance(got, ResourceSharingInstance)
         want = instances.random_resource_sharing(RandomSource(seed, 6), 5, 3)
         assert got.action_sets == want.action_sets
         assert _same_bits(_curve_values(got), _curve_values(want))

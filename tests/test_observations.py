@@ -188,8 +188,8 @@ def test_fractional_validation():
 @pytest.mark.parametrize("rule", [FUTURE_DEPENDENT, CUT, SCHEDULING, COST_SHARING],
                          ids=lambda rule: rule.name)
 def test_fractional_play_is_refused_outside_resource_sharing(rule):
-    kind = "resource" if rule is FUTURE_DEPENDENT else rule.kind
-    inst = instances.resolve_instance(kind, f"random:{kind}", RandomSource(0, 45))
+    spec = "random:resource" if rule is FUTURE_DEPENDENT else f"random:{rule.name}"
+    inst = instances.resolve_instance(rule, spec, RandomSource(0, 45))
     mech = PerfectCounter(inst.n, rule.dim(inst), rule.bound(inst))
     with pytest.raises(ParameterError, match="resource game only"):
         play(rule, inst, mech, Greedy(), splits=2)

@@ -56,7 +56,7 @@ def test_game_run_csv_and_summary_are_the_same_bytes_for_any_worker_count(
 
 
 def test_a_fixed_instance_optimum_is_solved_once_across_workers(monkeypatch):
-    play, solver, rule = harness._ENGINES["costshare"]
+    play, solver = harness._ENGINES["costshare"]
     calls = []
 
     def solve_once(inst):
@@ -66,7 +66,7 @@ def test_a_fixed_instance_optimum_is_solved_once_across_workers(monkeypatch):
             raise AssertionError("optimum solved twice")
         return solver(inst)
 
-    monkeypatch.setitem(harness._ENGINES, "costshare", (play, solve_once, rule))
+    monkeypatch.setitem(harness._ENGINES, "costshare", (play, solve_once))
     monkeypatch.setattr(harness, "_WORKERS", 2)
     config = ExperimentConfig(game="costshare", instance="paper:costshare-public-private",
                               mechanism=MechanismSpec(mech="treesum"), trials=4)
@@ -83,13 +83,13 @@ FAILING = ExperimentConfig(game="resource", instance="random:resource", trials=7
 def _fail_at(monkeypatch, trials, action):
     """Make the resource solver of FAILING's trials in ``trials`` call
     ``action(inst)``, which replaces the exact optimum."""
-    play, solver, rule = harness._ENGINES["resource"]
+    play, solver = harness._ENGINES["resource"]
     marked = {pickle.dumps(harness.run_trial(FAILING, t)[2]) for t in trials}
 
     def solve(inst):
         return action(inst) if pickle.dumps(inst) in marked else solver(inst)
 
-    monkeypatch.setitem(harness._ENGINES, "resource", (play, solve, rule))
+    monkeypatch.setitem(harness._ENGINES, "resource", (play, solve))
 
 
 def _beaten_optimum(inst):

@@ -3,7 +3,17 @@ import pytest
 
 from contcount.counters import AccuracyEnvelope, PerfectCounter
 from contcount.errors import ParameterError, UnknownScenarioError, ValidationError
-from contcount.games import RESOURCE, ResourceSharingInstance, ValueCurve, play
+from contcount.games import (
+    CUT,
+    FUTURE_DEPENDENT,
+    RESOURCE,
+    SCHEDULING,
+    CutInstance,
+    ResourceSharingInstance,
+    SchedulingInstance,
+    ValueCurve,
+    play,
+)
 from contcount import instances
 from contcount.noise import RandomSource
 from contcount.strategies import (
@@ -145,8 +155,32 @@ def test_scripted_guard_rejects_mismatched_instance():
     with pytest.raises(ParameterError):
         play(RESOURCE, inst, PerfectCounter(5, inst.m), scripted("fear-a-twin"))
     sched = instances.scheduling_2x2()
-    with pytest.raises(ParameterError):
-        scripted("all-blue-cycle").start("cut", sched)
+    with pytest.raises(ParameterError, match="the cut game plays a CutInstance, not a "
+                                             "SchedulingInstance"):
+        play(CUT, sched, PerfectCounter(2, 4), scripted("all-blue-cycle"))
+
+
+@pytest.mark.parametrize("script, rule, inst, message", [
+    ("fear-a-twin", RESOURCE, instances.illustrative_shared_vs_private(5, 0.01),
+     "fear-a-twin expects one private resource per player"),
+    ("fear-a-twin", FUTURE_DEPENDENT, instances.twin_temptation(3, 10.0),
+     "script 'fear-a-twin' plays the resource game, not future"),
+    ("flat-resource-temptation", RESOURCE, instances.fragile_first_mover(),
+     "expected one resource per player plus a shared last resource"),
+    ("all-blue-cycle", CUT, CutInstance(3, [(0, 1), (1, 2), (0, 2)]),
+     "even cycle with >= 4 nodes"),
+    ("all-blue-cycle", CUT, CutInstance(4, [(0, 1), (1, 2), (2, 3)]),
+     "exactly the cycle's edges"),
+    ("pessimistic-scheduler", SCHEDULING, SchedulingInstance([[1.0, 0.0], [0.0, 1.0]]),
+     "free first machine"),
+    ("private-set-beliefs", FUTURE_DEPENDENT, instances.twin_temptation(3, 10.0),
+     "shared market 0 plus one private market per player"),
+])
+def test_script_refuses_an_instance_of_another_shape(script, rule, inst, message):
+    mech = PerfectCounter(inst.n, rule.dim(inst), rule.bound(inst))
+    with pytest.raises(ParameterError, match=message):
+        play(rule, inst, mech, scripted(script))
+    assert mech.t == 0
 
 
 def test_belief_greedy_offset():
