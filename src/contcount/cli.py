@@ -45,6 +45,13 @@ def _add_mech_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
+def _add_instance_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--n", type=int, default=None,
+                        help="instance size for named/random instances")
+    parser.add_argument("--inst", action="append", default=[], metavar="KEY=VALUE",
+                        help="extra instance parameter (repeatable), e.g. eps=0.01")
+
+
 def _jsonable(obj):
     """Recursively convert numpy scalars and map non-finite floats to null."""
     if isinstance(obj, dict):
@@ -136,23 +143,26 @@ def _config_flags(args) -> list:
     return flags
 
 
+def _instance_params(args) -> dict:
+    """The instance parameters of ``--n`` and the ``--inst KEY=VALUE`` items."""
+    params = {} if args.n is None else {"n": args.n}
+    for item in args.inst:
+        if "=" not in item:
+            raise ParameterError(f"--inst expects KEY=VALUE, got {item!r}")
+        key, value = item.split("=", 1)
+        params[key.strip()] = _coerce(value.strip())
+    return params
+
+
 def _cmd_game_run(args) -> int:
     if args.game is None:
         raise ParameterError("--game (or a config file providing it) is required")
     if args.instance is None:
         raise ParameterError("--instance (or a config file providing it) is required")
-    instance_params = {}
-    if args.n is not None:
-        instance_params["n"] = args.n
-    for item in args.inst:
-        if "=" not in item:
-            raise ParameterError(f"--inst expects KEY=VALUE, got {item!r}")
-        key, value = item.split("=", 1)
-        instance_params[key.strip()] = _coerce(value.strip())
     config = harness.ExperimentConfig(
         game=args.game, instance=args.instance, mechanism=_mech_spec(args),
         strategy=args.strategy, trials=args.trials, seed=args.seed,
-        compute_opt=not args.skip_opt, instance_params=instance_params,
+        compute_opt=not args.skip_opt, instance_params=_instance_params(args),
         out=args.out, splits=args.splits)
     results, summary = harness.run_experiment(config)
     if args.json:
@@ -168,7 +178,8 @@ def _cmd_game_run(args) -> int:
 
 def _cmd_opt(args) -> int:
     # the instance trial 0 of ``game run --seed`` plays
-    config = harness.ExperimentConfig(game=args.game, instance=args.instance, seed=args.seed)
+    config = harness.ExperimentConfig(game=args.game, instance=args.instance, seed=args.seed,
+                                      instance_params=_instance_params(args))
     _, instance = harness._trial_instance(config, 0)
     result = harness._ENGINES[args.game][1](instance)
     print(f"value = {result.value!r}")
@@ -225,10 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="instance file, paper:<name>, or random:<name>")
     grun.add_argument("--strategy", default="greedy",
                       help="greedy | scripted:<name> | belief:<offset>")
-    grun.add_argument("--n", type=int, default=None,
-                      help="instance size for named/random instances")
-    grun.add_argument("--inst", action="append", default=[], metavar="KEY=VALUE",
-                      help="extra instance parameter (repeatable), e.g. eps=0.01")
+    _add_instance_flags(grun)
     grun.add_argument("--trials", type=int, default=1)
     grun.add_argument("--splits", type=int, default=1,
                       help="resource game only: split each player's unit budget "
@@ -244,6 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     opt = sub.add_parser("opt", help="exact optimum of an instance")
     opt.add_argument("--game", required=True, choices=sorted(GAMES))
     opt.add_argument("--instance", required=True)
+    _add_instance_flags(opt)
     opt.add_argument("--seed", type=int, default=0)
     opt.set_defaults(fn=_cmd_opt)
 

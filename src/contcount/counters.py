@@ -41,8 +41,13 @@ logger = logging.getLogger(__name__)
 
 _L1_TOL = 1e-9
 _NOISE_BLOCK = 1024
-# the kernel ndarray.sum() reaches through numpy's Python wrappers
-_sum = np.add.reduce
+# validate_update tests up to _NARROW entries as Python floats, wider updates
+# by an argmin and a dot. Per call on a row view (best of 9 x 50,000; Python
+# 3.11, numpy 2.4, x86-64): floats 0.31 us at width 2, 0.49 at 10, 0.69 at
+# 20, 0.81 at 24; the dot 0.77 at any width; an argmin and add.reduce 0.92-0.98.
+_NARROW = 20
+_ONES = {}  # width -> the row of ones the dot sums against
+_dot = np.dot
 
 
 @dataclass(frozen=True)
@@ -85,14 +90,27 @@ class AccuracyEnvelope:
 def validate_update(a, dim: int, bound: float = 1.0) -> np.ndarray:
     """Check membership in the (bound-scaled) simplex and return a float array.
 
-    Nonnegative entries with a bounded sum are each bounded, so one argmin
-    (the smallest entry, or the first NaN, is not negative) and one sum accept
-    every valid update; only a failing update reaches the checks that name
-    what is wrong.
+    Nonnegative entries with a bounded sum are each bounded, so the smallest
+    entry and the sum accept every valid update: up to ``_NARROW`` entries as
+    Python floats (``min`` returns a NaN only from the front, but a NaN makes
+    the sum NaN), beyond by one argmin (the smallest entry or the first NaN)
+    and one dot with a row of ones. Only a failing update reaches the checks
+    that name what is wrong, the bound's first.
     """
     arr = np.asarray(a, dtype=float)
-    if arr.shape == (dim,) and arr[arr.argmin()] >= 0 and _sum(arr) <= bound + _L1_TOL:
-        return arr
+    if arr.shape == (dim,):
+        if dim <= _NARROW:
+            vals = arr.tolist()
+            if min(vals) >= 0 and sum(vals) <= bound + _L1_TOL:
+                return arr
+        else:
+            ones = _ONES.get(dim)
+            if ones is None:
+                ones = _ONES[dim] = np.ones(dim)
+            if arr[arr.argmin()] >= 0 and _dot(arr, ones) <= bound + _L1_TOL:
+                return arr
+    if not 0.0 < bound < math.inf:
+        raise ParameterError(f"update bound must be finite and positive, got {bound}")
     if arr.shape != (dim,):
         raise ValidationError(f"update must have shape ({dim},), got {arr.shape}")
     if np.any(arr < 0):

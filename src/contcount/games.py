@@ -458,13 +458,13 @@ def play(rule: GameRule, inst, mech: CounterMechanism, strategy, splits: int = 1
     shown, true_before = np.empty((n, k)), np.empty((n, k))
     realized, perceived = np.empty(n), np.empty(n)
     actions = []
+    picks, seen_gains, true_gains = [], [], []  # one player's increments when splits > 1
     for i in range(n):
         shown[i] = displayed = rule.view(release, i)
         true_before[i] = before = rule.view(mech.true_sums, i)
         choices = rule.actions(inst, i)
         update = np.zeros(dim)
         seen, at_true = displayed, before
-        picks, seen_gains, true_gains = [], [], []
         for part in range(splits):
             if part:
                 own = rule.view(update, i)
@@ -473,13 +473,22 @@ def play(rule: GameRule, inst, mech: CounterMechanism, strategy, splits: int = 1
             if a not in choices:
                 raise ValidationError(f"strategy chose action {a} outside player {i}'s "
                                       f"actions {choices}")
-            picks.append(a)
-            seen_gains.append(step * rule.utility(inst, i, a, seen))
-            true_gains.append(step * rule.utility(inst, i, a, at_true))
+            seen_gain = step * rule.utility(inst, i, a, seen)
+            true_gain = step * rule.utility(inst, i, a, at_true)
             rule.add_update(update, inst, i, a, step)
-        # the action the player invested in most, ties to the lowest index
-        actions.append(picks[0] if splits == 1 else max(sorted(set(picks)), key=picks.count))
-        realized[i], perceived[i] = math.fsum(true_gains), math.fsum(seen_gains)
+            if splits == 1:
+                break
+            picks.append(a)
+            seen_gains.append(seen_gain)
+            true_gains.append(true_gain)
+        else:
+            # the action the player invested in most, ties to the lowest index
+            a = max(sorted(set(picks)), key=picks.count)
+            seen_gain, true_gain = math.fsum(seen_gains), math.fsum(true_gains)
+            del picks[:], seen_gains[:], true_gains[:]
+        actions.append(a)
+        # + 0.0 stores a lone gain as a one-term fsum would: -0.0 becomes 0.0
+        realized[i], perceived[i] = true_gain + 0.0, seen_gain + 0.0
         release = mech.update(update)
     final = mech.true_sums
     rule.settle(inst, actions, final, realized)

@@ -166,6 +166,14 @@ def _random_curve(rng: RandomSource, horizon: int) -> ValueCurve:
     return ValueCurve(vals)
 
 
+def _size(rng: RandomSource, name: str, low: int, high) -> int:
+    """A size uniform on [low, high]; a ``high`` (the parameter ``name``) that is
+    not finite and at least ``low`` is refused."""
+    if not low <= high < math.inf:
+        raise ParameterError(f"{name} must be finite and >= {low}, got {high}")
+    return int(rng.integers(low, high + 1))
+
+
 def _random_subsets(rng: RandomSource, n: int, m: int) -> list:
     """n sorted nonempty subsets of range(m). Player i draws a size k uniform
     on 1..m and takes the indices of the k smallest keys in row i of one
@@ -180,23 +188,25 @@ def _random_subsets(rng: RandomSource, n: int, m: int) -> list:
 
 def random_resource_sharing(rng: RandomSource, n_max: int = 50,
                             m_max: int = 10) -> ResourceSharingInstance:
-    n = int(rng.integers(2, n_max + 1))
-    m = int(rng.integers(2, m_max + 1))
+    n = _size(rng, "n_max", 2, n_max)
+    m = _size(rng, "m_max", 2, m_max)
     curves = [_random_curve(rng, n) for _ in range(m)]
     return ResourceSharingInstance(curves, _random_subsets(rng, n, m))
 
 
 def random_market_sharing(rng: RandomSource, n_max: int = 6, m_max: int = 4,
                           value_lo: float = 1.0, value_hi: float = 4.0) -> ResourceSharingInstance:
-    n = int(rng.integers(4, n_max + 1))
-    m = int(rng.integers(2, m_max + 1))
+    n = _size(rng, "n_max", 4, n_max)
+    m = _size(rng, "m_max", 2, m_max)
     curves = [market_curve(value_lo + (value_hi - value_lo) * rng.uniform(), n)
               for _ in range(m)]
     return ResourceSharingInstance(curves, _random_subsets(rng, n, m))
 
 
 def random_cut(rng: RandomSource, n_max: int = 16, p: float = 0.3) -> CutInstance:
-    n = int(rng.integers(3, n_max + 1))
+    if not 0.0 <= p <= 1.0:
+        raise ParameterError(f"edge probability p must lie in [0, 1], got {p}")
+    n = _size(rng, "n_max", 3, n_max)
     # one key per pair (u, v), u < v, in row-major order
     us, vs = np.triu_indices(n, 1)
     keep = rng.uniform(size=us.size) < p
@@ -208,14 +218,14 @@ def random_cut(rng: RandomSource, n_max: int = 16, p: float = 0.3) -> CutInstanc
 
 def random_scheduling(rng: RandomSource, n_max: int = 8, m_max: int = 4,
                       cost_hi: float = 10.0) -> SchedulingInstance:
-    n = int(rng.integers(2, n_max + 1))
-    m = int(rng.integers(2, m_max + 1))
+    n = _size(rng, "n_max", 2, n_max)
+    m = _size(rng, "m_max", 2, m_max)
     return SchedulingInstance(cost_hi * rng.generator.random((n, m)))
 
 
 def random_cost_sharing(rng: RandomSource, n_max: int = 8, m_max: int = 8) -> CostSharingInstance:
-    n = int(rng.integers(2, n_max + 1))
-    m = int(rng.integers(2, m_max + 1))
+    n = _size(rng, "n_max", 2, n_max)
+    m = _size(rng, "m_max", 2, m_max)
     costs = 0.5 + 4.5 * rng.generator.random(m)
     return CostSharingInstance(costs, _random_subsets(rng, n, m))
 

@@ -134,8 +134,10 @@ class FlatResourceTemptation(FearATwin):
     name = "flat-resource-temptation"
 
     def check(self, instance) -> None:
-        if instance.m != instance.n + 1:
-            raise ParameterError("expected one resource per player plus a shared last resource")
+        shared = instance.n
+        if instance.m != shared + 1 or any(shared not in acts for acts in instance.action_sets):
+            raise ParameterError("expected one resource per player plus a shared last resource "
+                                 "in every action set")
 
 
 class AllBlueCycle(_Script):

@@ -184,6 +184,35 @@ def test_opt_solves_the_instance_trial_0_of_game_run_plays(capsys, game, instanc
     assert out.splitlines()[0] == f"value = {opt}"
 
 
+@pytest.mark.parametrize("flags", [
+    ["--game", "resource", "--instance", "random:resource", "--inst", "n_max=200",
+     "--inst", "m_max=10"],
+    ["--game", "cut", "--instance", "random:cut", "--inst", "n_max=6", "--inst", "p=0.5"],
+    ["--game", "resource", "--instance", "paper:noinfo", "--n", "5", "--inst", "high=7.5"],
+    ["--game", "costshare", "--instance", "paper:costshare-public-private", "--n", "4"]])
+@pytest.mark.parametrize("seed", ["0", "5"])
+def test_opt_takes_the_instance_parameters_of_game_run(capsys, flags, seed):
+    code, out, _ = run_cli(capsys, "opt", *flags, "--seed", seed)
+    assert code == 0
+    code, csv, _ = run_cli(capsys, "game", "run", *flags, "--trials", "1", "--seed", seed)
+    assert code == 0
+    header, trial0 = csv.splitlines()[:2]
+    opt = trial0.split(",")[header.split(",").index("opt")]
+    assert out.splitlines()[0] == f"value = {opt}"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["resource", "random:resource", "--inst", "n_max=1"], "n_max must be finite and >= 2, got 1"),
+    (["resource", "random:resource", "--inst", "bogus=1"], "bogus"),
+    (["resource", "random:resource", "--inst", "high"], "--inst expects KEY=VALUE, got 'high'"),
+    (["cut", "paper:cut-cycle", "--n", "1"], "cut-cycle needs n >= 2")])
+def test_opt_bad_instance_parameters_exit_one(capsys, argv, message):
+    game, instance, *flags = argv
+    code, out, err = run_cli(capsys, "opt", "--game", game, "--instance", instance, *flags)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and message in err
+
+
 @pytest.mark.parametrize("name", ["random", "paper"])
 def test_opt_file_named_like_a_prefix(tmp_path, capsys, monkeypatch, name):
     (tmp_path / name).write_text("2 2\n1.0 0.5\n0.8 0.8\n0 1\n0 1\n")
@@ -222,6 +251,25 @@ def test_game_run_bad_parameters(capsys, argv, message):
     assert code == 1
     assert err.startswith("error:")
     assert message in err
+
+
+@pytest.mark.parametrize("game, instance, item, message", [
+    ("cut", "random:cut", "p=nan", "edge probability p must lie in [0, 1], got nan"),
+    ("cut", "random:cut", "p=-1", "edge probability p must lie in [0, 1], got -1"),
+    ("cut", "random:cut", "p=2", "edge probability p must lie in [0, 1], got 2"),
+    ("cut", "random:cut", "n_max=2", "n_max must be finite and >= 3, got 2"),
+    ("resource", "random:resource", "m_max=1", "m_max must be finite and >= 2, got 1"),
+    ("resource", "random:resource", "n_max=nan", "n_max must be finite and >= 2, got nan"),
+    ("resource", "random:resource", "m_max=inf", "m_max must be finite and >= 2, got inf"),
+    ("resource", "random:market", "n_max=3", "n_max must be finite and >= 4, got 3"),
+    ("future", "random:future", "m_max=1", "m_max must be finite and >= 2, got 1"),
+    ("scheduling", "random:scheduling", "m_max=1", "m_max must be finite and >= 2, got 1"),
+    ("costshare", "random:costshare", "n_max=0", "n_max must be finite and >= 2, got 0")])
+def test_random_generator_bad_parameters_exit_one(capsys, game, instance, item, message):
+    code, out, err = run_cli(capsys, "game", "run", "--game", game, "--instance", instance,
+                             "--inst", item)
+    assert code == 1 and out == ""
+    assert err.startswith("error: bad parameters") and message in err
 
 
 @pytest.mark.parametrize("argv", [["--n", "50"], ["--inst", "bogus=3"]])

@@ -7,6 +7,7 @@ import pytest
 
 from contcount.counters import (
     _L1_TOL,
+    _NARROW,
     _NOISE_BLOCK,
     AccuracyEnvelope,
     EmptyCounter,
@@ -77,10 +78,15 @@ def test_update_validation():
             validate_update(bad, 3, bound=3.0)
 
 
+# both accept paths: Python floats up to _NARROW entries, argmin and dot beyond
+VALIDATION_WIDTHS = (*range(1, 9), _NARROW - 1, _NARROW, _NARROW + 1, 32, 60, 201)
+
+
 def test_update_validation_accepts_exactly_the_valid_updates():
-    # the fast path (one argmin, then one sum) agrees with the definition on
-    # random arrays salted with -0.0, NaN, +-inf and -1e-300, NaN also beside
-    # a smaller entry, and a sum exactly on the tolerance still passes
+    # each accept path agrees with the definition on random arrays with sums
+    # on both sides of the bound, salted with -0.0, NaN, +-inf and -1e-300,
+    # NaN also beside a smaller entry; sums within 1e-12 of the tolerance
+    # edge are left out, as the order of summation may decide them
     def accepts(arr, bound):
         try:
             validate_update(arr, len(arr), bound)
@@ -92,24 +98,66 @@ def test_update_validation_accepts_exactly_the_valid_updates():
     specials = (-0.0, math.nan, math.inf, -math.inf, -1e-300)
     cases = [([-1.0, math.nan], 1.0), ([math.nan, -1.0], 1.0), ([0.1, math.nan, 0.0], 1.0),
              ([-0.0, 0.5], 1.0), ([-0.0, -0.0], 1.0)]
-    for _ in range(4000):
-        m = int(gen.integers(1, 9))
-        bound = float(gen.choice([1.0, 3.0, 5.0]))
-        arr = gen.random(m) * 1.5 * bound / m  # sums on both sides of the bound
-        if gen.random() < 0.2:
-            arr -= 0.05 * gen.random(m)
-        for _ in range(int(gen.integers(0, 3))):
-            arr[gen.integers(m)] = specials[gen.integers(len(specials))]
-        cases.append((arr.tolist(), bound))
+    for m in VALIDATION_WIDTHS:
+        for _ in range(400):
+            bound = float(gen.choice([1.0, 3.0, 5.0]))
+            arr = gen.random(m)
+            arr *= (0.5 + gen.random()) * bound / arr.sum()
+            if gen.random() < 0.2:
+                arr -= 0.05 * gen.random(m)
+            for _ in range(int(gen.integers(0, 3))):
+                arr[gen.integers(m)] = specials[gen.integers(len(specials))]
+            cases.append((arr.tolist(), bound))
+    checked = set()
     for entries, bound in cases:
         arr = np.array(entries)
-        expected = bool(np.all(arr >= 0) and arr.sum() <= bound + 1e-9)
+        with np.errstate(invalid="ignore"):  # inf + -inf
+            total = arr.sum()
+        if abs(total - (bound + _L1_TOL)) < 1e-12:
+            continue
+        expected = bool(np.all(arr >= 0) and total <= bound + _L1_TOL)
         assert accepts(arr, bound) == expected, (entries, bound)
+        checked.add((len(entries), expected))
+    assert checked == {(m, ok) for m in (1, 2, 3, *VALIDATION_WIDTHS) for ok in (False, True)}
+
+
+@pytest.mark.parametrize("m", [1, 2, _NARROW, _NARROW + 1, 32])
+def test_update_validation_exact_edge_on_each_path(m):
     for bound in (1.0, 3.0, 5.0):
         edge = bound + _L1_TOL
-        for entries in ([edge], [0.0, edge], [edge / 2, edge / 2]):
-            assert accepts(np.array(entries), bound)
-        assert not accepts(np.array([np.nextafter(edge, math.inf)]), bound)
+        pad = [0.0] * (m - 1)
+        validate_update([edge] + pad, m, bound)
+        validate_update(pad + [edge], m, bound)
+        if m > 1:
+            validate_update([edge / 2, edge / 2] + pad[1:], m, bound)
+        with pytest.raises(ValidationError):
+            validate_update([np.nextafter(edge, math.inf)] + pad, m, bound)
+
+
+@pytest.mark.parametrize("entries", [
+    [0.5, -0.1, 0.0], [1.5, 0.0, 0.0], [0.2, math.nan, 0.0], [math.inf, 0.0, 0.0],
+    [0.6, 0.6, 0.0]])
+def test_update_validation_messages_match_across_paths(entries):
+    # the same faulty entries, padded with zeros past the narrow width, fail
+    # with the same message on either path
+    def message(arr):
+        with pytest.raises(ValidationError) as info:
+            validate_update(arr, len(arr))
+        return str(info.value)
+
+    assert message(entries) == message(entries + [0.0] * (_NARROW + 2))
+
+
+@pytest.mark.parametrize("m", [2, _NARROW + 5])
+@pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_update_validation_refuses_a_bad_bound_by_name(m, bound):
+    # a NaN bound fails every update; the others fail the ones they refuse
+    pad = [0.0] * (m - 2)
+    with pytest.raises(ParameterError, match="update bound must be finite and positive"):
+        validate_update([5.0, 2.0] + pad if bound != math.inf else [-1.0, 2.0] + pad, m, bound)
+    if math.isnan(bound):
+        with pytest.raises(ParameterError, match="update bound"):
+            validate_update([0.0] * m, m, bound)
 
 
 def test_nan_update_refused_by_every_mechanism():

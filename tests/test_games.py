@@ -276,6 +276,15 @@ def test_scheduling_2x2_greedy_and_scripted():
     assert scripted_trace.metric >= 1.0
 
 
+def test_unit_demand_play_stores_a_zero_gain_as_plus_zero():
+    # greedy's first job costs 0 on machine 0, a utility of -(0.0 + 0.0) = -0.0;
+    # the play stores it as a one-term fsum would, +0.0
+    trace = play(SCHEDULING, instances.scheduling_2x2(), PerfectCounter(2, 2), Greedy())
+    assert trace.actions == [0, 1]
+    assert trace.perceived[0] == 0.0 and math.copysign(1.0, trace.perceived[0]) == 1.0
+    assert math.copysign(1.0, trace.perceived[1]) == 1.0
+
+
 def test_scheduling_greedy_below_tstar_sum():
     for trial in range(25):
         rng = RandomSource(trial, 5)

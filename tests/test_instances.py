@@ -148,3 +148,36 @@ def test_future_generator_draws_small_resource_instances():
         assert got.action_sets == want.action_sets
         assert _same_bits(_curve_values(got), _curve_values(want))
         assert 2 <= got.n <= 5
+
+
+@pytest.mark.parametrize("name, params, message", [
+    ("resource", {"n_max": 1}, "n_max must be finite and >= 2, got 1"),
+    ("resource", {"m_max": 1}, "m_max must be finite and >= 2, got 1"),
+    ("resource", {"n_max": math.nan}, "n_max must be finite and >= 2, got nan"),
+    ("resource", {"m_max": math.inf}, "m_max must be finite and >= 2, got inf"),
+    ("future", {"n_max": 1}, "n_max must be finite and >= 2, got 1"),
+    ("market", {"n_max": 3}, "n_max must be finite and >= 4, got 3"),
+    ("market", {"m_max": 0}, "m_max must be finite and >= 2, got 0"),
+    ("cut", {"n_max": 2}, "n_max must be finite and >= 3, got 2"),
+    ("cut", {"p": math.nan}, r"p must lie in \[0, 1\], got nan"),
+    ("cut", {"p": -1.0}, r"p must lie in \[0, 1\], got -1.0"),
+    ("cut", {"p": 2.0}, r"p must lie in \[0, 1\], got 2.0"),
+    ("scheduling", {"n_max": 1}, "n_max must be finite and >= 2, got 1"),
+    ("scheduling", {"m_max": 1}, "m_max must be finite and >= 2, got 1"),
+    ("costshare", {"n_max": -5}, "n_max must be finite and >= 2, got -5"),
+    ("costshare", {"m_max": 1}, "m_max must be finite and >= 2, got 1"),
+])
+def test_random_generator_names_a_bad_parameter(name, params, message):
+    with pytest.raises(ParameterError, match=message):
+        instances.RANDOM_GENERATORS[name](RandomSource(0, 7), **params)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("resource", {"n_max": 2, "m_max": 2}), ("market", {"n_max": 4, "m_max": 2}),
+    ("cut", {"n_max": 3, "p": 0.0}), ("cut", {"n_max": 3, "p": 1.0}),
+    ("scheduling", {"n_max": 2, "m_max": 2}), ("costshare", {"n_max": 2, "m_max": 2})])
+def test_random_generator_takes_its_smallest_parameters(name, params):
+    inst = instances.RANDOM_GENERATORS[name](RandomSource(0, 7), **params)
+    assert inst.n == params["n_max"]
+    if name == "cut":
+        assert len(inst.edges) == (3 if params["p"] else 1)

@@ -175,6 +175,9 @@ def test_scripted_guard_rejects_mismatched_instance():
      "free first machine"),
     ("private-set-beliefs", FUTURE_DEPENDENT, instances.twin_temptation(3, 10.0),
      "shared market 0 plus one private market per player"),
+    # m = n + 1, but players 0 and 1 cannot reach the shared last resource
+    ("flat-resource-temptation", RESOURCE, instances.illustrative_shared_vs_private(3, 0.01),
+     "shared last resource in every action set"),
 ])
 def test_script_refuses_an_instance_of_another_shape(script, rule, inst, message):
     mech = PerfectCounter(inst.n, rule.dim(inst), rule.bound(inst))
