@@ -78,7 +78,7 @@ def _mech_spec(args) -> harness.MechanismSpec:
 
 def _cmd_counter_run(args) -> int:
     mech = _mech_spec(args).build(args.n, args.m, RandomSource(args.seed))
-    stream = instances.load_stream(args.stream, args.m)
+    stream = instances.parse_stream(instances._read_text(args.stream, "stream"), args.m)
     if stream.shape[0] > args.n:
         raise ParameterError(f"stream has {stream.shape[0]} steps but horizon is {args.n}")
     xs, ys = np.zeros((2, len(stream), args.m))
@@ -116,10 +116,7 @@ def _config_flags(args) -> list:
     parsed after these flags and wins; its ``--wrap`` or ``--n`` drops the
     config's ``wrap`` or ``inst.n``."""
     flags = []
-    for raw in instances._read_text(args.config, "config").splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in instances._data_lines(instances._read_text(args.config, "config")):
         if "=" not in line:
             raise ParameterError(f"config line without '=': {line!r}")
         key, value = (s.strip() for s in line.split("=", 1))

@@ -349,7 +349,6 @@ class FTSum(CounterMechanism):
         self.log_n = math.log2(n) if n > 1 else 0.0
         self._flag_noise = _block_laplace(2.0 * update_bound / eps_prime, rng.substream(0))
         self.flags = np.zeros(m, dtype=int)
-        self._acc = np.zeros(m)
         self.taus = np.array([self.log_n + next(self._flag_noise) for _ in range(m)])
         self._phase_one = list(range(m))  # ascending; a coordinate leaves once flag > k
 
@@ -368,11 +367,10 @@ class FTSum(CounterMechanism):
         as a loop over all coordinates that skips the handed-off ones. A
         coordinate whose flag passes k leaves the list after this step.
         """
-        y = self.tree.update(a)
+        y = self.tree.update(a)  # adds ``a`` to the true sums FTSum shares
         raised = False
         for r in self._phase_one:
-            self._acc[r] += a[r]
-            noisy = self._acc[r] + next(self._flag_noise)
+            noisy = self._true[r] + next(self._flag_noise)
             if noisy > self.taus[r]:
                 raised = True
                 self.flags[r] += 1
@@ -458,13 +456,12 @@ class MonotoneWrapper(_Wrapper):
 
     def __init__(self, inner: CounterMechanism):
         env = inner.envelope
-        self._reported = np.zeros(inner.dim)
         super().__init__(inner, AccuracyEnvelope(env.alpha, env.beta + 1.0, env.gamma))
 
     def _transform(self, y: np.ndarray) -> np.ndarray:
-        # kept as ``_current``, which the base class copies out
-        self._reported += y > self._reported + 0.5
-        return self._reported
+        # steps the previous release in place; the base class copies it out
+        self._current += y > self._current + 0.5
+        return self._current
 
 
 class ZeroFailureWrapper(_Wrapper):

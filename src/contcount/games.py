@@ -14,10 +14,11 @@ objective of an action profile, a welfare to maximize or a cost to minimize.
 
 Each game is one rule in :data:`GAMES`, which the harness and the CLI read;
 its ``instance_type`` is the only instance class ``play`` accepts. Adding a
-game means a rule here (for a new instance class, also its parser in
-``instances._PARSERS`` and its builders), an exact solver in ``optimal``, and
-one ``harness._ENGINES`` entry. The ``play_<game>`` aliases below remain only
-for ``harness._ENGINES`` and the benchmark's timing shims.
+game means a rule here (for a new instance class, also that class, whose
+``parse`` reads its file format, and its builders in ``instances``), an
+exact solver in ``optimal``, and one ``harness._ENGINES`` entry. The
+``play_<game>`` aliases below remain only for ``harness._ENGINES`` and the
+benchmark's timing shims.
 
 Each play returns a columnar :class:`PlayTrace`, row i for player i: her
 view of the release and of the true counts before her move, her utilities
@@ -34,6 +35,7 @@ from both, and her action. Conventions shared by all games:
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -85,6 +87,39 @@ class ValueCurve:
         return f"ValueCurve([{head}{tail}])"
 
 
+def _data_lines(text: str) -> list:
+    """The nonblank lines of ``text``, each stripped of its '#' comment."""
+    lines = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            lines.append(line)
+    return lines
+
+
+@contextlib.contextmanager
+def _malformed(kind: str, text: str):
+    """The data lines of ``text``; a field missing from them or not parsing
+    raises ValidationError naming a malformed ``kind`` instance."""
+    try:
+        yield _data_lines(text)
+    except (IndexError, ValueError) as exc:
+        raise ValidationError(f"malformed {kind} instance: {exc}") from exc
+
+
+def _check_action_sets(action_sets: list, m: int, noun: str) -> None:
+    """Raise ParameterError unless there is a player and each picks from a
+    nonempty list of indices into the m ``noun``s."""
+    if not action_sets:
+        raise ParameterError("need at least one player")
+    for i, acts in enumerate(action_sets):
+        if not acts:
+            raise ParameterError(f"player {i} has an empty action set")
+        for r in acts:
+            if not 0 <= r < m:
+                raise ParameterError(f"player {i} references unknown {noun} {r}")
+
+
 @dataclass
 class ResourceSharingInstance:
     """Unit-demand resource sharing: player i picks one resource from action_sets[i]."""
@@ -93,14 +128,18 @@ class ResourceSharingInstance:
     action_sets: list
 
     def __post_init__(self):
-        if not self.action_sets:
-            raise ParameterError("need at least one player")
-        for i, acts in enumerate(self.action_sets):
-            if not acts:
-                raise ParameterError(f"player {i} has an empty action set")
-            for r in acts:
-                if not 0 <= r < len(self.curves):
-                    raise ParameterError(f"player {i} references unknown resource {r}")
+        _check_action_sets(self.action_sets, len(self.curves), "resource")
+
+    @classmethod
+    def parse(cls, text: str) -> ResourceSharingInstance:
+        """Header 'n m', then m curve lines (n values each), then n action-set lines."""
+        with _malformed("resource-sharing", text) as lines:
+            n, m = (int(x) for x in lines[0].split())
+            curves = [ValueCurve([float(v) for v in lines[1 + r].split()]) for r in range(m)]
+            action_sets = [[int(v) for v in line.split()] for line in lines[1 + m:]]
+            if len(action_sets) != n:
+                raise ValueError(f"expected {n} action-set lines, got {len(action_sets)}")
+        return cls(curves, action_sets)
 
     @property
     def n(self) -> int:
@@ -113,34 +152,42 @@ class ResourceSharingInstance:
 
 @dataclass
 class CutInstance:
-    """Simple undirected graph; players are nodes, colors are red=0 / blue=1."""
+    """Simple undirected graph on n nodes; players are nodes, colors are red=0 / blue=1."""
 
-    n_nodes: int
+    n: int
     edges: list
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ParameterError("need at least one player")
         seen = set()
         for u, v in self.edges:
             if u == v:
                 raise ParameterError(f"self-loop at node {u}")
-            if not (0 <= u < self.n_nodes and 0 <= v < self.n_nodes):
+            if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ParameterError(f"edge ({u}, {v}) out of range")
             key = (min(u, v), max(u, v))
             if key in seen:
                 raise ParameterError(f"duplicate edge {key}")
             seen.add(key)
         self.edges = sorted(seen)
-        self._neighbors = [[] for _ in range(self.n_nodes)]
+        self._neighbors = [[] for _ in range(self.n)]
         for u, v in self.edges:
             self._neighbors[u].append(v)
             self._neighbors[v].append(u)
 
+    @classmethod
+    def parse(cls, text: str) -> CutInstance:
+        """Header 'n', then one 'u v' line per edge."""
+        with _malformed("cut", text) as lines:
+            n = int(lines[0])
+            edges = [tuple(int(v) for v in line.split()) for line in lines[1:]]
+            if any(len(edge) != 2 for edge in edges):
+                raise ValueError("every edge line needs exactly two node indices")
+        return cls(n, edges)
+
     def neighbors(self, u: int) -> list:
         return self._neighbors[u]
-
-    @property
-    def n(self) -> int:
-        return self.n_nodes
 
     @property
     def max_degree(self) -> int:
@@ -162,6 +209,16 @@ class SchedulingInstance:
         if np.any(self.costs < 0):
             raise ParameterError("job sizes must be nonnegative")
 
+    @classmethod
+    def parse(cls, text: str) -> SchedulingInstance:
+        """Header 'n m', then n rows of m job sizes."""
+        with _malformed("scheduling", text) as lines:
+            n, m = (int(x) for x in lines[0].split())
+            costs = np.array([[float(v) for v in line.split()] for line in lines[1:]])
+            if costs.shape != (n, m):
+                raise ValueError(f"expected a {n}x{m} size matrix")
+        return cls(costs)
+
     @property
     def n(self) -> int:
         return self.costs.shape[0]
@@ -178,10 +235,11 @@ class SchedulingInstance:
 
 @dataclass
 class CostSharingInstance:
-    """Set costs shared equally among the players who pick each set."""
+    """Set costs shared equally among the players who pick each set;
+    player i picks one set from action_sets[i]."""
 
     set_costs: np.ndarray
-    allowed: list
+    action_sets: list
 
     def __post_init__(self):
         self.set_costs = np.asarray(self.set_costs, dtype=float)
@@ -189,16 +247,24 @@ class CostSharingInstance:
             raise ParameterError("set costs must be finite")
         if np.any(self.set_costs <= 0):
             raise ParameterError("set costs must be positive")
-        for i, sets in enumerate(self.allowed):
-            if not sets:
-                raise ParameterError(f"player {i} is adjacent to no set")
-            for s in sets:
-                if not 0 <= s < self.set_costs.size:
-                    raise ParameterError(f"player {i} references unknown set {s}")
+        _check_action_sets(self.action_sets, self.set_costs.size, "set")
+
+    @classmethod
+    def parse(cls, text: str) -> CostSharingInstance:
+        """Header 'n m', then one line of m set costs, then n adjacency lines."""
+        with _malformed("cost-sharing", text) as lines:
+            n, m = (int(x) for x in lines[0].split())
+            costs = np.array([float(v) for v in lines[1].split()])
+            if costs.size != m:
+                raise ValueError(f"expected {m} set costs")
+            action_sets = [[int(v) for v in line.split()] for line in lines[2:]]
+            if len(action_sets) != n:
+                raise ValueError(f"expected {n} adjacency lines, got {len(action_sets)}")
+        return cls(costs, action_sets)
 
     @property
     def n(self) -> int:
-        return len(self.allowed)
+        return len(self.action_sets)
 
     @property
     def m(self) -> int:
@@ -410,9 +476,6 @@ class CostSharingRule(GameRule):
     sense = "min"
     utility_is_cost = True
     tol = 1e-9
-
-    def actions(self, inst, player) -> list:
-        return sorted(inst.allowed[player])
 
     def utility(self, inst, player, action, counts) -> float:
         return float(inst.set_costs[action]) / (max(float(counts[action]), 0.0) + 1.0)

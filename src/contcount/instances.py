@@ -1,5 +1,5 @@
 """Built-in game instances: named worst-case constructions, random generators,
-and the plain-text instance file formats.
+and the reading of instance and stream files.
 
 Named constructions are addressable as ``paper:<name>`` from the CLI and the
 experiment harness; each realizes one of the closed-form bad (or good) cases
@@ -21,8 +21,10 @@ from .games import (
     ResourceSharingInstance,
     SchedulingInstance,
     ValueCurve,
+    _data_lines,
 )
 from .noise import RandomSource
+from .optimal import MATCHING_COPY_BUDGET
 
 
 def harmonic_number(n: int) -> float:
@@ -89,8 +91,8 @@ def costshare_public_private(n: int = 10, eps: float = 0.1) -> CostSharingInstan
     """A public set of cost 1+eps adjacent to everyone plus one private set of
     cost 1 per player; exact counts drive everyone private (total cost n)."""
     costs = [1.0 + eps] + [1.0] * n
-    allowed = [[0, i + 1] for i in range(n)]
-    return CostSharingInstance(np.array(costs), allowed)
+    action_sets = [[0, i + 1] for i in range(n)]
+    return CostSharingInstance(np.array(costs), action_sets)
 
 
 def future_step(w: float = 5.0, eps: float = 0.1) -> ResourceSharingInstance:
@@ -166,12 +168,25 @@ def _random_curve(rng: RandomSource, horizon: int) -> ValueCurve:
     return ValueCurve(vals)
 
 
-def _size(rng: RandomSource, name: str, low: int, high) -> int:
-    """A size uniform on [low, high]; a ``high`` (the parameter ``name``) that is
-    not finite and at least ``low`` is refused."""
-    if not low <= high < math.inf:
-        raise ParameterError(f"{name} must be finite and >= {low}, got {high}")
-    return int(rng.integers(low, high + 1))
+def _sizes(rng: RandomSource, n_low: int, n_max, m_max=None) -> tuple:
+    """n uniform on [n_low, n_max] and, given ``m_max``, m uniform on [2, m_max].
+    Before any draw, a bound that is not a finite integer at least its low end
+    is refused, naming it, and so are bounds under which the draw could build
+    more than MATCHING_COPY_BUDGET values (n*m keys, costs or curve entries,
+    or n(n - 1)/2 cut pairs)."""
+    bounds = [("n_max", n_low, n_max)] + ([] if m_max is None else [("m_max", 2, m_max)])
+    for name, low, high in bounds:
+        if not low <= high < math.inf:
+            raise ParameterError(f"{name} must be finite and >= {low}, got {high}")
+        if high != int(high):
+            raise ParameterError(f"{name} must be an integer, got {high}")
+    n = int(n_max)
+    values = n * (n - 1) // 2 if m_max is None else n * int(m_max)
+    if values > MATCHING_COPY_BUDGET:
+        named = " and ".join(f"{name} = {high}" for name, _, high in bounds)
+        raise ParameterError(f"{named} would draw up to {values} values, over the "
+                             f"budget of {MATCHING_COPY_BUDGET}")
+    return tuple(int(rng.integers(low, int(high) + 1)) for _, low, high in bounds)
 
 
 def _random_subsets(rng: RandomSource, n: int, m: int) -> list:
@@ -188,16 +203,14 @@ def _random_subsets(rng: RandomSource, n: int, m: int) -> list:
 
 def random_resource_sharing(rng: RandomSource, n_max: int = 50,
                             m_max: int = 10) -> ResourceSharingInstance:
-    n = _size(rng, "n_max", 2, n_max)
-    m = _size(rng, "m_max", 2, m_max)
+    n, m = _sizes(rng, 2, n_max, m_max)
     curves = [_random_curve(rng, n) for _ in range(m)]
     return ResourceSharingInstance(curves, _random_subsets(rng, n, m))
 
 
 def random_market_sharing(rng: RandomSource, n_max: int = 6, m_max: int = 4,
                           value_lo: float = 1.0, value_hi: float = 4.0) -> ResourceSharingInstance:
-    n = _size(rng, "n_max", 4, n_max)
-    m = _size(rng, "m_max", 2, m_max)
+    n, m = _sizes(rng, 4, n_max, m_max)
     curves = [market_curve(value_lo + (value_hi - value_lo) * rng.uniform(), n)
               for _ in range(m)]
     return ResourceSharingInstance(curves, _random_subsets(rng, n, m))
@@ -206,7 +219,7 @@ def random_market_sharing(rng: RandomSource, n_max: int = 6, m_max: int = 4,
 def random_cut(rng: RandomSource, n_max: int = 16, p: float = 0.3) -> CutInstance:
     if not 0.0 <= p <= 1.0:
         raise ParameterError(f"edge probability p must lie in [0, 1], got {p}")
-    n = _size(rng, "n_max", 3, n_max)
+    (n,) = _sizes(rng, 3, n_max)
     # one key per pair (u, v), u < v, in row-major order
     us, vs = np.triu_indices(n, 1)
     keep = rng.uniform(size=us.size) < p
@@ -218,15 +231,13 @@ def random_cut(rng: RandomSource, n_max: int = 16, p: float = 0.3) -> CutInstanc
 
 def random_scheduling(rng: RandomSource, n_max: int = 8, m_max: int = 4,
                       cost_hi: float = 10.0) -> SchedulingInstance:
-    n = _size(rng, "n_max", 2, n_max)
-    m = _size(rng, "m_max", 2, m_max)
-    return SchedulingInstance(cost_hi * rng.generator.random((n, m)))
+    n, m = _sizes(rng, 2, n_max, m_max)
+    return SchedulingInstance(cost_hi * rng.uniform(size=(n, m)))
 
 
 def random_cost_sharing(rng: RandomSource, n_max: int = 8, m_max: int = 8) -> CostSharingInstance:
-    n = _size(rng, "n_max", 2, n_max)
-    m = _size(rng, "m_max", 2, m_max)
-    costs = 0.5 + 4.5 * rng.generator.random(m)
+    n, m = _sizes(rng, 2, n_max, m_max)
+    costs = 0.5 + 4.5 * rng.uniform(size=m)
     return CostSharingInstance(costs, _random_subsets(rng, n, m))
 
 
@@ -270,83 +281,10 @@ def _read_text(path: str, what: str) -> str:
         raise ParameterError(f"cannot read {what} file '{path}': not UTF-8 ({exc.reason})") from exc
 
 
-def _data_lines(text: str) -> list:
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
-    return lines
-
-
-def parse_resource_sharing(text: str) -> ResourceSharingInstance:
-    """Header 'n m', then m curve lines (n values each), then n action-set lines."""
-    lines = _data_lines(text)
-    try:
-        n, m = (int(x) for x in lines[0].split())
-        curves = [ValueCurve([float(v) for v in lines[1 + r].split()]) for r in range(m)]
-        action_sets = [[int(v) for v in line.split()] for line in lines[1 + m:]]
-        if len(action_sets) != n:
-            raise ValueError(f"expected {n} action-set lines, got {len(action_sets)}")
-    except (IndexError, ValueError) as exc:
-        raise ValidationError(f"malformed resource-sharing instance: {exc}") from exc
-    return ResourceSharingInstance(curves, action_sets)
-
-
-def parse_cut(text: str) -> CutInstance:
-    """Header 'n', then one 'u v' line per edge."""
-    lines = _data_lines(text)
-    try:
-        n = int(lines[0])
-        edges = [tuple(int(v) for v in line.split()) for line in lines[1:]]
-        if any(len(edge) != 2 for edge in edges):
-            raise ValueError("every edge line needs exactly two node indices")
-    except (IndexError, ValueError) as exc:
-        raise ValidationError(f"malformed cut instance: {exc}") from exc
-    return CutInstance(n, edges)
-
-
-def parse_scheduling(text: str) -> SchedulingInstance:
-    """Header 'n m', then n rows of m job sizes."""
-    lines = _data_lines(text)
-    try:
-        n, m = (int(x) for x in lines[0].split())
-        costs = np.array([[float(v) for v in line.split()] for line in lines[1:]])
-        if costs.shape != (n, m):
-            raise ValueError(f"expected a {n}x{m} size matrix")
-    except (IndexError, ValueError) as exc:
-        raise ValidationError(f"malformed scheduling instance: {exc}") from exc
-    return SchedulingInstance(costs)
-
-
-def parse_cost_sharing(text: str) -> CostSharingInstance:
-    """Header 'n m', then one line of m set costs, then n adjacency lines."""
-    lines = _data_lines(text)
-    try:
-        n, m = (int(x) for x in lines[0].split())
-        costs = np.array([float(v) for v in lines[1].split()])
-        if costs.size != m:
-            raise ValueError(f"expected {m} set costs")
-        allowed = [[int(v) for v in line.split()] for line in lines[2:]]
-        if len(allowed) != n:
-            raise ValueError(f"expected {n} adjacency lines, got {len(allowed)}")
-    except (IndexError, ValueError) as exc:
-        raise ValidationError(f"malformed cost-sharing instance: {exc}") from exc
-    return CostSharingInstance(costs, allowed)
-
-
-_PARSERS = {
-    ResourceSharingInstance: parse_resource_sharing,
-    CutInstance: parse_cut,
-    SchedulingInstance: parse_scheduling,
-    CostSharingInstance: parse_cost_sharing,
-}
-
-
 def resolve_instance(rule: GameRule, spec, rng: RandomSource | None = None, **params):
     """The instance ``spec`` names for the game ``rule``: an instance object,
     'paper:<name>', 'random:<name>' (drawn from ``rng``), or a file that the
-    parser of ``rule.instance_type`` reads. Parameters for an object or a
+    ``rule.instance_type.parse`` reads. Parameters for an object or a
     file, ones the builder rejects, and an instance of another type than
     ``rule.instance_type`` raise ParameterError."""
     prefix, sep, name = spec.partition(":") if isinstance(spec, str) else ("", "", "")
@@ -354,7 +292,7 @@ def resolve_instance(rule: GameRule, spec, rng: RandomSource | None = None, **pa
         if params:
             raise ParameterError(f"instance parameters {params} apply only to paper: and "
                                  "random: instances")
-        inst = (_PARSERS[rule.instance_type](_read_text(spec, "instance"))
+        inst = (rule.instance_type.parse(_read_text(spec, "instance"))
                 if isinstance(spec, str) else spec)
     else:
         table = PAPER_INSTANCES if prefix == "paper" else RANDOM_GENERATORS
@@ -389,10 +327,6 @@ def parse_stream(text: str, m: int) -> np.ndarray:
     return np.array(rows) if rows else np.zeros((0, m))
 
 
-def load_stream(path: str, m: int) -> np.ndarray:
-    return parse_stream(_read_text(path, "stream"), m)
-
-
 __all__ = [
     "harmonic_number",
     "illustrative_shared_vs_private",
@@ -417,5 +351,4 @@ __all__ = [
     "random_open_market",
     "resolve_instance",
     "parse_stream",
-    "load_stream",
 ]

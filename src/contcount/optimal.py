@@ -244,7 +244,7 @@ def opt_cost_sharing(inst: CostSharingInstance) -> OptResult:
     n, m = inst.n, inst.m
     if 2 ** m > COVER_BUDGET:
         raise SizeError(f"2^{m} set families exceed the brute-force budget")
-    player_masks = [sum(1 << s for s in acts) for acts in inst.allowed]
+    player_masks = [sum(1 << s for s in acts) for acts in inst.action_sets]
     best, sets = math.inf, None
     for family in range(1, 2 ** m):
         if any(mask & family == 0 for mask in player_masks):
@@ -254,7 +254,7 @@ def opt_cost_sharing(inst: CostSharingInstance) -> OptResult:
         if cost < best:
             best, sets = cost, chosen
     assignment = []
-    for acts in inst.allowed:
+    for acts in inst.action_sets:
         options = [s for s in acts if s in sets]
         assignment.append(min(options, key=lambda s: (inst.set_costs[s], s)))
     # drop sets nobody uses; covering families never need them

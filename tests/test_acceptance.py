@@ -305,7 +305,7 @@ def test_14_opt_cross_validation():
 
     def brute_cost(inst):
         return min(COST_SHARING.value(inst, a)
-                   for a in itertools.product(*inst.allowed))
+                   for a in itertools.product(*inst.action_sets))
 
     def brute_future(inst):
         return max(FUTURE_DEPENDENT.value(inst, a)

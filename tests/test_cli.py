@@ -169,6 +169,17 @@ def test_opt_instance_with_extra_lines(tmp_path, capsys):
     assert err.startswith("error: malformed resource-sharing instance")
 
 
+@pytest.mark.parametrize("command", [["game", "run"], ["opt"]])
+@pytest.mark.parametrize("game, text", [("resource", "0 1\n1.0\n"), ("cut", "0\n"),
+                                        ("costshare", "0 2\n1.5 2.5\n")])
+def test_instance_file_without_players_exits_one(tmp_path, capsys, command, game, text):
+    inst = tmp_path / "inst.txt"
+    inst.write_text(text)
+    code, out, err = run_cli(capsys, *command, "--game", game, "--instance", str(inst))
+    assert code == 1 and out == ""
+    assert err == "error: need at least one player\n"
+
+
 @pytest.mark.parametrize("game, instance", [
     ("resource", "random:resource"), ("cut", "random:cut"), ("future", "random:future"),
     ("scheduling", "paper:sched2x2")])
@@ -264,7 +275,10 @@ def test_game_run_bad_parameters(capsys, argv, message):
     ("resource", "random:market", "n_max=3", "n_max must be finite and >= 4, got 3"),
     ("future", "random:future", "m_max=1", "m_max must be finite and >= 2, got 1"),
     ("scheduling", "random:scheduling", "m_max=1", "m_max must be finite and >= 2, got 1"),
-    ("costshare", "random:costshare", "n_max=0", "n_max must be finite and >= 2, got 0")])
+    ("costshare", "random:costshare", "n_max=0", "n_max must be finite and >= 2, got 0"),
+    ("resource", "random:resource", "n_max=2.5", "n_max must be an integer, got 2.5"),
+    ("resource", "random:resource", "n_max=1e9", "n_max = 1000000000.0 and m_max = 10 would draw"),
+    ("cut", "random:cut", "n_max=1e9", "n_max = 1000000000.0 would draw")])
 def test_random_generator_bad_parameters_exit_one(capsys, game, instance, item, message):
     code, out, err = run_cli(capsys, "game", "run", "--game", game, "--instance", instance,
                              "--inst", item)

@@ -371,34 +371,46 @@ RS_TEXT = """
 
 
 def test_parse_resource_sharing_roundtrip():
-    inst = instances.parse_resource_sharing(RS_TEXT)
+    inst = ResourceSharingInstance.parse(RS_TEXT)
     assert inst.n == 2 and inst.m == 2
     assert inst.action_sets == [[0, 1], [1]]
     assert inst.curves[0].value_at(1) == 0.5
     with pytest.raises(ValidationError):
-        instances.parse_resource_sharing("2 2\n1.0 0.5\n")
+        ResourceSharingInstance.parse("2 2\n1.0 0.5\n")
 
 
 def test_parse_other_games():
-    cut = instances.parse_cut("3\n0 1\n1 2\n")
+    cut = CutInstance.parse("3\n0 1\n1 2\n")
     assert cut.n == 3 and len(cut.edges) == 2
-    sched = instances.parse_scheduling("2 2\n0 1\n1 0\n")
+    sched = SchedulingInstance.parse("2 2\n0 1\n1 0\n")
     assert sched.costs[0, 1] == 1.0
-    cost = instances.parse_cost_sharing("2 2\n1.5 2.5\n0\n0 1\n")
-    assert cost.allowed == [[0], [0, 1]]
+    cost = CostSharingInstance.parse("2 2\n1.5 2.5\n0\n0 1\n")
+    assert cost.action_sets == [[0], [0, 1]]
     with pytest.raises(ValidationError):
-        instances.parse_scheduling("2 2\n0 1\n")
+        SchedulingInstance.parse("2 2\n0 1\n")
 
 
 @pytest.mark.parametrize("parse,text,kind", [
-    (instances.parse_resource_sharing, "2 1\n1.0 0.5\n0\n0\n0\n", "resource-sharing"),
-    (instances.parse_scheduling, "2 2\n0 1\n1 0\n1 1\n", "scheduling"),
-    (instances.parse_cost_sharing, "2 2\n1.5 2.5\n0\n0 1\n1\n", "cost-sharing")],
+    (ResourceSharingInstance.parse, "2 1\n1.0 0.5\n0\n0\n0\n", "resource-sharing"),
+    (SchedulingInstance.parse, "2 2\n0 1\n1 0\n1 1\n", "scheduling"),
+    (CostSharingInstance.parse, "2 2\n1.5 2.5\n0\n0 1\n1\n", "cost-sharing")],
     ids=["resource", "scheduling", "costshare"])
 def test_parse_rejects_lines_beyond_the_header(parse, text, kind):
     # one more player (or job) than the header declares is an error, not dropped
     with pytest.raises(ValidationError, match=f"malformed {kind} instance"):
         parse(text)
+
+
+@pytest.mark.parametrize("make, noun", [
+    (lambda sets: ResourceSharingInstance([ValueCurve([1.0])] * 2, sets), "resource"),
+    (lambda sets: CostSharingInstance([1.0, 2.0], sets), "set")], ids=["resource", "costshare"])
+@pytest.mark.parametrize("sets, message", [
+    ([], "need at least one player"),
+    ([[0], []], "player 1 has an empty action set"),
+    ([[0, 2]], "player 0 references unknown {noun} 2")])
+def test_action_sets_are_checked_alike(make, noun, sets, message):
+    with pytest.raises(ParameterError, match=message.format(noun=noun)):
+        make(sets)
 
 
 def test_parse_stream():

@@ -2,6 +2,7 @@
 that stay bit-identical to the per-element reference loops below."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from contcount import instances
 from contcount.errors import ParameterError
 from contcount.games import RESOURCE, ResourceSharingInstance, ValueCurve
 from contcount.noise import RandomSource
+from contcount.optimal import MATCHING_COPY_BUDGET
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +117,7 @@ def test_random_cut_matches_pair_loop():
     for seed in range(200):
         inst = instances.random_cut(RandomSource(seed, 4))
         n, edges = _loop_cut(RandomSource(seed, 4))
-        assert inst.n_nodes == n
+        assert inst.n == n
         assert inst.edges == edges
     # p = 0 keeps no pair and falls back to the single edge
     assert instances.random_cut(RandomSource(0, 4), p=0.0).edges == [(0, 1)]
@@ -166,6 +168,11 @@ def test_future_generator_draws_small_resource_instances():
     ("scheduling", {"m_max": 1}, "m_max must be finite and >= 2, got 1"),
     ("costshare", {"n_max": -5}, "n_max must be finite and >= 2, got -5"),
     ("costshare", {"m_max": 1}, "m_max must be finite and >= 2, got 1"),
+    ("resource", {"n_max": 2.5}, "n_max must be an integer, got 2.5"),
+    ("market", {"m_max": 3.5}, "m_max must be an integer, got 3.5"),
+    ("cut", {"n_max": 3.25}, "n_max must be an integer, got 3.25"),
+    ("scheduling", {"m_max": 2.5}, "m_max must be an integer, got 2.5"),
+    ("costshare", {"n_max": 7.5}, "n_max must be an integer, got 7.5"),
 ])
 def test_random_generator_names_a_bad_parameter(name, params, message):
     with pytest.raises(ParameterError, match=message):
@@ -181,3 +188,36 @@ def test_random_generator_takes_its_smallest_parameters(name, params):
     assert inst.n == params["n_max"]
     if name == "cut":
         assert len(inst.edges) == (3 if params["p"] else 1)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("resource", {"n_max": 1e9}), ("market", {"m_max": 10 ** 12}), ("cut", {"n_max": 10 ** 9}),
+    ("scheduling", {"n_max": 10 ** 7}), ("costshare", {"n_max": 4_000_000, "m_max": 3})])
+def test_random_generator_refuses_an_oversized_draw_before_drawing(name, params):
+    start = time.perf_counter()
+    with pytest.raises(ParameterError, match="over the budget of 8000000"):
+        instances.RANDOM_GENERATORS[name](RandomSource(0, 7), **params)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_draw_budget_counts_the_values_a_draw_builds():
+    budget = MATCHING_COPY_BUDGET
+    assert 2 <= instances._sizes(RandomSource(0), 2, budget // 10, 10)[0] <= budget // 10
+    with pytest.raises(ParameterError, match="n_max = 800001 and m_max = 10"):
+        instances._sizes(RandomSource(0), 2, budget // 10 + 1, 10)
+    # a cut on n nodes draws one key per pair: 4000 * 3999 / 2 fits, 4001 does not
+    assert 3 <= instances._sizes(RandomSource(0), 3, 4000)[0] <= 4000
+    with pytest.raises(ParameterError, match="n_max = 4001 would draw up to 8002000 values"):
+        instances._sizes(RandomSource(0), 3, 4001)
+
+
+def test_integral_float_sizes_draw_as_their_integers():
+    # the CLI reads n_max=1e3 as a float; an integral one is the same size
+    for seed in range(5):
+        a = instances.random_resource_sharing(RandomSource(seed, 8), n_max=1e3, m_max=10.0)
+        b = instances.random_resource_sharing(RandomSource(seed, 8), n_max=1000, m_max=10)
+        assert a.action_sets == b.action_sets
+        assert _same_bits(_curve_values(a), _curve_values(b))
+    # the largest instance in ROADMAP's welfare table still draws
+    inst = instances.random_resource_sharing(RandomSource(0, 8), n_max=13_794, m_max=10)
+    assert 2 <= inst.n <= 13_794 and 2 <= inst.m <= 10

@@ -68,7 +68,7 @@ def brute_cut(inst):
 def brute_cost_sharing(inst):
     # enumerate player->set assignments rather than set families
     best = math.inf
-    for assign in itertools.product(*inst.allowed):
+    for assign in itertools.product(*inst.action_sets):
         best = min(best, COST_SHARING.value(inst, assign))
     return best
 
