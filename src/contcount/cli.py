@@ -53,19 +53,10 @@ def _add_instance_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _jsonable(obj):
-    """Recursively convert numpy scalars and map non-finite floats to null."""
+    """``obj``, a plain value or a dict of them, with each non-finite float made null."""
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        f = float(obj)
-        return f if math.isfinite(f) else None
-    return obj
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
 def _mech_spec(args) -> harness.MechanismSpec:
@@ -113,16 +104,15 @@ def _config_flags(args) -> list:
     line is the long option ``--key`` (``_`` for ``-``), ``inst.<k>`` is
     ``--inst k=value``, ``wrap`` one ``--wrap`` per comma-separated item, and
     a switch is set by ``1``, ``true`` or ``yes``. The command line ``args`` is
-    parsed after these flags and wins; its ``--wrap`` or ``--n`` drops the
-    config's ``wrap`` or ``inst.n``."""
+    parsed after these flags and wins; its ``--wrap`` drops the config's
+    ``wrap``."""
     flags = []
     for line in instances._data_lines(instances._read_text(args.config, "config")):
         if "=" not in line:
             raise ParameterError(f"config line without '=': {line!r}")
         key, value = (s.strip() for s in line.split("=", 1))
         if key.startswith("inst."):
-            if not (key == "inst.n" and args.n is not None):
-                flags.append(f"--inst={key[5:]}={value}")
+            flags.append(f"--inst={key[5:]}={value}")
         elif key == "config":
             raise ParameterError("a config file cannot name another config file")
         # exact option names only (argparse would also take a prefix), not the
@@ -141,13 +131,16 @@ def _config_flags(args) -> list:
 
 
 def _instance_params(args) -> dict:
-    """The instance parameters of ``--n`` and the ``--inst KEY=VALUE`` items."""
-    params = {} if args.n is None else {"n": args.n}
+    """The instance parameters of the ``--inst KEY=VALUE`` items and of ``--n``,
+    which beats any ``n`` among them."""
+    params = {}
     for item in args.inst:
         if "=" not in item:
             raise ParameterError(f"--inst expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         params[key.strip()] = _coerce(value.strip())
+    if args.n is not None:
+        params["n"] = args.n
     return params
 
 
@@ -160,8 +153,10 @@ def _cmd_game_run(args) -> int:
         game=args.game, instance=args.instance, mechanism=_mech_spec(args),
         strategy=args.strategy, trials=args.trials, seed=args.seed,
         compute_opt=not args.skip_opt, instance_params=_instance_params(args),
-        out=args.out, splits=args.splits)
+        splits=args.splits)
     results, summary = harness.run_experiment(config)
+    if args.out:
+        harness.write_csv(results, args.out)
     if args.json:
         print(json.dumps(_jsonable(summary), sort_keys=True))
     else:

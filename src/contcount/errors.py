@@ -4,6 +4,8 @@
 class ContcountError(Exception):
     """Base class for all package errors."""
 
+    __str__ = Exception.__str__  # the bare message, also under KeyError, which quotes it
+
 
 class ParameterError(ContcountError, ValueError):
     """A constructor or operation argument violates its contract."""

@@ -29,7 +29,7 @@ import pickle
 import signal
 import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -123,7 +123,6 @@ class ExperimentConfig:
     seed: int = 0
     compute_opt: bool = True
     instance_params: dict = field(default_factory=dict)
-    out: str | None = None
     splits: int = 1                       # >1: discretized continuous investments
 
     def __post_init__(self):
@@ -176,8 +175,6 @@ def run_trial(config: ExperimentConfig, trial: int, cached_opt: float | None = N
     """
     rule = GAMES[config.game]
     play_game, opt_solver = _ENGINES[config.game]
-    if config.splits > 1 and rule is RESOURCE:
-        play_game = games.play_resource_sharing_fractional
     rng, instance = _trial_instance(config, trial)
     mech = config.mechanism.build(instance.n, rule.dim(instance), rng.substream(1),
                                   rule.bound(instance))
@@ -254,15 +251,17 @@ def _fork_chunk(run, trials: range):
 def _map_trials(config: ExperimentConfig, fn) -> list:
     """``[fn(*run_trial(config, t)) for t in range(config.trials)]``, in trial order.
 
-    Trial 0 runs first, so a fixed instance's optimum is solved once. The
+    Trial 0 runs first, so a fixed (not ``random:``) instance is resolved and
+    its optimum solved once: later trials play trial 0's instance object. The
     parent runs the first chunk of trials and forks a child for each later
     one (or runs it itself if fork fails). It raises the error of the lowest
     failing trial, as a serial run would, and no child outlives the call.
     """
     first = run_trial(config, 0)
-    fixed_instance = not (isinstance(config.instance, str)
-                          and config.instance.startswith("random:"))
-    cached_opt = first[0].opt if fixed_instance and config.compute_opt else None
+    cached_opt = None
+    if not (isinstance(config.instance, str) and config.instance.startswith("random:")):
+        config = replace(config, instance=first[2], instance_params={})
+        cached_opt = first[0].opt if config.compute_opt else None
 
     def run(trials):
         return [fn(*run_trial(config, t, cached_opt)) for t in trials]
@@ -301,13 +300,11 @@ def _map_trials(config: ExperimentConfig, fn) -> list:
 
 
 def run_experiment(config: ExperimentConfig):
-    """Run all trials; returns (results, summary). Deterministic in the seed."""
+    """Run all trials; returns (results, summary), writing no file. Deterministic in the seed."""
     results = _map_trials(config, lambda result, *_: result)
     summary = summarize(results)
     summary.update(game=config.game, strategy=config.strategy, mechanism=config.mechanism.mech,
                    wraps=list(config.mechanism.wraps), seed=config.seed)
-    if config.out:
-        write_csv(results, config.out)
     return results, summary
 
 

@@ -210,6 +210,8 @@ def random_resource_sharing(rng: RandomSource, n_max: int = 50,
 
 def random_market_sharing(rng: RandomSource, n_max: int = 6, m_max: int = 4,
                           value_lo: float = 1.0, value_hi: float = 4.0) -> ResourceSharingInstance:
+    if value_lo > value_hi:
+        raise ParameterError(f"value_lo = {value_lo} lies above value_hi = {value_hi}")
     n, m = _sizes(rng, 4, n_max, m_max)
     curves = [market_curve(value_lo + (value_hi - value_lo) * rng.uniform(), n)
               for _ in range(m)]

@@ -278,7 +278,8 @@ def test_game_run_bad_parameters(capsys, argv, message):
     ("costshare", "random:costshare", "n_max=0", "n_max must be finite and >= 2, got 0"),
     ("resource", "random:resource", "n_max=2.5", "n_max must be an integer, got 2.5"),
     ("resource", "random:resource", "n_max=1e9", "n_max = 1000000000.0 and m_max = 10 would draw"),
-    ("cut", "random:cut", "n_max=1e9", "n_max = 1000000000.0 would draw")])
+    ("cut", "random:cut", "n_max=1e9", "n_max = 1000000000.0 would draw"),
+    ("future", "random:market", "value_lo=5", "value_lo = 5 lies above value_hi = 4.0")])
 def test_random_generator_bad_parameters_exit_one(capsys, game, instance, item, message):
     code, out, err = run_cli(capsys, "game", "run", "--game", game, "--instance", instance,
                              "--inst", item)
@@ -423,7 +424,12 @@ def test_reproduce_greedy4(capsys):
 def test_reproduce_unknown(capsys):
     code, _, err = run_cli(capsys, "reproduce", "thm:unknown")
     assert code == 1
-    assert "unknown scenario" in err
+    assert err == "error: unknown scenario 'thm:unknown' (see list-scenarios)\n"
+    code, _, err = run_cli(capsys, "game", "run", "--game", "resource", "--instance",
+                           "paper:noinfo", "--strategy", "scripted:nope")
+    assert code == 1
+    assert err == ("error: unknown scripted strategy 'nope' (have: all-blue-cycle, fear-a-twin, "
+                   "flat-resource-temptation, pessimistic-scheduler, private-set-beliefs)\n")
 
 
 def test_unknown_flag_exits_one(capsys):
@@ -555,7 +561,8 @@ def test_command_line_inst_beats_config_inst(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(harness, "run_experiment",
                         lambda config: seen.append(config.instance_params) or real(config))
     cfg = write_config(tmp_path, "inst.n = 5\ninst.eps = 0.01\n")
-    for argv, n in ([], 5), (["--inst", "n=7"], 7), (["--n", "6"], 6):
+    for argv, n in (([], 5), (["--inst", "n=7"], 7), (["--n", "6"], 6),
+                    (["--inst", "n=7", "--n", "6"], 6)):
         code, _, _ = run_cli(capsys, "game", "run", "--config", cfg, "--json", *argv)
         assert code == 0
         assert seen.pop() == {"n": n, "eps": 0.01}

@@ -7,7 +7,9 @@
   commands the benchmark runs: ``game run`` at the ``resource-trials``
   arguments (seeds 0, 1 and 2) and ``counter run`` through ``treesum``,
   ``ftsum`` and ``treesum`` behind ``clamp``, ``under`` and ``mono``, on a
-  fixed skewed stream.
+  fixed skewed stream. Beside them, ``game run --out --json`` over several
+  trials of a ``paper:`` instance and of an instance file, with ``--splits
+  4`` and with ``--skip-opt`` (NaN ratios, printed as ``null``).
 
 A change that is meant to move an output regenerates the files and names the
 change; the diff of the files then shows each value before and after:
@@ -34,6 +36,19 @@ GAME_RUN = ("game", "run", "--game", "resource", "--instance", "random:resource"
             "--inst", "n_max=200", "--inst", "m_max=10", "--mech", "treesum", "--eps", "2",
             "--wrap", "clamp", "--wrap", "under", "--wrap", "mono",
             "--clamp-alpha", "1.5", "--clamp-beta", "3", "--json", "--trials", "1")
+GAME_RUNS = {
+    "paper:noinfo": ("--game", "resource", "--instance", "paper:noinfo", "--n", "12",
+                     "--mech", "treesum", "--trials", "4", "--seed", "1"),
+    "instance file": ("--game", "scheduling", "--mech", "treesum", "--eps", "0.5",
+                      "--trials", "3", "--seed", "2"),
+    "splits 4": ("--game", "resource", "--instance", "random:resource", "--inst", "n_max=30",
+                 "--inst", "m_max=4", "--mech", "treesum", "--splits", "4", "--trials", "3",
+                 "--seed", "3"),
+    "skip-opt": ("--game", "cut", "--instance", "random:cut", "--mech", "ftsum", "--eps", "4",
+                 "--skip-opt", "--trials", "3", "--seed", "4"),
+}
+# the "instance file" run's instance: 4 jobs on 3 machines
+SCHEDULING_TEXT = "4 3\n3.0 1.5 2.0\n1.0 2.5 0.5\n2.0 2.0 4.0\n0.5 3.0 1.0\n"
 STREAM_STEPS, STREAM_DIM = 200, 3
 COUNTER_RUNS = {
     "treesum": ("--mech", "treesum", "--eps", "1", "--seed", "1"),
@@ -85,6 +100,14 @@ def cli_outputs() -> str:
         for seed in (0, 1, 2):
             stdout = _main(GAME_RUN + ("--seed", str(seed), "--out", str(csv)))
             outputs[f"game run seed {seed}"] = {
+                "stdout": stdout, "csv": csv.read_text(encoding="utf-8").splitlines()}
+        instance = pathlib.Path(tmp) / "instance.txt"
+        instance.write_text(SCHEDULING_TEXT, encoding="utf-8")
+        for name, flags in GAME_RUNS.items():
+            if name == "instance file":
+                flags += ("--instance", str(instance))
+            stdout = _main(("game", "run") + flags + ("--json", "--out", str(csv)))
+            outputs[f"game run {name}"] = {
                 "stdout": stdout, "csv": csv.read_text(encoding="utf-8").splitlines()}
         stream = pathlib.Path(tmp) / "stream.txt"
         stream.write_text(stream_text(), encoding="utf-8")

@@ -24,6 +24,7 @@ from contcount.harness import (
     run_experiment,
     run_trial,
     summarize,
+    write_csv,
 )
 from contcount import harness, instances
 from contcount.games import COST_SHARING, CUT, GAMES, RESOURCE, SCHEDULING, play, verify_trace
@@ -50,14 +51,15 @@ def test_trial_count_validated():
 
 def test_run_experiment_deterministic_csv(tmp_path):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    run_experiment(small_config(out=str(p1)))
-    run_experiment(small_config(out=str(p2)))
+    write_csv(run_experiment(small_config())[0], str(p1))
+    write_csv(run_experiment(small_config())[0], str(p2))
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_summary_recomputable_from_csv(tmp_path):
     path = tmp_path / "trials.csv"
-    results, summary = run_experiment(small_config(out=str(path)))
+    results, summary = run_experiment(small_config())
+    write_csv(results, str(path))
     reloaded = read_csv_results(str(path))
     assert summarize(reloaded) == summarize(results)
     assert summary["trials"] == 5

@@ -173,6 +173,7 @@ def test_future_generator_draws_small_resource_instances():
     ("cut", {"n_max": 3.25}, "n_max must be an integer, got 3.25"),
     ("scheduling", {"m_max": 2.5}, "m_max must be an integer, got 2.5"),
     ("costshare", {"n_max": 7.5}, "n_max must be an integer, got 7.5"),
+    ("market", {"value_lo": 5.0, "value_hi": 1.0}, "value_lo = 5.0 lies above value_hi = 1.0"),
 ])
 def test_random_generator_names_a_bad_parameter(name, params, message):
     with pytest.raises(ParameterError, match=message):

@@ -9,6 +9,7 @@ import pickle
 import signal
 import sys
 import threading
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from contcount import cli, harness
 from contcount.errors import ValidationError
+from contcount.games import CostSharingInstance
 from contcount.harness import ExperimentConfig, MechanismSpec, results_to_csv, run_experiment
 from contcount.optimal import OptResult
 
@@ -55,7 +57,7 @@ def test_game_run_csv_and_summary_are_the_same_bytes_for_any_worker_count(
     assert_no_child_left()
 
 
-def test_a_fixed_instance_optimum_is_solved_once_across_workers(monkeypatch):
+def test_a_fixed_instance_optimum_is_solved_once_across_workers(monkeypatch, tmp_path):
     play, solver = harness._ENGINES["costshare"]
     calls = []
 
@@ -72,6 +74,22 @@ def test_a_fixed_instance_optimum_is_solved_once_across_workers(monkeypatch):
                               mechanism=MechanismSpec(mech="treesum"), trials=4)
     results, _ = run_experiment(config)
     assert calls == [os.getpid()] and [r.trial for r in results] == [0, 1, 2, 3]
+    # an instance file is read and parsed once per run, by trial 0, and its
+    # trials are the same bytes for any worker count
+    path = tmp_path / "costshare.txt"
+    path.write_text("3 2\n3.0 1.0\n0 1\n0 1\n1\n")
+    parses, parse = [], CostSharingInstance.parse
+    monkeypatch.setattr(CostSharingInstance, "parse",
+                        classmethod(lambda cls, text: parses.append(text) or parse(text)))
+    config = replace(config, instance=str(path), trials=6)
+    csvs = []
+    for workers in (1, 3):
+        monkeypatch.setattr(harness, "_WORKERS", workers)
+        calls.clear()
+        csvs.append(results_to_csv(run_experiment(config)[0]))
+        assert calls == [os.getpid()] and len(parses) == 1
+        parses.clear()
+    assert csvs[0] == csvs[1]
 
 
 # ---------------------------------------------------------------------------
