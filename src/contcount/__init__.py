@@ -20,7 +20,6 @@ from .errors import (
     ParameterError,
     SizeError,
     StateError,
-    UnknownScenarioError,
     ValidationError,
 )
 from .games import (

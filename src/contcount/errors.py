@@ -4,8 +4,6 @@
 class ContcountError(Exception):
     """Base class for all package errors."""
 
-    __str__ = Exception.__str__  # the bare message, also under KeyError, which quotes it
-
 
 class ParameterError(ContcountError, ValueError):
     """A constructor or operation argument violates its contract."""
@@ -21,7 +19,3 @@ class StateError(ContcountError, RuntimeError):
 
 class SizeError(ContcountError):
     """An exact solver was asked for an instance beyond its brute-force budget."""
-
-
-class UnknownScenarioError(ContcountError, KeyError):
-    """A scenario or scripted-strategy name is not registered."""

@@ -49,7 +49,7 @@ from .counters import (
     envelope_check,
     treesum_error_bound,
 )
-from .errors import ParameterError, UnknownScenarioError, ValidationError
+from .errors import ParameterError, ValidationError
 from .games import GAMES, RESOURCE, SCHEDULING, play, verify_trace
 from .noise import RandomSource
 from .strategies import Greedy, is_undominated, make_strategy
@@ -451,7 +451,7 @@ def reproduce(name: str, seed: int = 0, **overrides) -> ScenarioReport:
     """Run a registered scenario and judge its checks on every trial; it
     passes when no check has a violation."""
     if name not in _SCENARIOS:
-        raise UnknownScenarioError(f"unknown scenario '{name}' (see list-scenarios)")
+        raise ParameterError(f"unknown scenario '{name}' (see list-scenarios)")
     claim, fn = _SCENARIOS[name]
     if overrides.get("trials", 1) < 1:
         raise ParameterError("trial count must be >= 1")
@@ -482,6 +482,13 @@ def _field(name: str):
 
 
 _SW, _OPT, _RATIO, _METRIC = map(_field, ("sw", "opt", "ratio", "alg_metric"))
+
+
+def _undominated(result, trace, inst, mech) -> bool:
+    """Whether every pick is undominated at the player's displayed counts
+    under the mechanism's declared envelope."""
+    return all(is_undominated(a, inst.action_sets[i], trace.displayed[i], mech.envelope,
+                              inst.curves) for i, a in enumerate(trace.actions))
 
 
 @_scenario("thm:greedy4",
@@ -515,7 +522,8 @@ def _noinfo(seed: int = 0, n: int = 10, high: float = 100.0):
     config = ExperimentConfig(game="resource", instance=inst_lib.twin_temptation(n, high),
                               mechanism=MechanismSpec(mech="empty"),
                               strategy="scripted:fear-a-twin", seed=seed)
-    return config, (Check("sw", _SW, "==", float(n)), Check("opt", _OPT, "==", n * high))
+    return config, (Check("sw", _SW, "==", float(n)), Check("opt", _OPT, "==", n * high),
+                    Check("undominated", _undominated, "==", 1.0))
 
 
 @_scenario("thm:noinfospecial",
@@ -524,9 +532,10 @@ def _noinfo(seed: int = 0, n: int = 10, high: float = 100.0):
 def _noinfospecial(seed: int = 0, n: int = 25):
     config = ExperimentConfig(game="resource", instance=inst_lib.slow_decay_temptation(n),
                               mechanism=MechanismSpec(mech="empty"),
-                              strategy="scripted:flat-resource-temptation", seed=seed)
+                              strategy="scripted:fear-a-twin", seed=seed)
     return config, (Check("sw", _SW, "==", inst_lib.harmonic_number(n), 1e-12),
-                    Check("opt", _OPT, "==", float(n) ** 2))
+                    Check("opt", _OPT, "==", float(n) ** 2),
+                    Check("undominated", _undominated, "==", 1.0))
 
 
 @_scenario("thm:lb-undom",
@@ -709,9 +718,18 @@ def _marketundom(seed: int = 0, n: int = 16, eps: float = 0.01):
                               strategy="scripted:private-set-beliefs", seed=seed,
                               compute_opt=False)
     exact = inst_lib.market_undom_exact_opt(n, eps)
+
+    def own_over_shared(result, trace, inst, mech):
+        # player i's belief: the i players before her took market 0, and all
+        # n - i players from her on rush onto her own market i + 1
+        c_shared = inst.curves[0].values[0]
+        return max((inst.curves[i + 1].values[0] / (inst.n - i)) / (c_shared / (i + 1))
+                   for i in range(inst.n))
+
     return config, (Check("sw", _SW, "==", 1.0),
                     Check("exact_opt", lambda *_: exact, ">=",
-                          inst_lib.market_undom_benchmark(n, eps)))
+                          inst_lib.market_undom_benchmark(n, eps)),
+                    Check("own_over_shared", own_over_shared, "<", 1.0))
 
 
 @_scenario("cor:marketlog",

@@ -5,8 +5,8 @@ values, the natural play when counters are exact. ``is_undominated`` tests an
 action against the interval belief set induced by a worst-case (alpha, beta, 0)
 envelope: an action is dominated only if some alternative beats it under every
 consistent state. Scripted strategies realize the registered adversarial
-constructions behind the lower-bound scenarios; each asserts its own
-undominatedness where the construction claims it.
+constructions behind the lower-bound scenarios; they only play, and the
+scenarios that claim the plays undominated check it.
 
 Strategies are stateless decision functions (scripted ones validate the
 instance at game start) and can be shared freely across trials.
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 
 from .counters import AccuracyEnvelope
-from .errors import ParameterError, UnknownScenarioError, ValidationError
+from .errors import ParameterError, ValidationError
 from .games import CUT, FUTURE_DEPENDENT, RESOURCE, SCHEDULING, GameRule
 
 
@@ -105,39 +105,21 @@ class _Script(Strategy):
 
 
 class FearATwin(_Script):
-    """All players pick the shared flat resource, each under the consistent
-    belief that a twin already burned her private jackpot. Undominated with
-    empty counters (any belief is consistent)."""
+    """All players pick the shared last resource, each fearing that a twin
+    already burned her own jackpot or that its value fell to the shared level.
+    Undominated with empty counters, where any belief is consistent."""
 
     name = "fear-a-twin"
     rule = RESOURCE
 
     def check(self, instance) -> None:
-        n, m = instance.n, instance.m
-        if m != n + 1 or any(instance.action_sets[i] != [i, n] for i in range(n)):
-            raise ParameterError(
-                "fear-a-twin expects one private resource per player plus a shared last resource")
-
-    def choose_action(self, rule, inst, player, actions, displayed):
-        shared = inst.m - 1
-        vacuous = AccuracyEnvelope(1.0, float(inst.n), 0.0)
-        assert is_undominated(shared, actions, displayed, vacuous, inst.curves), \
-            "shared pick unexpectedly dominated"
-        return shared
-
-
-class FlatResourceTemptation(FearATwin):
-    """All players pick the shared slowly decaying resource; since every
-    private value can have fallen to the shared level, the pick is undominated
-    under empty counters."""
-
-    name = "flat-resource-temptation"
-
-    def check(self, instance) -> None:
         shared = instance.n
         if instance.m != shared + 1 or any(shared not in acts for acts in instance.action_sets):
-            raise ParameterError("expected one resource per player plus a shared last resource "
-                                 "in every action set")
+            raise ParameterError("fear-a-twin expects one resource per player plus a shared "
+                                 "last resource in every action set")
+
+    def choose_action(self, rule, inst, player, actions, displayed):
+        return inst.m - 1
 
 
 class AllBlueCycle(_Script):
@@ -199,27 +181,19 @@ class PrivateSetBeliefs(_Script):
                 "private-set-beliefs expects shared market 0 plus one private market per player")
 
     def choose_action(self, rule, inst, player, actions, displayed):
-        n = inst.n
-        own = player + 1
-        c_shared = inst.curves[0].values[0]
-        c_own = inst.curves[own].values[0]
-        u_shared = c_shared / (player + 1)          # earlier players all shared market 0
-        u_own = c_own / (n - player)                # believed late rush onto her market
-        assert u_shared > u_own, "shared market not strictly better under the scripted belief"
         return 0
 
 
 _SCRIPTS = {
     cls.name: cls
-    for cls in (FearATwin, FlatResourceTemptation, AllBlueCycle,
-                PessimisticScheduler, PrivateSetBeliefs)
+    for cls in (FearATwin, AllBlueCycle, PessimisticScheduler, PrivateSetBeliefs)
 }
 
 
 def scripted(name: str) -> Strategy:
     """Instantiate a registered scripted strategy by name."""
     if name not in _SCRIPTS:
-        raise UnknownScenarioError(
+        raise ParameterError(
             f"unknown scripted strategy '{name}' (have: {', '.join(sorted(_SCRIPTS))})")
     return _SCRIPTS[name]()
 

@@ -1,5 +1,9 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -429,7 +433,31 @@ def test_reproduce_unknown(capsys):
                            "paper:noinfo", "--strategy", "scripted:nope")
     assert code == 1
     assert err == ("error: unknown scripted strategy 'nope' (have: all-blue-cycle, fear-a-twin, "
-                   "flat-resource-temptation, pessimistic-scheduler, private-set-beliefs)\n")
+                   "pessimistic-scheduler, private-set-beliefs)\n")
+
+
+# scripted plays off the shapes and counters their constructions assume: a
+# noisy counter, a single player with no twin, a market that only ties
+OFF_CONSTRUCTION = [
+    ("--game", "resource", "--instance", "paper:noinfo", "--strategy", "scripted:fear-a-twin",
+     "--n", "12", "--mech", "treesum", "--json"),
+    ("--game", "resource", "--instance", "paper:noinfo", "--strategy", "scripted:fear-a-twin",
+     "--n", "1", "--mech", "empty", "--json"),
+    ("--game", "future", "--instance", "paper:marketundom", "--strategy",
+     "scripted:private-set-beliefs", "--inst", "eps=0", "--skip-opt", "--json"),
+]
+
+
+@pytest.mark.parametrize("argv", OFF_CONSTRUCTION, ids=["treesum", "n=1", "eps=0"])
+def test_scripted_play_is_the_same_with_and_without_python_O(argv):
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    runs = [subprocess.run([sys.executable, *flags, "-m", "contcount.cli", "game", "run", *argv],
+                           env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+                           text=True, timeout=120)
+            for flags in ([], ["-O"])]
+    assert [(run.returncode, run.stderr) for run in runs] == [(0, "")] * 2
+    assert runs[0].stdout == runs[1].stdout
 
 
 def test_unknown_flag_exits_one(capsys):

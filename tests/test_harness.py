@@ -1,6 +1,8 @@
+import functools
 import inspect
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from contcount.counters import (
     TreeSum,
     UniformWarmupCounter,
 )
-from contcount.errors import ParameterError, UnknownScenarioError, ValidationError
+from contcount.errors import ParameterError, ValidationError
 from contcount.harness import (
     ExperimentConfig,
     MechanismSpec,
@@ -109,7 +111,7 @@ def test_fixed_instance_runs_and_envelope_rate():
 
 
 def test_reproduce_unknown_scenario():
-    with pytest.raises(UnknownScenarioError):
+    with pytest.raises(ParameterError, match="unknown scenario 'thm:made-up'"):
         reproduce("thm:made-up")
 
 
@@ -156,6 +158,30 @@ def test_scenario_reports_have_lines_and_measurements():
     assert report.claim
     assert report.lines
     assert report.checks["sw"]["value"] == 4.0
+
+
+@pytest.mark.parametrize("name, params, mech, failing, value", [
+    ("thm:noinfo", {"n": 1}, None, "undominated", 0.0),                 # no twin to fear
+    ("lemma:marketundom", {"eps": 0.0}, None, "own_over_shared", 1.0),  # own market ties shared
+    ("thm:noinfo", {}, "perfect", "undominated", 0.0),                  # exact counts show jackpots
+])
+def test_undominatedness_checks_fail_their_negative_controls(monkeypatch, name, params, mech,
+                                                             failing, value):
+    """Each control breaks the claim of one check and leaves the others passing."""
+    if mech:
+        claim, fn = harness._SCENARIOS[name]
+
+        @functools.wraps(fn)
+        def on_mech(**kwargs):
+            config, checks = fn(**kwargs)
+            return replace(config, mechanism=MechanismSpec(mech=mech)), checks
+
+        monkeypatch.setitem(harness._SCENARIOS, name, (claim, on_mech))
+    report = reproduce(name, **params)
+    assert not report.passed
+    assert report.checks[failing]["value"] == pytest.approx(value)
+    assert {check: judged["violations"] for check, judged in report.checks.items()} == {
+        check: int(check == failing) for check in report.checks}
 
 
 @pytest.mark.parametrize("name, keys", [

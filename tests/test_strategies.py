@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from contcount.counters import AccuracyEnvelope, PerfectCounter
-from contcount.errors import ParameterError, UnknownScenarioError, ValidationError
+from contcount.errors import ParameterError, ValidationError
 from contcount.games import (
     CUT,
     FUTURE_DEPENDENT,
@@ -135,10 +135,10 @@ def test_greedy_resource_play_is_always_undominated_with_perfect_counters():
 
 
 def test_scripted_registry():
-    for name in ("fear-a-twin", "flat-resource-temptation", "all-blue-cycle",
-                 "pessimistic-scheduler", "private-set-beliefs"):
+    for name in ("fear-a-twin", "all-blue-cycle", "pessimistic-scheduler",
+                 "private-set-beliefs"):
         assert make_strategy(f"scripted:{name}").name == name
-    with pytest.raises(UnknownScenarioError):
+    with pytest.raises(ParameterError, match="unknown scripted strategy 'not-a-script'"):
         make_strategy("scripted:not-a-script")
 
 
@@ -161,12 +161,13 @@ def test_scripted_guard_rejects_mismatched_instance():
 
 
 @pytest.mark.parametrize("script, rule, inst, message", [
+    # m = n + 1, but players 0 to 3 cannot reach the shared last resource
     ("fear-a-twin", RESOURCE, instances.illustrative_shared_vs_private(5, 0.01),
-     "fear-a-twin expects one private resource per player"),
+     "fear-a-twin expects one resource per player plus a shared last resource in every"),
     ("fear-a-twin", FUTURE_DEPENDENT, instances.twin_temptation(3, 10.0),
      "script 'fear-a-twin' plays the resource game, not future"),
-    ("flat-resource-temptation", RESOURCE, instances.fragile_first_mover(),
-     "expected one resource per player plus a shared last resource"),
+    ("fear-a-twin", RESOURCE, instances.fragile_first_mover(),
+     "fear-a-twin expects one resource per player plus a shared last resource"),
     ("all-blue-cycle", CUT, CutInstance(3, [(0, 1), (1, 2), (0, 2)]),
      "even cycle with >= 4 nodes"),
     ("all-blue-cycle", CUT, CutInstance(4, [(0, 1), (1, 2), (2, 3)]),
@@ -175,9 +176,6 @@ def test_scripted_guard_rejects_mismatched_instance():
      "free first machine"),
     ("private-set-beliefs", FUTURE_DEPENDENT, instances.twin_temptation(3, 10.0),
      "shared market 0 plus one private market per player"),
-    # m = n + 1, but players 0 and 1 cannot reach the shared last resource
-    ("flat-resource-temptation", RESOURCE, instances.illustrative_shared_vs_private(3, 0.01),
-     "shared last resource in every action set"),
 ])
 def test_script_refuses_an_instance_of_another_shape(script, rule, inst, message):
     mech = PerfectCounter(inst.n, rule.dim(inst), rule.bound(inst))
