@@ -542,14 +542,14 @@ def _noinfospecial(seed: int = 0, n: int = 25):
            "under any private signal consistent with the first player having taken the "
            "fragile resource, avoiding it stays undominated for the second player")
 def _lb_undom(seed: int = 0, rho: float = 0.05, beta: float = 1.0):
+    # under beta >= 1 the shown 0 on the fragile resource is consistent with
+    # player 0 having taken it, as the offset-1 belief assumes
+    spec = MechanismSpec(mech="empty", wraps=("clamp",), clamp_alpha=1.0, clamp_beta=beta)
     config = ExperimentConfig(game="resource", instance=inst_lib.fragile_first_mover(rho),
-                              seed=seed)
-    return config, (
-        Check("undominated", lambda r, t, inst, m: is_undominated(
-            1, [0, 1], np.zeros(2), AccuracyEnvelope(1.0, beta, 0.0), inst.curves), "==", 1.0),
-        Check("sw_spite", lambda r, t, inst, m: RESOURCE.value(inst, [1, 1]), "==", 2 * rho,
-              1e-12),
-        Check("opt", _OPT, "==", 1 + rho, 1e-12))
+                              mechanism=spec, strategy="belief:1", seed=seed)
+    return config, (Check("undominated", _undominated, "==", 1.0),
+                    Check("sw_spite", _SW, "==", 2 * rho, 1e-12),
+                    Check("opt", _OPT, "==", 1 + rho, 1e-12))
 
 
 @_scenario("lemma:perceived",

@@ -47,6 +47,15 @@ def test_counter_run_huge_horizon(tmp_path, capsys):
         ["1", "0", "1.0"], ["2", "0", "1.0"], ["3", "0", "2.0"]]
 
 
+@pytest.mark.parametrize("game, instance", [("scheduling", "random:scheduling"),
+                                            ("cut", "random:cut")])
+def test_monotone_wrapper_refused_on_games_with_larger_update_bounds(capsys, game, instance):
+    code, out, err = run_cli(capsys, "game", "run", "--game", game, "--instance", instance,
+                             "--mech", "perfect", "--wrap", "mono", "--trials", "20", "--json")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: MonotoneWrapper") and "update bound <= 1" in err
+
+
 def test_counter_run_validation_error(tmp_path, capsys):
     stream = tmp_path / "stream.txt"
     stream.write_text("1\n")

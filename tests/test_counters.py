@@ -744,6 +744,79 @@ def test_zero_failure_fuzzed_never_violates():
     assert violations == 0
 
 
+def test_unit_step_wrappers_refuse_larger_update_bounds():
+    """A monotone report or a warm-up of length w covers the count only while it
+    grows by at most 1 per step: fed [5.0] five times, a monotone report
+    would read 1, 2, 3, 4, 5 against counts 5 to 25."""
+    from contcount.counters import MonotoneWrapper, UniformWarmupCounter
+
+    with pytest.raises(ParameterError, match="update bound <= 1, got 5"):
+        MonotoneWrapper(PerfectCounter(10, 1, update_bound=5.0))
+    with pytest.raises(ParameterError, match="update bound <= 1, got 5"):
+        UniformWarmupCounter(TreeSum(10, 2, 1.0, RandomSource(0), update_bound=5.0), 3,
+                             RandomSource(0, 2))
+    for bound in (0.5, 1.0):
+        mono = MonotoneWrapper(PerfectCounter(4, 1, update_bound=bound))
+        assert float(mono.update([bound])[0]) == float(bound > 0.5)
+
+
+class _Scripted(PerfectCounter):
+    """Sets its true sums to the next row of ``xs`` and releases the next row of ``ys``."""
+
+    def __init__(self, xs, ys, envelope):
+        super().__init__(len(ys), ys.shape[1])
+        self.envelope = envelope
+        self.rows = iter(zip(xs, ys))
+
+    def _step(self, a):
+        x, y = next(self.rows)
+        self._true[:] = x
+        return y.copy()
+
+
+def _pin_rows(gen, m):
+    """Rows of random values, of NaN, infinities and signed zeros, and zeros."""
+    specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, -2.5])
+    rows = [gen.normal(0.0, 10.0, m), gen.uniform(-1e3, 1e3, m), np.resize(specials, m),
+            np.zeros(m), np.full(m, -0.0), gen.normal(0.0, 1.0, m) * 3.0]
+    mixed = gen.normal(0.0, 5.0, m)
+    where = gen.random(m) < 0.3
+    mixed[where] = gen.choice(specials, int(where.sum()))
+    return np.array(rows + [mixed, np.resize(specials[::-1], m)])
+
+
+@pytest.mark.parametrize("m", [1, 8, 20, 21, 32, 201])
+def test_wrapper_releases_match_the_reference_expressions_bit_for_bit(m):
+    """Each wrapper's releases equal, byte for byte, those of the expressions
+    the wrappers computed with Python-float operands: the clamp
+    max(y, x/alpha - beta) then min(., alpha*x + beta), the shift
+    (y - beta)/alpha in place, and the report stepped by y > report + 0.5."""
+    from contcount.counters import MonotoneWrapper, UnderestimatorWrapper, ZeroFailureWrapper
+
+    gen = np.random.default_rng(m)
+    for alpha in (1.0, 1.5, 2.0):
+        for beta in (0.0, 0.5, 3.0):
+            env = AccuracyEnvelope(alpha, beta, 0.0)
+            xs, ys = _pin_rows(gen, m), _pin_rows(gen, m)
+            clamp = ZeroFailureWrapper(_Scripted(xs, ys, env), env)
+            under = UnderestimatorWrapper(_Scripted(xs, ys, env))
+            mono = MonotoneWrapper(_Scripted(xs, ys, env))
+            report = np.zeros(m)
+            for x, y, a in zip(xs, ys, np.zeros_like(ys)):
+                want = y.copy()
+                np.maximum(want, x / alpha - beta, out=want)
+                np.minimum(want, alpha * x + beta, out=want)
+                assert clamp.update(a).tobytes() == want.tobytes(), (alpha, beta)
+
+                want = y.copy()
+                want -= beta
+                want /= alpha
+                assert under.update(a).tobytes() == want.tobytes(), (alpha, beta)
+
+                report += y > report + 0.5
+                assert mono.update(a).tobytes() == report.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # baselines and envelope_check
 

@@ -7,7 +7,9 @@
   commands the benchmark runs: ``game run`` at the ``resource-trials``
   arguments (seeds 0, 1 and 2) and ``counter run`` through ``treesum``,
   ``ftsum`` and ``treesum`` behind ``clamp``, ``under`` and ``mono``, on a
-  fixed skewed stream. Beside them, ``game run --out --json`` over several
+  fixed skewed stream, and that chain at the clamp's default target
+  (alpha = 1) on a 32-wide stream, as the ``counter-stream`` workload runs
+  it. Beside them, ``game run --out --json`` over several
   trials of a ``paper:`` instance and of an instance file, with ``--splits
   4`` and with ``--skip-opt`` (NaN ratios, printed as ``null``).
 
@@ -50,13 +52,21 @@ GAME_RUNS = {
 # the "instance file" run's instance: 4 jobs on 3 machines
 SCHEDULING_TEXT = "4 3\n3.0 1.5 2.0\n1.0 2.5 0.5\n2.0 2.0 4.0\n0.5 3.0 1.0\n"
 STREAM_STEPS, STREAM_DIM = 200, 3
+# name -> (stream steps, stream width, flags)
 COUNTER_RUNS = {
-    "treesum": ("--mech", "treesum", "--eps", "1", "--seed", "1"),
+    "treesum": (STREAM_STEPS, STREAM_DIM, ("--mech", "treesum", "--eps", "1", "--seed", "1")),
     # a large eps hands coordinate 0 over to the embedded tree mid-stream
-    "ftsum": ("--mech", "ftsum", "--eps", "16", "--alpha", "2", "--seed", "1"),
-    "treesum,clamp,under,mono": ("--mech", "treesum", "--eps", "2", "--wrap", "clamp",
-                                 "--wrap", "under", "--wrap", "mono", "--clamp-alpha", "1.5",
-                                 "--clamp-beta", "3", "--seed", "1"),
+    "ftsum": (STREAM_STEPS, STREAM_DIM,
+              ("--mech", "ftsum", "--eps", "16", "--alpha", "2", "--seed", "1")),
+    "treesum,clamp,under,mono": (STREAM_STEPS, STREAM_DIM,
+                                 ("--mech", "treesum", "--eps", "2", "--wrap", "clamp",
+                                  "--wrap", "under", "--wrap", "mono", "--clamp-alpha", "1.5",
+                                  "--clamp-beta", "3", "--seed", "1")),
+    # the clamp keeps the tree's own envelope (alpha = 1); updates wider than
+    # validate_update's narrow path
+    "treesum,clamp,under,mono m=32": (24, 32, ("--mech", "treesum", "--eps", "1", "--wrap",
+                                               "clamp", "--wrap", "under", "--wrap", "mono",
+                                               "--seed", "1")),
 }
 
 
@@ -78,16 +88,16 @@ def reproduce_seed0() -> str:
     return json.dumps(reports, indent=1, sort_keys=True) + "\n"
 
 
-def stream_text() -> str:
+def stream_text(steps: int = STREAM_STEPS, dim: int = STREAM_DIM) -> str:
     """A fixed stream, skewed toward coordinate 0: one-hot steps, and on
     every seventh step a unit split evenly over all coordinates."""
     lines = []
-    for t in range(STREAM_STEPS):
+    for t in range(steps):
         if t % 7 == 6:
-            row = [1.0 / STREAM_DIM] * STREAM_DIM
+            row = [1.0 / dim] * dim
         else:
-            row = [0.0] * STREAM_DIM
-            row[int(STREAM_DIM * ((t * 0.6180339887) % 1.0) ** 2)] = 1.0
+            row = [0.0] * dim
+            row[int(dim * ((t * 0.6180339887) % 1.0) ** 2)] = 1.0
         lines.append(" ".join(repr(v) for v in row))
     return "\n".join(lines) + "\n"
 
@@ -110,10 +120,10 @@ def cli_outputs() -> str:
             outputs[f"game run {name}"] = {
                 "stdout": stdout, "csv": csv.read_text(encoding="utf-8").splitlines()}
         stream = pathlib.Path(tmp) / "stream.txt"
-        stream.write_text(stream_text(), encoding="utf-8")
-        for name, flags in COUNTER_RUNS.items():
+        for name, (steps, dim, flags) in COUNTER_RUNS.items():
+            stream.write_text(stream_text(steps, dim), encoding="utf-8")
             outputs[f"counter run {name}"] = {"csv": _main(
-                ("counter", "run", "--n", str(STREAM_STEPS), "--m", str(STREAM_DIM),
+                ("counter", "run", "--n", str(steps), "--m", str(dim),
                  "--stream", str(stream)) + flags)}
     return json.dumps(outputs, indent=1, sort_keys=True) + "\n"
 

@@ -164,6 +164,7 @@ def test_scenario_reports_have_lines_and_measurements():
     ("thm:noinfo", {"n": 1}, None, "undominated", 0.0),                 # no twin to fear
     ("lemma:marketundom", {"eps": 0.0}, None, "own_over_shared", 1.0),  # own market ties shared
     ("thm:noinfo", {}, "perfect", "undominated", 0.0),                  # exact counts show jackpots
+    ("thm:lb-undom", {"beta": 0.5}, None, "undominated", 0.0),         # a shown 0 rules out 1
 ])
 def test_undominatedness_checks_fail_their_negative_controls(monkeypatch, name, params, mech,
                                                              failing, value):
@@ -182,6 +183,23 @@ def test_undominatedness_checks_fail_their_negative_controls(monkeypatch, name, 
     assert report.checks[failing]["value"] == pytest.approx(value)
     assert {check: judged["violations"] for check, judged in report.checks.items()} == {
         check: int(check == failing) for check in report.checks}
+
+
+def test_lb_undom_checks_read_the_play(monkeypatch):
+    """Played greedily, player 1 takes the fragile resource the clamped display
+    shows unused, and only the welfare check fails."""
+    claim, fn = harness._SCENARIOS["thm:lb-undom"]
+
+    def greedy(**kwargs):
+        config, checks = fn(**kwargs)
+        return replace(config, strategy="greedy"), checks
+
+    monkeypatch.setitem(harness._SCENARIOS, "thm:lb-undom", (claim, greedy))
+    report = reproduce("thm:lb-undom")
+    assert not report.passed
+    assert report.checks["sw_spite"]["value"] == pytest.approx(1.05)
+    assert {check: judged["violations"] for check, judged in report.checks.items()} == {
+        "undominated": 0, "sw_spite": 1, "opt": 0}
 
 
 @pytest.mark.parametrize("name, keys", [
