@@ -3,6 +3,7 @@ simulation laboratory that plays sequential games (resource sharing, cut,
 scheduling, cost sharing, market sharing) against perfect, private, and empty
 counters and measures welfare against exactly computed optima."""
 
+from . import scenarios  # registers the reproduce scenarios with the harness
 from .counters import (
     AccuracyEnvelope,
     EmptyCounter,

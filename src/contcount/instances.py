@@ -31,6 +31,14 @@ def harmonic_number(n: int) -> float:
     return math.fsum(1.0 / i for i in range(1, n + 1))
 
 
+def _within_budget(values, named: str, verb: str = "build") -> None:
+    """Refuse sizes, ``named``, under which a builder would make ``values``
+    values, more than MATCHING_COPY_BUDGET, before it makes any."""
+    if values > MATCHING_COPY_BUDGET:
+        raise ParameterError(f"{named} would {verb} {values} values, over the "
+                             f"budget of {MATCHING_COPY_BUDGET}")
+
+
 # ---------------------------------------------------------------------------
 # named constructions
 
@@ -40,6 +48,7 @@ def illustrative_shared_vs_private(n: int = 100, eps: float = 0.01) -> ResourceS
     private resource worth 1 - eps for each player. Blind greedy piles onto
     the public resource for harmonic welfare H_n; the all-private assignment
     is worth n(1-eps)."""
+    _within_budget(max(n, 0) * (n + 1), f"n = {n}")
     public = ValueCurve([1.0 / (k + 1) for k in range(n)])
     curves = [public] + [ValueCurve([1.0 - eps] * n) for _ in range(n)]
     action_sets = [[0, i + 1] for i in range(n)]
@@ -50,6 +59,7 @@ def twin_temptation(n: int = 10, high: float = 100.0) -> ResourceSharingInstance
     """Each player has a private resource worth `high` to its first chooser
     (0 afterwards) plus a shared flat resource worth 1. Fearing a twin already
     took the private jackpot, choosing the shared resource is undominated."""
+    _within_budget(max(n, 0) * (n + 1), f"n = {n}")
     curves = [ValueCurve([high] + [0.0] * (n - 1) if n > 1 else [high]) for _ in range(n)]
     curves.append(ValueCurve([1.0] * n))
     action_sets = [[i, n] for i in range(n)]
@@ -59,6 +69,7 @@ def twin_temptation(n: int = 10, high: float = 100.0) -> ResourceSharingInstance
 def slow_decay_temptation(n: int = 25) -> ResourceSharingInstance:
     """Per-player resources decaying as n/(k+1) plus one shared resource
     decaying as 1/(k+1); every action set contains all resources."""
+    _within_budget(max(n, 0) * (n + 1), f"n = {n}")
     curves = [ValueCurve([n / (k + 1) for k in range(n)]) for _ in range(n)]
     curves.append(ValueCurve([1.0 / (k + 1) for k in range(n)]))
     action_sets = [list(range(n + 1)) for _ in range(n)]
@@ -113,6 +124,7 @@ def market_log_loss(n: int = 16, eps: float = 0.01) -> ResourceSharingInstance:
     own market i of total value (n-i+1)(1-eps)/i. Believing later players only
     care about market i makes serving market 0 undominated for everyone,
     collapsing welfare to 1."""
+    _within_budget(max(n, 0) * (n + 1), f"n = {n}")
     curves = [market_curve(1.0, n)]
     for i in range(1, n + 1):
         curves.append(market_curve((n - i + 1) * (1.0 - eps) / i, n))
@@ -181,11 +193,8 @@ def _sizes(rng: RandomSource, n_low: int, n_max, m_max=None) -> tuple:
         if high != int(high):
             raise ParameterError(f"{name} must be an integer, got {high}")
     n = int(n_max)
-    values = n * (n - 1) // 2 if m_max is None else n * int(m_max)
-    if values > MATCHING_COPY_BUDGET:
-        named = " and ".join(f"{name} = {high}" for name, _, high in bounds)
-        raise ParameterError(f"{named} would draw up to {values} values, over the "
-                             f"budget of {MATCHING_COPY_BUDGET}")
+    _within_budget(n * (n - 1) // 2 if m_max is None else n * int(m_max),
+                   " and ".join(f"{name} = {high}" for name, _, high in bounds), "draw up to")
     return tuple(int(rng.integers(low, int(high) + 1)) for _, low, high in bounds)
 
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -298,6 +299,18 @@ def test_random_generator_bad_parameters_exit_one(capsys, game, instance, item, 
                              "--inst", item)
     assert code == 1 and out == ""
     assert err.startswith("error: bad parameters") and message in err
+
+
+@pytest.mark.parametrize("name", ["sec1.1", "noinfo", "noinfospecial", "marketundom"])
+def test_quadratic_paper_instance_refuses_an_oversized_n(capsys, name):
+    # each builds n + 1 curves of n values: 10^12 at n = 10^6
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "opt", "--game", "resource", "--instance", f"paper:{name}",
+                             "--n", "1000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err == (f"error: bad parameters {{'n': 1000000}} for 'paper:{name}': n = 1000000 "
+                   "would build 1000001000000 values, over the budget of 8000000\n")
 
 
 @pytest.mark.parametrize("argv", [["--n", "50"], ["--inst", "bogus=3"]])

@@ -9,9 +9,12 @@
   ``ftsum`` and ``treesum`` behind ``clamp``, ``under`` and ``mono``, on a
   fixed skewed stream, and that chain at the clamp's default target
   (alpha = 1) on a 32-wide stream, as the ``counter-stream`` workload runs
-  it. Beside them, ``game run --out --json`` over several
-  trials of a ``paper:`` instance and of an instance file, with ``--splits
-  4`` and with ``--skip-opt`` (NaN ratios, printed as ``null``).
+  it; at eps = 1 every release of that stream is 0, so the entry
+  ``treesum,clamp,under,mono m=32 eps=1024`` runs it at eps = 1024, where
+  227 of its 768 releases leave 0 and the chain's steps show. Beside them,
+  ``game run --out --json`` over several trials of a ``paper:`` instance
+  and of an instance file, with ``--splits 4`` and with ``--skip-opt`` (NaN
+  ratios, printed as ``null``).
 
 A change that is meant to move an output regenerates the files and names the
 change; the diff of the files then shows each value before and after:
@@ -67,6 +70,11 @@ COUNTER_RUNS = {
     "treesum,clamp,under,mono m=32": (24, 32, ("--mech", "treesum", "--eps", "1", "--wrap",
                                                "clamp", "--wrap", "under", "--wrap", "mono",
                                                "--seed", "1")),
+    # at eps = 1 the tree's beta keeps every release of that stream at 0; at
+    # eps = 1024 the largest true count, 3.09, clears the shift on some steps
+    "treesum,clamp,under,mono m=32 eps=1024": (24, 32, ("--mech", "treesum", "--eps", "1024",
+                                                        "--wrap", "clamp", "--wrap", "under",
+                                                        "--wrap", "mono", "--seed", "1")),
 }
 
 

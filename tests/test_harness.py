@@ -1,8 +1,10 @@
-import functools
 import inspect
 import json
 import math
-from dataclasses import replace
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -160,46 +162,60 @@ def test_scenario_reports_have_lines_and_measurements():
     assert report.checks["sw"]["value"] == 4.0
 
 
-@pytest.mark.parametrize("name, params, mech, failing, value", [
-    ("thm:noinfo", {"n": 1}, None, "undominated", 0.0),                 # no twin to fear
-    ("lemma:marketundom", {"eps": 0.0}, None, "own_over_shared", 1.0),  # own market ties shared
-    ("thm:noinfo", {}, "perfect", "undominated", 0.0),                  # exact counts show jackpots
-    ("thm:lb-undom", {"beta": 0.5}, None, "undominated", 0.0),         # a shown 0 rules out 1
-])
-def test_undominatedness_checks_fail_their_negative_controls(monkeypatch, name, params, mech,
-                                                             failing, value):
-    """Each control breaks the claim of one check and leaves the others passing."""
-    if mech:
-        claim, fn = harness._SCENARIOS[name]
+# the value each declared control's failing check reads, in declaration order
+CONTROL_VALUES = {"thm:noinfo": [0.0, 0.0], "thm:lb-undom": [0.0, 1.05],
+                  "lemma:marketundom": [1.0]}
+CONTROLS = [(name, index, control)
+            for name, (_, _, controls) in sorted(harness._SCENARIOS.items())
+            for index, control in enumerate(controls)]
 
-        @functools.wraps(fn)
-        def on_mech(**kwargs):
-            config, checks = fn(**kwargs)
-            return replace(config, mechanism=MechanismSpec(mech=mech)), checks
 
-        monkeypatch.setitem(harness._SCENARIOS, name, (claim, on_mech))
-    report = reproduce(name, **params)
+@pytest.mark.parametrize("name, index, control", CONTROLS,
+                         ids=[f"{name}-{index}" for name, index, _ in CONTROLS])
+def test_declared_controls_fail_only_their_check(name, index, control):
+    """Each control, built and judged on the path reproduce takes, breaks the
+    claim of its one check and leaves the others passing."""
+    assert {scenario: len(values) for scenario, values in CONTROL_VALUES.items()} == {
+        scenario: len(controls) for scenario, (_, _, controls) in harness._SCENARIOS.items()
+        if controls}
+    report = harness._run_scenario(name, 0, control.get("params", {}),
+                                   control.get("config", {}))
     assert not report.passed
-    assert report.checks[failing]["value"] == pytest.approx(value)
+    assert report.checks[control["fails"]]["value"] == pytest.approx(
+        CONTROL_VALUES[name][index])
     assert {check: judged["violations"] for check, judged in report.checks.items()} == {
-        check: int(check == failing) for check in report.checks}
+        check: int(check == control["fails"]) for check in report.checks}
 
 
-def test_lb_undom_checks_read_the_play(monkeypatch):
-    """Played greedily, player 1 takes the fragile resource the clamped display
-    shows unused, and only the welfare check fails."""
-    claim, fn = harness._SCENARIOS["thm:lb-undom"]
+def test_importing_the_harness_registers_every_scenario():
+    """A fresh interpreter that imports only the harness lists the scenarios
+    of the golden reports."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    code = ("import json; from contcount import harness; "
+            "print(json.dumps([name for name, _ in harness.list_scenarios()]))")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    golden = json.loads((root / "tests" / "data" / "reproduce_seed0.json").read_text())
+    assert json.loads(proc.stdout) == sorted(golden) and len(golden) == 18
 
-    def greedy(**kwargs):
-        config, checks = fn(**kwargs)
-        return replace(config, strategy="greedy"), checks
 
-    monkeypatch.setitem(harness._SCENARIOS, "thm:lb-undom", (claim, greedy))
-    report = reproduce("thm:lb-undom")
-    assert not report.passed
-    assert report.checks["sw_spite"]["value"] == pytest.approx(1.05)
-    assert {check: judged["violations"] for check, judged in report.checks.items()} == {
-        "undominated": 0, "sw_spite": 1, "opt": 0}
+# overrides that escaped the builders as bare ZeroDivisionError, ValueError,
+# OverflowError or TypeError
+BAD_OVERRIDES = [("prop:private-beats-perfect", params) for params in (
+    {"q": 0}, {"n": 0}, {"n": -1}, {"q": math.inf}, {"q": math.nan})] + [
+    (name, {"n": n}) for name in ("thm:noinfo", "thm:noinfospecial", "sec1.1:illustrative",
+                                  "lemma:cut-cycle", "lemma:marketundom",
+                                  "lemma:cost-sharing-perfect")
+    for n in (math.nan, math.inf)]
+
+
+@pytest.mark.parametrize("name, params", BAD_OVERRIDES)
+def test_bad_scenario_parameters_raise_parameter_error(name, params):
+    with pytest.raises(ParameterError) as err:
+        reproduce(name, **params)
+    assert str(err.value).startswith(f"bad parameters {params} for scenario '{name}': ")
 
 
 @pytest.mark.parametrize("name, keys", [
@@ -358,7 +374,7 @@ def test_play_beyond_the_exact_optimum_is_refused(monkeypatch, game, fake_opt):
 def test_reproduce_checks_trials_for_every_scenario(name):
     with pytest.raises(ParameterError, match="trial count must be >= 1"):
         reproduce(name, trials=0)
-    _, fn = harness._SCENARIOS[name]
+    _, fn, _ = harness._SCENARIOS[name]
     if "trials" in inspect.signature(fn).parameters:
         assert reproduce(name, seed=1, trials=1).checks
     else:
@@ -368,7 +384,7 @@ def test_reproduce_checks_trials_for_every_scenario(name):
 
 @pytest.mark.parametrize("name", sorted(harness._SCENARIOS))
 def test_every_check_reports_value_bound_slack_and_violations(name):
-    _, fn = harness._SCENARIOS[name]
+    _, fn, _ = harness._SCENARIOS[name]
     trials = {"trials": 2} if "trials" in inspect.signature(fn).parameters else {}
     report = reproduce(name, seed=1, **trials)
     assert report.checks and len(report.lines) == len(report.checks)
