@@ -19,9 +19,11 @@ from __future__ import annotations
 import inspect
 import io
 import math
+import numbers
 import os
 import pickle
 import signal
+import stat
 import sys
 import threading
 from dataclasses import dataclass, field, replace
@@ -122,8 +124,12 @@ class ExperimentConfig:
         if self.game not in GAMES:
             raise ParameterError(f"unknown game '{self.game}' "
                                  f"(have: {', '.join(sorted(GAMES))})")
-        if self.trials < 1:
-            raise ParameterError("trial count must be >= 1")
+        _check_trials(self.trials)
+
+
+def _check_trials(trials) -> None:
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
+        raise ParameterError(f"trial count must be >= 1 and an integer, got {trials!r}")
 
 
 @dataclass
@@ -342,9 +348,17 @@ def write_csv(results, path: str) -> None:
 
 
 def _write_csv_text(text: str, path: str) -> None:
+    """Overwrite ``path`` in place: open it without O_TRUNC and cut a regular
+    file (not a device such as /dev/null) to length after the write. On ext4,
+    closing a file truncated to zero and rewritten allocates its blocks at
+    once; a cut to a nonzero length after the write does not. A process killed
+    between the write and the cut leaves the old file's tail after the rows."""
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
     except OSError as exc:
         raise ParameterError(f"cannot write CSV file '{path}': {exc.strerror}") from exc
 
@@ -452,8 +466,11 @@ def _run_scenario(name: str, seed: int, overrides: dict, changes: dict) -> Scena
     if name not in _SCENARIOS:
         raise ParameterError(f"unknown scenario '{name}' (see list-scenarios)")
     claim, fn, _ = _SCENARIOS[name]
-    if overrides.get("trials", 1) < 1:
-        raise ParameterError("trial count must be >= 1")
+    bad = f"bad parameters {overrides} for scenario '{name}'"
+    try:
+        _check_trials(overrides.get("trials", 1))
+    except ParameterError as exc:
+        raise ParameterError(f"{bad}: {exc}") from exc
     params = inspect.signature(fn).parameters
     for key in overrides:
         if key not in params:
@@ -461,7 +478,7 @@ def _run_scenario(name: str, seed: int, overrides: dict, changes: dict) -> Scena
     try:
         config, checks = fn(seed=seed, **overrides)
     except (ArithmeticError, TypeError, ValueError) as exc:
-        raise ParameterError(f"bad parameters {overrides} for scenario '{name}': {exc}") from exc
+        raise ParameterError(f"{bad}: {exc}") from exc
     config = replace(config, **changes)
 
     def evaluate(*trial):

@@ -38,7 +38,9 @@ def _undominated(result, trace, inst, mech) -> bool:
 
 
 @_scenario("thm:greedy4",
-           "with perfect counters, greedy is 4-competitive for sequential resource sharing")
+           "with perfect counters, greedy is 4-competitive for sequential resource sharing",
+           dict(fails="cr",                                   # blind greedy ignores crowding
+                config={"mechanism": MechanismSpec(mech="empty")}))
 def _greedy4(seed: int = 0, trials: int = 200):
     config = ExperimentConfig(game="resource", instance="random:resource", trials=trials,
                               seed=seed, instance_params={"n_max": 50, "m_max": 10})
@@ -77,7 +79,9 @@ def _noinfo(seed: int = 0, n: int = 10, high: float = 100.0):
 
 @_scenario("thm:noinfospecial",
            "even with slowly decaying values, empty counters admit undominated play "
-           "with welfare H_n against an optimum of n^2")
+           "with welfare H_n against an optimum of n^2",
+           dict(fails="undominated",                          # exact counts show no twin
+                config={"mechanism": MechanismSpec(mech="perfect")}))
 def _noinfospecial(seed: int = 0, n: int = 25):
     config = ExperimentConfig(game="resource", instance=inst_lib.slow_decay_temptation(n),
                               mechanism=MechanismSpec(mech="empty"),
@@ -148,7 +152,8 @@ def _polylog(seed: int = 0, trials: int = 50):
 
 @_scenario("lemma:cut-cycle",
            "on the 2n-cycle, all-blue-until-forced is undominated play with welfare 4 "
-           "against an optimum of 4n")
+           "against an optimum of 4n",
+           dict(fails="sw", config={"strategy": "greedy"}))   # greedy cuts every edge
 def _cut_cycle(seed: int = 0, n: int = 20):
     config = ExperimentConfig(game="cut", instance=inst_lib.cut_cycle(n),
                               strategy="scripted:all-blue-cycle", seed=seed)
@@ -206,7 +211,8 @@ def _scheduling(seed: int = 0, trials: int = 100, alpha: float = 1.5, beta: floa
 
 @_scenario("lemma:scheduling-undom",
            "with exact load displays, parking the free job on the expensive machine "
-           "is undominated and forces makespan >= 1 where the optimum is 0")
+           "is undominated and forces makespan >= 1 where the optimum is 0",
+           dict(fails="makespan", config={"strategy": "greedy"}))  # greedy parks it for free
 def _scheduling_undom(seed: int = 0):
     config = ExperimentConfig(game="scheduling", instance=inst_lib.scheduling_2x2(),
                               strategy="scripted:pessimistic-scheduler", seed=seed)

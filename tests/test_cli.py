@@ -399,6 +399,27 @@ def test_missing_file_is_an_error(tmp_path, capsys, argv, message):
     assert message in err and missing in err
 
 
+def test_game_run_writes_its_csv_to_dev_null(capsys):
+    """A device is written and never truncated."""
+    code, out, err = run_cli(capsys, "game", "run", "--game", "resource", "--instance",
+                             "paper:noinfo", "--mech", "perfect", "--out", os.devnull)
+    assert (code, err) == (0, "")
+    assert "mean_ratio" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["game", "run", "--game", "resource", "--instance", "paper:noinfo", "--mech", "perfect"],
+    ["counter", "run", "--n", "4", "--m", "1", "--stream", "{stream}"],
+])
+def test_out_to_a_directory_is_an_error(tmp_path, capsys, argv):
+    stream = tmp_path / "stream.txt"
+    stream.write_text("1\n")
+    argv = [a.format(stream=stream) for a in argv] + ["--out", str(tmp_path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write CSV file '{tmp_path}': ")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["counter", "run", "--n", "4", "--m", "1", "--stream", "{bad}"],
      "cannot read stream file"),

@@ -16,6 +16,10 @@
   and of an instance file, with ``--splits 4`` and with ``--skip-opt`` (NaN
   ratios, printed as ``null``).
 
+Every command with ``--out`` overwrites the same ``out.csv``, and each
+``counter run`` is also written there and must match its printed CSV, so a
+writer that left an earlier, longer output's tail behind would fail.
+
 A change that is meant to move an output regenerates the files and names the
 change; the diff of the files then shows each value before and after:
 
@@ -130,9 +134,12 @@ def cli_outputs() -> str:
         stream = pathlib.Path(tmp) / "stream.txt"
         for name, (steps, dim, flags) in COUNTER_RUNS.items():
             stream.write_text(stream_text(steps, dim), encoding="utf-8")
-            outputs[f"counter run {name}"] = {"csv": _main(
-                ("counter", "run", "--n", str(steps), "--m", str(dim),
-                 "--stream", str(stream)) + flags)}
+            argv = ("counter", "run", "--n", str(steps), "--m", str(dim),
+                    "--stream", str(stream)) + flags
+            outputs[f"counter run {name}"] = {"csv": _main(argv)}
+            _main(argv + ("--out", str(csv)))
+            assert csv.read_text(encoding="utf-8").splitlines() == \
+                outputs[f"counter run {name}"]["csv"], f"counter run {name} --out"
     return json.dumps(outputs, indent=1, sort_keys=True) + "\n"
 
 

@@ -69,6 +69,36 @@ def test_summary_recomputable_from_csv(tmp_path):
     assert summary["trials"] == 5
 
 
+def test_write_csv_overwrites_a_longer_file_in_place(tmp_path):
+    path = tmp_path / "trials.csv"
+    results, _ = run_experiment(small_config())
+    text = results_to_csv(results)
+    path.write_text(text * 2, encoding="utf-8")
+    write_csv(results, str(path))
+    assert path.read_text(encoding="utf-8") == text
+    assert results_to_csv(read_csv_results(str(path))) == text
+
+
+def test_csv_writer_opens_without_truncating(tmp_path, monkeypatch):
+    """The writer cuts the file after writing it: opened with O_TRUNC, a
+    rewritten file makes ext4 allocate its blocks at close. A new file keeps
+    the mode open(path, "w") gives it."""
+    flags, real_open = [], os.open
+
+    def recording_open(path, flag, *args):
+        flags.append(flag)
+        return real_open(path, flag, *args)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    path = tmp_path / "trials.csv"
+    harness._write_csv_text("a,b\n", str(path))
+    (flag,) = flags
+    assert flag & os.O_CREAT and flag & os.O_WRONLY and not flag & os.O_TRUNC
+    umask = os.umask(0)
+    os.umask(umask)
+    assert (path.read_text(), path.stat().st_mode & 0o777) == ("a,b\n", 0o666 & ~umask)
+
+
 def numpy_summary(results):
     """The many-row computation, applied to any number of rows."""
     ratios = np.array([r.ratio for r in results], dtype=float)
@@ -164,7 +194,9 @@ def test_scenario_reports_have_lines_and_measurements():
 
 # the value each declared control's failing check reads, in declaration order
 CONTROL_VALUES = {"thm:noinfo": [0.0, 0.0], "thm:lb-undom": [0.0, 1.05],
-                  "lemma:marketundom": [1.0]}
+                  "lemma:marketundom": [1.0], "lemma:cut-cycle": [80.0],
+                  "lemma:scheduling-undom": [0.0], "thm:noinfospecial": [0.0],
+                  "thm:greedy4": [4.046056]}
 CONTROLS = [(name, index, control)
             for name, (_, _, controls) in sorted(harness._SCENARIOS.items())
             for index, control in enumerate(controls)]
@@ -209,6 +241,19 @@ BAD_OVERRIDES = [("prop:private-beats-perfect", params) for params in (
                                   "lemma:cut-cycle", "lemma:marketundom",
                                   "lemma:cost-sharing-perfect")
     for n in (math.nan, math.inf)]
+
+
+@pytest.mark.parametrize("trials", [1.5, math.nan, math.inf, 2.5, "3", True, np.float64(3.0)])
+def test_bad_trial_counts_are_refused_before_any_trial(monkeypatch, trials):
+    """A trial count must be an integer >= 1, checked before trial 0 runs."""
+    monkeypatch.setattr(harness, "_map_trials", lambda *_: pytest.fail("a trial ran"))
+    with pytest.raises(ParameterError) as err:
+        reproduce("lemma:perceived", trials=trials)
+    assert str(err.value) == (f"bad parameters {{'trials': {trials!r}}} for scenario "
+                              f"'lemma:perceived': trial count must be >= 1 and an integer, "
+                              f"got {trials!r}")
+    with pytest.raises(ParameterError, match="trial count must be >= 1 and an integer"):
+        small_config(trials=trials)
 
 
 @pytest.mark.parametrize("name, params", BAD_OVERRIDES)
