@@ -251,16 +251,19 @@ def _map_trials(config: ExperimentConfig, fn) -> list:
     """``[fn(*run_trial(config, t)) for t in range(config.trials)]``, in trial order.
 
     Trial 0 runs first, so a fixed (not ``random:``) instance is resolved and
-    its optimum solved once: later trials play trial 0's instance object. The
-    parent runs the first chunk of trials and forks a child for each later
-    one (or runs it itself if fork fails). It raises the error of the lowest
-    failing trial, as a serial run would, and no child outlives the call.
+    its optimum solved once: later trials play trial 0's instance object (and
+    keep its row, not its trace or mechanism). The parent runs the first chunk
+    of trials and forks a child for each later one (or runs it itself if fork
+    fails). It raises the error of the lowest failing trial, as a serial run
+    would, and no child outlives the call.
     """
     first = run_trial(config, 0)
+    rows = [fn(*first)]
     cached_opt = None
     if not (isinstance(config.instance, str) and config.instance.startswith("random:")):
         config = replace(config, instance=first[2], instance_params={})
         cached_opt = first[0].opt if config.compute_opt else None
+    del first
 
     def run(trials):
         return [fn(*run_trial(config, t, cached_opt)) for t in trials]
@@ -273,7 +276,6 @@ def _map_trials(config: ExperimentConfig, fn) -> list:
                 children[k] = _fork_chunk(run, chunks[k])
             except OSError:
                 break
-        rows = [fn(*first)]
         for k, trials in enumerate(chunks):
             if k not in children:
                 rows += run(trials[1:] if k == 0 else trials)

@@ -6,9 +6,9 @@ silently approximating. Resource sharing reduces to a maximum-weight matching
 between players and per-resource value copies, which a matroid greedy with
 augmenting paths solves exactly; the other games are enumerated
 exhaustively (with a bipartite closed form for cut games, whose optimum then
-cuts every edge). Scheduling and cut enumerate in numpy chunks of at most
-``CHUNK_ROWS`` assignments, in the order of the plain loop, and keep the first
-optimum in that order as the witness.
+cuts every edge). Scheduling prunes and cut doubles (see each solver), in
+numpy chunks of at most ``CHUNK_ROWS`` assignments in the order of the plain
+loop, and both keep the first optimum in that order as the witness.
 
 Every ``OptResult`` witness re-evaluates to the reported value exactly: the
 solvers compute values through the game rules' ``value``, the objective that
@@ -140,48 +140,49 @@ def _augment(r: int, allowed_by: list, where: list, free_from: list) -> bool:
     return False
 
 
-def _grow_loads(loads: np.ndarray, costs: np.ndarray) -> np.ndarray:
-    """Every way to add the jobs of ``costs`` (one row per job, in order) to
-    the machine loads in ``loads`` (one row per partial assignment).
-
-    Each job multiplies the rows by m, its machine varying fastest, so row
-    order is ``itertools.product`` order; each load adds its jobs' costs in
-    job order, exactly as ``scheduling_makespan`` does.
-    """
-    m = loads.shape[1]
-    diag = np.arange(m)
-    for row in costs:
-        rows = loads.shape[0]
-        loads = np.repeat(loads, m, axis=0)
-        loads.reshape(rows, m, m)[:, diag, diag] += row
-    return loads
-
-
 def opt_scheduling(inst: SchedulingInstance) -> OptResult:
-    """Exact minimum makespan by exhaustive assignment (m^n states).
+    """Exact minimum makespan over the m^n assignments.
 
-    The leading jobs are enumerated in Python and, for each of their
-    assignments, the trailing ``tail`` jobs in one numpy chunk of m^tail
-    <= CHUNK_ROWS rows; the witness is the first optimum in product order.
+    The leading jobs are enumerated in Python; for each of their assignments
+    the trailing ``tail`` jobs grow rows one job at a time, machine fastest,
+    adding costs in job order as ``scheduling_makespan`` does. Loads only
+    grow, so a row above the best makespan so far, or at it once a witness
+    exists, cannot be the first optimum in product order and is dropped.
     """
     n, m = inst.n, inst.m
     if m ** n > BRUTE_FORCE_BUDGET:
         raise SizeError(
             f"{m}^{n} assignments exceed the brute-force budget; "
             "use scheduling_lower_bound for large instances")
+    loads = np.zeros(m)     # greedy, each job where the makespan stays lowest, bounds it
+    for row in inst.costs:
+        q = int(np.maximum(loads + row, loads.max()).argmin())
+        loads[q] += row[q]
+    best, witness = loads.max(), None
     tail = n
     while m ** tail > CHUNK_ROWS:
         tail -= 1
-    best, best_head, best_row = math.inf, None, 0
+    diag = np.arange(m)
     for head in itertools.product(range(m), repeat=n - tail):
-        loads = np.zeros((1, m))
+        loads, index = np.zeros((1, m)), np.zeros(1, dtype=np.int64)
         for k, q in enumerate(head):
             loads[0, q] += inst.costs[k, q]
-        spans = _grow_loads(loads, inst.costs[n - tail:]).max(axis=1)
-        row = int(spans.argmin())
-        if spans[row] < best:
-            best, best_head, best_row = spans[row], head, row
-    witness = list(best_head) + [best_row // m ** (tail - 1 - j) % m for j in range(tail)]
+        for row in inst.costs[n - tail:]:
+            spans = loads.max(axis=1)
+            keep = spans <= best if witness is None else spans < best
+            rows = np.count_nonzero(keep)
+            if rows == 0:
+                break
+            loads = np.repeat(loads[keep], m, axis=0)
+            loads.reshape(rows, m, m)[:, diag, diag] += row
+            index = (index[keep, None] * m + diag).ravel()
+        else:
+            spans = loads.max(axis=1)
+            row = int(spans.argmin())
+            if spans[row] < best or witness is None and spans[row] == best:
+                best = spans[row]
+                witness = list(head) + [int(index[row]) // m ** (tail - 1 - j) % m
+                                        for j in range(tail)]
     value = scheduling_makespan(inst, witness)
     assert value == best, "vectorised makespan differs from scheduling_makespan"
     return OptResult(value, witness, "brute-force")
@@ -214,24 +215,47 @@ def _two_coloring(inst: CutInstance):
 def opt_cut(inst: CutInstance) -> OptResult:
     """Exact maximum of 2 * cut size. Bipartite graphs (cycles of even length,
     complete bipartite, ...) use the closed form 2|E| with the 2-coloring as
-    witness; everything else is enumerated over colorings."""
+    witness; everything else is enumerated over colorings: node 0 is red and
+    node i >= 1 is bit i - 1. The cut sizes over the low nodes are built once
+    by doubling, node i extending each coloring of nodes 1..i-1 red and blue;
+    each chunk then fixes the high nodes, which add their low neighbours of
+    the other color and the high-high edges they cut."""
     coloring = _two_coloring(inst)
     if coloring is not None:
         return OptResult(2.0 * len(inst.edges), coloring, "closed-form")
-    free = max(inst.n - 1, 0)
+    n = inst.n
+    free = n - 1
     if 2 ** free > BRUTE_FORCE_BUDGET:
-        raise SizeError(f"2^{inst.n} colorings exceed the brute-force budget")
+        raise SizeError(f"2^{n} colorings exceed the brute-force budget")
+    low = min(free, CHUNK_ROWS.bit_length() - 1)
+    adj = np.zeros((n, n), dtype=np.int8)
     us, vs = np.array(inst.edges).T
-    shifts = np.arange(free)
+    adj[us, vs] = adj[vs, us] = 1
+    # blue[j, c]: node j's neighbours among nodes 1..low that coloring c paints blue
+    blue = np.zeros((n, 2 ** low), dtype=np.int8)
+    cuts = np.zeros(2 ** low, dtype=np.int32)
+    for i in range(1, low + 1):
+        half = 2 ** (i - 1)
+        np.add(blue[:, :half], adj[:, i:i + 1], out=blue[:, half:2 * half])
+        cuts[half:2 * half] = cuts[:half] + int(adj[i, :i].sum()) - blue[i, :half]
+        cuts[:half] += blue[i, :half]
+    low_degree = adj[:, :low + 1].sum(axis=1).tolist()
+    high_edges = [(u, v) for u, v in inst.edges if u > low]
     best, best_bits = -1, 0
-    for start in range(0, 2 ** free, CHUNK_ROWS):
-        bits = np.arange(start, min(start + CHUNK_ROWS, 2 ** free))
-        colors = np.zeros((bits.size, inst.n), dtype=np.int8)
-        colors[:, 1:] = bits[:, None] >> shifts & 1
-        cuts = np.count_nonzero(colors[:, us] != colors[:, vs], axis=1)
-        row = int(cuts.argmax())
-        if cuts[row] > best:
-            best, best_bits = int(cuts[row]), int(bits[row])
+    chunk = np.empty_like(cuts)
+    for high in range(2 ** (free - low)):
+        colors = [0] * (low + 1) + [high >> k & 1 for k in range(free - low)]
+        np.copyto(chunk, cuts)
+        for j in range(low + 1, n):
+            if colors[j]:
+                chunk -= blue[j]
+                chunk += low_degree[j]
+            else:
+                chunk += blue[j]
+        row = int(chunk.argmax())
+        cut = int(chunk[row]) + sum(colors[u] != colors[v] for u, v in high_edges)
+        if cut > best:
+            best, best_bits = cut, high << low | row
     witness = [0] + [(best_bits >> i) & 1 for i in range(free)]
     value = cut_social_welfare(inst, witness)
     assert value == 2.0 * best, "vectorised cut differs from cut_social_welfare"

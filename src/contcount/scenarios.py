@@ -161,7 +161,9 @@ def _cut_cycle(seed: int = 0, n: int = 20):
 
 
 @_scenario("thm:cut-greedy-perfect",
-           "greedy coloring with exact neighbor counts is 2-competitive")
+           "greedy coloring with exact neighbor counts is 2-competitive",
+           dict(fails="cr", params={"trials": 1},             # blind greedy paints all red
+                config={"mechanism": MechanismSpec(mech="empty")}))
 def _cut_perfect(seed: int = 0, trials: int = 100):
     config = ExperimentConfig(game="cut", instance="random:cut", trials=trials, seed=seed,
                               instance_params={"n_max": 16, "p": 0.35})
@@ -220,7 +222,8 @@ def _scheduling_undom(seed: int = 0):
 
 
 @_scenario("lemma:cost-sharing-perfect",
-           "with exact counters, greedy cost sharing pays n against an optimum of 1+eps")
+           "with exact counters, greedy cost sharing pays n against an optimum of 1+eps",
+           dict(fails="total_cost", params={"eps": -0.5}))    # shared set undercuts a private one
 def _costshare_perfect(seed: int = 0, n: int = 10, eps: float = 0.1):
     config = ExperimentConfig(game="costshare", seed=seed,
                               instance=inst_lib.costshare_public_private(n, eps))
@@ -244,7 +247,9 @@ class _WarmupSpec(MechanismSpec):
 @_scenario("prop:private-beats-perfect",
            "on the public/private cost-sharing instance, a noisy warm-up followed by "
            "tree-based counters beats exact counters: mean cost about 1+eps+c/2 "
-           "instead of n")
+           "instead of n",
+           dict(fails="mean_cost",                            # a warm-up, then no information
+                config={"mechanism": _WarmupSpec(mech="empty", warmup=24)}))
 def _private_beats_perfect(seed: int = 0, n: int = 200, trials: int = 200,
                            eps: float = 0.1, q: float = 1.0):
     gamma = 1.0 / n
@@ -261,7 +266,8 @@ def _private_beats_perfect(seed: int = 0, n: int = 200, trials: int = 200,
 
 
 @_scenario("lemma:future-lb",
-           "future-dependent greedy on the step instance earns 1 against 2w - eps")
+           "future-dependent greedy on the step instance earns 1 against 2w - eps",
+           dict(fails="sw", config={"strategy": "belief:1"}))  # a believed rival avoids the trap
 def _future_lb(seed: int = 0, w: float = 5.0, eps: float = 0.1):
     config = ExperimentConfig(game="future", instance=inst_lib.future_step(w, eps), seed=seed)
     return config, (Check("sw", _SW, "==", 1.0), Check("opt", _OPT, "==", 2 * w - eps, 1e-9))

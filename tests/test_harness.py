@@ -196,7 +196,9 @@ def test_scenario_reports_have_lines_and_measurements():
 CONTROL_VALUES = {"thm:noinfo": [0.0, 0.0], "thm:lb-undom": [0.0, 1.05],
                   "lemma:marketundom": [1.0], "lemma:cut-cycle": [80.0],
                   "lemma:scheduling-undom": [0.0], "thm:noinfospecial": [0.0],
-                  "thm:greedy4": [4.046056]}
+                  "thm:greedy4": [4.046056], "lemma:future-lb": [9.9],
+                  "prop:private-beats-perfect": [190.18999999999994],
+                  "thm:cut-greedy-perfect": [math.inf], "lemma:cost-sharing-perfect": [0.5]}
 CONTROLS = [(name, index, control)
             for name, (_, _, controls) in sorted(harness._SCENARIOS.items())
             for index, control in enumerate(controls)]

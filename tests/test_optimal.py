@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -331,6 +332,25 @@ def as_tuple(result):
     return result.value, result.witness, result.method
 
 
+def greedy_scheduling(inst):
+    """Each job in turn to the first machine that keeps the makespan lowest."""
+    loads, assign = [0.0] * inst.m, []
+    for row in inst.costs.tolist():
+        q = min(range(inst.m), key=lambda q: max(max(loads), loads[q] + row[q]))
+        loads[q] += row[q]
+        assign.append(q)
+    return max(loads), assign
+
+
+def peak_mib(solve, inst):
+    tracemalloc.start()
+    try:
+        solve(inst)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
 def test_chunked_scheduling_matches_loop():
     for trial in range(100):
         inst = instances.random_scheduling(RandomSource(trial, 37), n_max=8, m_max=4)
@@ -340,6 +360,26 @@ def test_chunked_scheduling_matches_loop():
     sizes = np.random.default_rng(37).integers(1, 4, (13, 1))
     inst = instances.SchedulingInstance(np.repeat(sizes, 3, axis=1))
     assert as_tuple(opt_scheduling(inst)) == loop_scheduling(inst)
+    # zero-cost jobs and all-equal costs across 4 and 2 chunks: optima tie
+    # within and across chunks, and only the first may be kept
+    gen = np.random.default_rng(39)
+    zeros = gen.integers(0, 3, (9, 4)) * (gen.random((9, 4)) < 0.5)
+    for costs in (zeros, np.zeros((9, 4)), np.ones((17, 2)), np.full((9, 4), 0.1)):
+        inst = instances.SchedulingInstance(costs)
+        assert as_tuple(opt_scheduling(inst)) == loop_scheduling(inst)
+    # greedy reaches the optimum from the second chunk; the first optimum
+    # lies in the first
+    inst = instances.SchedulingInstance(np.random.default_rng(25).integers(1, 4, (17, 2)))
+    value, witness, method = loop_scheduling(inst)
+    greedy_value, greedy_assign = greedy_scheduling(inst)
+    assert greedy_value == value and (greedy_assign[0], witness[0]) == (1, 0)
+    assert as_tuple(opt_scheduling(inst)) == (value, witness, method)
+
+
+def test_scheduling_solve_stays_small():
+    # 4^10 assignments over 16 chunks of 4^8 rows each
+    inst = instances.SchedulingInstance(np.random.default_rng(40).uniform(size=(10, 4)))
+    assert peak_mib(opt_scheduling, inst) < 0.5
 
 
 def test_chunked_cut_matches_loop():
@@ -358,6 +398,12 @@ def test_chunked_cut_matches_loop():
     result = opt_cut(inst)
     assert result.method == "brute-force"
     assert as_tuple(result) == loop_cut(inst)
+    assert peak_mib(opt_cut, inst) < 4.0
+    # a dense 19-node graph: the high nodes 17 and 18 share an edge and each
+    # has one to node 0
+    edges = [(u, v) for u in range(19) for v in range(u + 1, 19) if gen.random() < 0.5]
+    inst = CutInstance(19, sorted(set(edges) | {(0, 17), (0, 18), (17, 18)}))
+    assert as_tuple(opt_cut(inst)) == loop_cut(inst)
 
 
 def test_brute_force_budget_is_inclusive(monkeypatch):

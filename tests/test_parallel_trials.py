@@ -9,6 +9,7 @@ import pickle
 import signal
 import sys
 import threading
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -90,6 +91,28 @@ def test_a_fixed_instance_optimum_is_solved_once_across_workers(monkeypatch, tmp
         assert calls == [os.getpid()] and len(parses) == 1
         parses.clear()
     assert csvs[0] == csvs[1]
+
+
+def test_trial_zero_trace_and_mechanism_are_released_before_trial_one(monkeypatch):
+    # only trial 0's row, fixed instance and optimum stay alive for the later trials
+    refs, alive = [], []
+    run_trial = harness.run_trial
+
+    def spy(config, trial, cached_opt=None):
+        if trial == 1:
+            alive.extend(ref() is not None for ref in refs)
+        played = run_trial(config, trial, cached_opt)
+        if trial == 0:
+            refs.extend(weakref.ref(played[k]) for k in (1, 3))   # trace, mech
+        return played
+
+    monkeypatch.setattr(harness, "run_trial", spy)
+    monkeypatch.setattr(harness, "_WORKERS", 1)
+    config = ExperimentConfig(game="costshare", instance="paper:costshare-public-private",
+                              mechanism=MechanismSpec(mech="treesum"), trials=3)
+    results, _ = run_experiment(config)
+    assert [r.trial for r in results] == [0, 1, 2]
+    assert len(refs) == 2 and alive == [False, False]
 
 
 # ---------------------------------------------------------------------------
