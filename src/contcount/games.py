@@ -38,6 +38,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -495,6 +496,17 @@ COST_SHARING = CostSharingRule()
 GAMES = {rule.name: rule for rule in (RESOURCE, FUTURE_DEPENDENT, CUT, SCHEDULING, COST_SHARING)}
 
 
+def check_splits(rule: GameRule, splits) -> None:
+    """Refuse a ``splits`` that ``play`` cannot take: not an integer >= 1, or
+    above 1 outside the resource game."""
+    if isinstance(splits, bool) or not isinstance(splits, numbers.Integral):
+        raise ParameterError(f"splits must be an integer, got {splits!r}")
+    if splits < 1:
+        raise ParameterError(f"splits must be >= 1, got {splits}")
+    if splits > 1 and rule is not RESOURCE:
+        raise ParameterError("fractional investments apply to the resource game only")
+
+
 def play(rule: GameRule, inst, mech: CounterMechanism, strategy, splits: int = 1) -> PlayTrace:
     """Play one game in arrival order against a counter mechanism.
 
@@ -507,10 +519,7 @@ def play(rule: GameRule, inst, mech: CounterMechanism, strategy, splits: int = 1
     increments and the counter sees one combined update. ``splits=1`` is
     unit-demand play.
     """
-    if splits < 1:
-        raise ParameterError(f"splits must be >= 1, got {splits}")
-    if splits > 1 and rule is not RESOURCE:
-        raise ParameterError("fractional investments apply to the resource game only")
+    check_splits(rule, splits)
     rule.check_instance(inst)
     dim = rule.dim(inst)
     _check_mechanism(mech, dim, inst.n, rule.bound(inst))

@@ -125,6 +125,8 @@ class ExperimentConfig:
             raise ParameterError(f"unknown game '{self.game}' "
                                  f"(have: {', '.join(sorted(GAMES))})")
         _check_trials(self.trials)
+        RandomSource(self.seed)           # refuses a seed that is not a 64-bit unsigned int
+        games.check_splits(GAMES[self.game], self.splits)
 
 
 def _check_trials(trials) -> None:
@@ -209,7 +211,7 @@ _WORKERS = None    # processes for one config's trials; None: the usable CPUs
 
 def _worker_count(trials: int) -> int:
     """How many chunks to cut ``trials`` into: 1 (serial) unless forking is safe."""
-    if (trials < 2 or not hasattr(os, "fork") or sys.gettrace() or sys.getprofile()
+    if (not hasattr(os, "fork") or sys.gettrace() or sys.getprofile()
             or threading.active_count() > 1):
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -250,26 +252,24 @@ def _fork_chunk(run, trials: range):
 def _map_trials(config: ExperimentConfig, fn) -> list:
     """``[fn(*run_trial(config, t)) for t in range(config.trials)]``, in trial order.
 
-    Trial 0 runs first, so a fixed (not ``random:``) instance is resolved and
-    its optimum solved once: later trials play trial 0's instance object (and
-    keep its row, not its trace or mechanism). The parent runs the first chunk
+    A fixed (not ``random:``) instance is resolved, and its optimum solved,
+    once before any trial: every trial plays that instance object. Each trial
+    keeps its row, not its trace or mechanism. The parent runs the first chunk
     of trials and forks a child for each later one (or runs it itself if fork
     fails). It raises the error of the lowest failing trial, as a serial run
     would, and no child outlives the call.
     """
-    first = run_trial(config, 0)
-    rows = [fn(*first)]
     cached_opt = None
     if not (isinstance(config.instance, str) and config.instance.startswith("random:")):
-        config = replace(config, instance=first[2], instance_params={})
-        cached_opt = first[0].opt if config.compute_opt else None
-    del first
+        instance = _trial_instance(config, 0)[1]
+        cached_opt = _ENGINES[config.game][1](instance).value if config.compute_opt else None
+        config = replace(config, instance=instance, instance_params={})
 
     def run(trials):
         return [fn(*run_trial(config, t, cached_opt)) for t in trials]
 
     chunks = _chunks(config.trials, _worker_count(config.trials))
-    children = {}                       # chunk index -> (pid, read end)
+    rows, children = [], {}             # children: chunk index -> (pid, read end)
     try:
         for k in range(1, len(chunks)):
             try:
@@ -278,7 +278,7 @@ def _map_trials(config: ExperimentConfig, fn) -> list:
                 break
         for k, trials in enumerate(chunks):
             if k not in children:
-                rows += run(trials[1:] if k == 0 else trials)
+                rows += run(trials)
                 continue
             pid, pipe = children[k]
             data = pipe.read()          # to EOF first: a payload can exceed the pipe buffer

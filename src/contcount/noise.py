@@ -17,6 +17,7 @@ attack surface for deployed DP systems, are not mitigated here.
 from __future__ import annotations
 
 import functools
+import numbers
 
 import numpy as np
 
@@ -43,10 +44,10 @@ class RandomSource:
     """
 
     def __init__(self, seed: int, stream_id: int = 0, zero_noise: bool = False):
-        if not 0 <= int(seed) <= _MASK64:
-            raise ParameterError(f"seed must be a 64-bit unsigned integer, got {seed}")
-        if not 0 <= int(stream_id) <= _MASK64:
-            raise ParameterError(f"stream_id must be a 64-bit unsigned integer, got {stream_id}")
+        for name, value in (("seed", seed), ("stream_id", stream_id)):
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or not 0 <= value <= _MASK64):
+                raise ParameterError(f"{name} must be a 64-bit unsigned integer, got {value!r}")
         self.seed = int(seed)
         self.stream_id = int(stream_id)
         self.zero_noise = bool(zero_noise)

@@ -186,7 +186,9 @@ def _cut_private(seed: int = 0, trials: int = 100, alpha: float = 2.0, beta: flo
 @_scenario("thm:scheduling-greedy",
            "greedy scheduling with clamped (alpha, beta) counters keeps the makespan "
            "below alpha^(2n+1)(beta + 2n beta + sum t*) + beta; with perfect counters "
-           "it is below sum t*")
+           "it is below sum t*",
+           dict(fails="makespan", params={"alpha": 1.0, "beta": 0.0},  # no clamp, judged at (1, 0)
+                config={"mechanism": MechanismSpec(mech="treesum", eps=3.0)}))
 def _scheduling(seed: int = 0, trials: int = 100, alpha: float = 1.5, beta: float = 2.0):
     spec = MechanismSpec(mech="treesum", eps=3.0, wraps=("clamp",),
                          clamp_alpha=alpha, clamp_beta=beta)

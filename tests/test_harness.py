@@ -198,7 +198,10 @@ CONTROL_VALUES = {"thm:noinfo": [0.0, 0.0], "thm:lb-undom": [0.0, 1.05],
                   "lemma:scheduling-undom": [0.0], "thm:noinfospecial": [0.0],
                   "thm:greedy4": [4.046056], "lemma:future-lb": [9.9],
                   "prop:private-beats-perfect": [190.18999999999994],
-                  "thm:cut-greedy-perfect": [math.inf], "lemma:cost-sharing-perfect": [0.5]}
+                  "thm:cut-greedy-perfect": [math.inf], "lemma:cost-sharing-perfect": [0.5],
+                  "thm:scheduling-greedy": [30.080933774509013]}
+# (scenario, control index) -> violations of the failing check, where not 1
+CONTROL_VIOLATIONS = {("thm:scheduling-greedy", 0): 41}
 CONTROLS = [(name, index, control)
             for name, (_, _, controls) in sorted(harness._SCENARIOS.items())
             for index, control in enumerate(controls)]
@@ -208,7 +211,8 @@ CONTROLS = [(name, index, control)
                          ids=[f"{name}-{index}" for name, index, _ in CONTROLS])
 def test_declared_controls_fail_only_their_check(name, index, control):
     """Each control, built and judged on the path reproduce takes, breaks the
-    claim of its one check and leaves the others passing."""
+    claim of its one check, on a pinned number of trials, and leaves the
+    others passing."""
     assert {scenario: len(values) for scenario, values in CONTROL_VALUES.items()} == {
         scenario: len(controls) for scenario, (_, _, controls) in harness._SCENARIOS.items()
         if controls}
@@ -218,7 +222,8 @@ def test_declared_controls_fail_only_their_check(name, index, control):
     assert report.checks[control["fails"]]["value"] == pytest.approx(
         CONTROL_VALUES[name][index])
     assert {check: judged["violations"] for check, judged in report.checks.items()} == {
-        check: int(check == control["fails"]) for check in report.checks}
+        check: CONTROL_VIOLATIONS.get((name, index), 1) if check == control["fails"] else 0
+        for check in report.checks}
 
 
 def test_importing_the_harness_registers_every_scenario():
@@ -256,6 +261,33 @@ def test_bad_trial_counts_are_refused_before_any_trial(monkeypatch, trials):
                               f"got {trials!r}")
     with pytest.raises(ParameterError, match="trial count must be >= 1 and an integer"):
         small_config(trials=trials)
+
+
+@pytest.mark.parametrize("seed", [1.5, math.nan, -1, 2 ** 64, "3", True, np.float64(3.0)])
+def test_bad_seeds_are_refused_before_any_trial(monkeypatch, seed):
+    """A seed must be an integer in [0, 2^64), checked when the config is built,
+    so no run writes a seed column that read_csv_results refuses."""
+    monkeypatch.setattr(harness, "_map_trials", lambda *_: pytest.fail("a trial ran"))
+    with pytest.raises(ParameterError) as err:
+        run_experiment(small_config(seed=seed))
+    assert str(err.value) == f"seed must be a 64-bit unsigned integer, got {seed!r}"
+
+
+@pytest.mark.parametrize("game, splits, message", [
+    ("resource", 2.5, "splits must be an integer, got 2.5"),
+    ("resource", "2", "splits must be an integer, got '2'"),
+    ("resource", True, "splits must be an integer, got True"),
+    ("resource", np.float64(2.0), "splits must be an integer, got np.float64(2.0)"),
+    ("resource", 0, "splits must be >= 1, got 0"),
+    ("resource", -1, "splits must be >= 1, got -1")] + [
+    (game, 2, "fractional investments apply to the resource game only")
+    for game in ("future", "cut", "scheduling", "costshare")])
+def test_bad_splits_are_refused_before_any_trial(monkeypatch, game, splits, message):
+    """splits must be an integer >= 1, and 1 outside the resource game."""
+    monkeypatch.setattr(harness, "_map_trials", lambda *_: pytest.fail("a trial ran"))
+    with pytest.raises(ParameterError) as err:
+        run_experiment(small_config(game=game, splits=splits))
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("name, params", BAD_OVERRIDES)

@@ -105,6 +105,12 @@ def test_seed_validation():
         RandomSource(-1)
     with pytest.raises(ParameterError):
         RandomSource(0, 2 ** 64)
+    # a non-integer seed or stream id, which int() would round or reject bare
+    for value in (1.5, math.nan, "3", True, np.float64(3.0), None):
+        for args, name in (((value,), "seed"), ((0, value), "stream_id")):
+            with pytest.raises(ParameterError, match=f"{name} must be a 64-bit unsigned"):
+                RandomSource(*args)
+    assert RandomSource(np.uint64(2 ** 64 - 1), np.int64(3)).seed == 2 ** 64 - 1
 
 
 def reference_laplace(scale, rng, size):

@@ -183,6 +183,8 @@ def test_fractional_validation():
     inst = instances.random_resource_sharing(RandomSource(0, 44), n_max=5, m_max=3)
     with pytest.raises(ParameterError):
         play(RESOURCE, inst, PerfectCounter(inst.n, inst.m), Greedy(), splits=0)
+    with pytest.raises(ParameterError, match="splits must be an integer"):
+        play(RESOURCE, inst, PerfectCounter(inst.n, inst.m), Greedy(), splits=2.5)
 
 
 @pytest.mark.parametrize("rule", [FUTURE_DEPENDENT, CUT, SCHEDULING, COST_SHARING],

@@ -17,14 +17,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from contcount import cli, harness
-from contcount.errors import ValidationError
-from contcount.games import CostSharingInstance
+from contcount.errors import SizeError, ValidationError
+from contcount.games import CostSharingInstance, CutInstance
 from contcount.harness import ExperimentConfig, MechanismSpec, results_to_csv, run_experiment
 from contcount.optimal import OptResult
 
 WORKER_COUNTS = (1, 2, 3)
 # game -> instance; costshare plays a fixed paper instance whose optimum is
-# solved once, by trial 0, and inherited by every worker
+# solved once, before any trial, and inherited by every worker
 GAME_INSTANCES = {"resource": "random:resource", "future": "random:future",
                   "cut": "random:cut", "scheduling": "random:scheduling",
                   "costshare": "paper:costshare-public-private"}
@@ -75,8 +75,8 @@ def test_a_fixed_instance_optimum_is_solved_once_across_workers(monkeypatch, tmp
                               mechanism=MechanismSpec(mech="treesum"), trials=4)
     results, _ = run_experiment(config)
     assert calls == [os.getpid()] and [r.trial for r in results] == [0, 1, 2, 3]
-    # an instance file is read and parsed once per run, by trial 0, and its
-    # trials are the same bytes for any worker count
+    # an instance file is read and parsed once per run, before any trial, and
+    # its trials are the same bytes for any worker count
     path = tmp_path / "costshare.txt"
     path.write_text("3 2\n3.0 1.0\n0 1\n0 1\n1\n")
     parses, parse = [], CostSharingInstance.parse
@@ -93,17 +93,15 @@ def test_a_fixed_instance_optimum_is_solved_once_across_workers(monkeypatch, tmp
     assert csvs[0] == csvs[1]
 
 
-def test_trial_zero_trace_and_mechanism_are_released_before_trial_one(monkeypatch):
-    # only trial 0's row, fixed instance and optimum stay alive for the later trials
+def test_no_trial_trace_or_mechanism_outlives_its_row(monkeypatch):
+    # only the rows, the fixed instance and its optimum stay alive for the later trials
     refs, alive = [], []
     run_trial = harness.run_trial
 
     def spy(config, trial, cached_opt=None):
-        if trial == 1:
-            alive.extend(ref() is not None for ref in refs)
+        alive.append([ref() is not None for ref in refs])
         played = run_trial(config, trial, cached_opt)
-        if trial == 0:
-            refs.extend(weakref.ref(played[k]) for k in (1, 3))   # trace, mech
+        refs[:] = [weakref.ref(played[k]) for k in (1, 3)]   # trace, mech
         return played
 
     monkeypatch.setattr(harness, "run_trial", spy)
@@ -112,7 +110,43 @@ def test_trial_zero_trace_and_mechanism_are_released_before_trial_one(monkeypatc
                               mechanism=MechanismSpec(mech="treesum"), trials=3)
     results, _ = run_experiment(config)
     assert [r.trial for r in results] == [0, 1, 2]
-    assert len(refs) == 2 and alive == [False, False]
+    assert alive == [[], [False, False], [False, False]]
+
+
+def test_every_trial_runs_after_the_fork(monkeypatch):
+    # the parent plays its chunk, trial 0 included, only once its child is forked
+    parent, events = os.getpid(), []
+    real_fork, run_trial = os.fork, harness.run_trial
+
+    def fork():
+        events.append((os.getpid(), "fork"))
+        return real_fork()
+
+    def spy(config, trial, cached_opt=None):
+        events.append((os.getpid(), trial))
+        return run_trial(config, trial, cached_opt)
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(harness, "run_trial", spy)
+    monkeypatch.setattr(harness, "_WORKERS", 2)
+    config = ExperimentConfig(game="resource", instance="random:resource",
+                              mechanism=MechanismSpec(mech="treesum"), seed=3, trials=4)
+    results, _ = run_experiment(config)
+    assert [r.trial for r in results] == [0, 1, 2, 3]
+    assert [event for pid, event in events if pid == parent] == ["fork", 0, 1]
+    assert_no_child_left()
+
+
+def test_an_oversized_fixed_optimum_is_refused_before_any_trial_or_fork(monkeypatch):
+    # a 25-node odd cycle is not bipartite, so its exact cut needs 2^24 colorings
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("a child forked"))
+    monkeypatch.setattr(harness, "run_trial", lambda *_: pytest.fail("a trial ran"))
+    monkeypatch.setattr(harness, "_WORKERS", 2)
+    config = ExperimentConfig(game="cut", instance=CutInstance(25, [(i, (i + 1) % 25)
+                                                                    for i in range(25)]),
+                              mechanism=MechanismSpec(mech="treesum"), trials=4)
+    with pytest.raises(SizeError, match="brute-force budget"):
+        run_experiment(config)
 
 
 # ---------------------------------------------------------------------------
