@@ -85,15 +85,20 @@ class MechanismSpec:
     clamp_beta: float | None = None
     zero_noise: bool = False
 
-    def build(self, n: int, m: int, rng: RandomSource,
-              update_bound: float = 1.0) -> CounterMechanism:
-        rng = RandomSource(rng.seed, rng.stream_id, self.zero_noise or rng.zero_noise)
+    def __post_init__(self):
         if self.mech not in _MECHANISMS:
             raise ParameterError(f"unknown mechanism '{self.mech}'")
-        mech = _MECHANISMS[self.mech](self, n, m, rng, update_bound)
+        if isinstance(self.wraps, str):
+            raise ParameterError(f"wraps must be a sequence of wrapper names, got {self.wraps!r}")
         for wrap in self.wraps:
             if wrap not in _WRAPPERS:
                 raise ParameterError(f"unknown wrapper '{wrap}'")
+
+    def build(self, n: int, m: int, rng: RandomSource,
+              update_bound: float = 1.0) -> CounterMechanism:
+        rng = RandomSource(rng.seed, rng.stream_id, self.zero_noise or rng.zero_noise)
+        mech = _MECHANISMS[self.mech](self, n, m, rng, update_bound)
+        for wrap in self.wraps:
             mech = _WRAPPERS[wrap](self, mech)
         return mech
 
@@ -126,6 +131,7 @@ class ExperimentConfig:
                                  f"(have: {', '.join(sorted(GAMES))})")
         _check_trials(self.trials)
         RandomSource(self.seed)           # refuses a seed that is not a 64-bit unsigned int
+        make_strategy(self.strategy)      # refuses an unknown strategy spec
         games.check_splits(GAMES[self.game], self.splits)
 
 
@@ -433,7 +439,7 @@ _SCENARIOS: dict = {}
 
 
 def _scenario(name: str, claim: str, *controls: dict):
-    """Register ``fn(seed, **params) -> (config, checks)`` and its ``controls`` as ``name``."""
+    """Register ``fn(**params) -> (config, checks)`` and its ``controls`` as ``name``."""
     def register(fn):
         _SCENARIOS[name] = (claim, fn, controls)
         return fn
@@ -458,13 +464,13 @@ def _judge(check: Check, rows: list) -> dict:
 
 def reproduce(name: str, seed: int = 0, **overrides) -> ScenarioReport:
     """Run a registered scenario and judge its checks on every trial; it
-    passes when no check has a violation. A parameter its builder rejects
-    raises ParameterError."""
+    passes when no check has a violation. A bad seed, or a parameter its
+    builder rejects, raises ParameterError."""
     return _run_scenario(name, seed, overrides, {})
 
 
 def _run_scenario(name: str, seed: int, overrides: dict, changes: dict) -> ScenarioReport:
-    """reproduce, with the ``changes`` fields of the built config replaced."""
+    """reproduce, with the run seed and the ``changes`` fields set on the built config."""
     if name not in _SCENARIOS:
         raise ParameterError(f"unknown scenario '{name}' (see list-scenarios)")
     claim, fn, _ = _SCENARIOS[name]
@@ -478,10 +484,10 @@ def _run_scenario(name: str, seed: int, overrides: dict, changes: dict) -> Scena
         if key not in params:
             raise ParameterError(f"scenario '{name}' takes no '{key}' parameter")
     try:
-        config, checks = fn(seed=seed, **overrides)
+        config, checks = fn(**overrides)
     except (ArithmeticError, TypeError, ValueError) as exc:
         raise ParameterError(f"{bad}: {exc}") from exc
-    config = replace(config, **changes)
+    config = replace(config, seed=seed, **changes)
 
     def evaluate(*trial):
         return [(float(check.value(*trial)),

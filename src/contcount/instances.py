@@ -132,11 +132,6 @@ def market_log_loss(n: int = 16, eps: float = 0.01) -> ResourceSharingInstance:
     return ResourceSharingInstance(curves, action_sets)
 
 
-def market_undom_benchmark(n: int, eps: float) -> float:
-    """Total value of the all-private assignment in market_log_loss."""
-    return math.fsum((n - i + 1) * (1.0 - eps) / i for i in range(1, n + 1))
-
-
 def market_undom_exact_opt(n: int, eps: float) -> float:
     """Exact optimum of market_log_loss: drop the cheapest private market in
     favor of the shared one when its total value 1 is larger."""
@@ -350,7 +345,6 @@ __all__ = [
     "future_step",
     "market_curve",
     "market_log_loss",
-    "market_undom_benchmark",
     "market_undom_exact_opt",
     "PAPER_INSTANCES",
     "RANDOM_GENERATORS",

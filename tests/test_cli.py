@@ -444,9 +444,9 @@ def test_reproduce_pass_and_fail(capsys, monkeypatch):
     monkeypatch.setattr(harness, "_SCENARIOS", dict(harness._SCENARIOS))
 
     @harness._scenario("test:one-of-three", "every trial number is below 2")
-    def one_of_three(seed=0, trials=3):
+    def one_of_three(trials=3):
         config = harness.ExperimentConfig(game="resource", instance="paper:noinfo",
-                                          trials=trials, seed=seed)
+                                          trials=trials)
         return config, (harness.Check("trial", lambda r, *_: r.trial, "<", 2.0),)
 
     code, out, _ = run_cli(capsys, "reproduce", "test:one-of-three", "--json")

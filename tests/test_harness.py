@@ -199,9 +199,11 @@ CONTROL_VALUES = {"thm:noinfo": [0.0, 0.0], "thm:lb-undom": [0.0, 1.05],
                   "thm:greedy4": [4.046056], "lemma:future-lb": [9.9],
                   "prop:private-beats-perfect": [190.18999999999994],
                   "thm:cut-greedy-perfect": [math.inf], "lemma:cost-sharing-perfect": [0.5],
-                  "thm:scheduling-greedy": [30.080933774509013]}
+                  "thm:scheduling-greedy": [30.080933774509013], "thm:cut-private": [0.0],
+                  "lemma:perceived": [1.6]}
 # (scenario, control index) -> violations of the failing check, where not 1
-CONTROL_VIOLATIONS = {("thm:scheduling-greedy", 0): 41}
+CONTROL_VIOLATIONS = {("thm:scheduling-greedy", 0): 41, ("thm:cut-private", 0): 100,
+                      ("lemma:perceived", 0): 500}
 CONTROLS = [(name, index, control)
             for name, (_, _, controls) in sorted(harness._SCENARIOS.items())
             for index, control in enumerate(controls)]
@@ -266,11 +268,25 @@ def test_bad_trial_counts_are_refused_before_any_trial(monkeypatch, trials):
 @pytest.mark.parametrize("seed", [1.5, math.nan, -1, 2 ** 64, "3", True, np.float64(3.0)])
 def test_bad_seeds_are_refused_before_any_trial(monkeypatch, seed):
     """A seed must be an integer in [0, 2^64), checked when the config is built,
-    so no run writes a seed column that read_csv_results refuses."""
+    so no run writes a seed column that read_csv_results refuses. reproduce
+    sets the seed on its built config, which refuses it as a seed, not as a
+    bad scenario parameter."""
     monkeypatch.setattr(harness, "_map_trials", lambda *_: pytest.fail("a trial ran"))
-    with pytest.raises(ParameterError) as err:
-        run_experiment(small_config(seed=seed))
-    assert str(err.value) == f"seed must be a 64-bit unsigned integer, got {seed!r}"
+    for run in (lambda: run_experiment(small_config(seed=seed)),
+                lambda: reproduce("lemma:perceived", seed=seed)):
+        with pytest.raises(ParameterError) as err:
+            run()
+        assert str(err.value) == f"seed must be a 64-bit unsigned integer, got {seed!r}"
+
+
+def test_reproduce_plays_the_run_seed_and_no_builder_takes_one(monkeypatch):
+    assert [name for name, (_, fn, _) in harness._SCENARIOS.items()
+            if "seed" in inspect.signature(fn).parameters] == []
+    seeds, map_trials = [], harness._map_trials
+    monkeypatch.setattr(harness, "_map_trials",
+                        lambda config, fn: seeds.append(config.seed) or map_trials(config, fn))
+    reproduce("lemma:cut-cycle", seed=7)
+    assert seeds == [7]
 
 
 @pytest.mark.parametrize("game, splits, message", [

@@ -285,8 +285,6 @@ def test_market_undom_closed_form_matches_brute_force():
         inst = instances.market_log_loss(n, 0.01)
         assert instances.market_undom_exact_opt(n, 0.01) == pytest.approx(
             brute_future(inst), abs=1e-12)
-        assert instances.market_undom_benchmark(n, 0.01) == pytest.approx(
-            FUTURE_DEPENDENT.value(inst, [i + 1 for i in range(n)]), abs=1e-12)
 
 
 def test_opt_upper_bounds_any_play():

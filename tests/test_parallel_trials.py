@@ -17,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from contcount import cli, harness
-from contcount.errors import SizeError, ValidationError
+from contcount.errors import ParameterError, SizeError, ValidationError
 from contcount.games import CostSharingInstance, CutInstance
 from contcount.harness import ExperimentConfig, MechanismSpec, results_to_csv, run_experiment
 from contcount.optimal import OptResult
@@ -147,6 +147,32 @@ def test_an_oversized_fixed_optimum_is_refused_before_any_trial_or_fork(monkeypa
                               mechanism=MechanismSpec(mech="treesum"), trials=4)
     with pytest.raises(SizeError, match="brute-force budget"):
         run_experiment(config)
+
+
+@pytest.mark.parametrize("fields, message", [
+    (lambda: {"strategy": "nope"}, "unknown strategy spec 'nope'"),
+    (lambda: {"strategy": "scripted:nope"}, "unknown scripted strategy 'nope'"),
+    (lambda: {"mechanism": MechanismSpec(mech="nope")}, "unknown mechanism 'nope'"),
+    (lambda: {"mechanism": MechanismSpec(wraps=("clamp", "nope"))}, "unknown wrapper 'nope'"),
+    (lambda: {"mechanism": MechanismSpec(wraps="mono")},
+     "wraps must be a sequence of wrapper names, got 'mono'"),
+], ids=["strategy", "scripted", "mechanism", "wrapper", "wraps-string"])
+def test_bad_names_are_refused_when_the_config_is_built(monkeypatch, fields, message):
+    events = []
+
+    def fork():
+        events.append("fork")
+        raise OSError("the spy forks no child")
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(harness, "_WORKERS", 2)
+    with pytest.raises(ParameterError) as err:
+        config = ExperimentConfig(game="resource", instance="random:resource", trials=4,
+                                  **fields())
+        events.append("built")
+        run_experiment(config)
+    assert str(err.value).startswith(message)
+    assert events == []
 
 
 # ---------------------------------------------------------------------------
