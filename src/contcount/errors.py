@@ -19,3 +19,11 @@ class StateError(ContcountError, RuntimeError):
 
 class SizeError(ContcountError):
     """An exact solver was asked for an instance beyond its brute-force budget."""
+
+
+def lookup(table: dict, name, what: str, hint: str = ""):
+    """``table[name]`` for a string ``name`` in ``table``; otherwise a
+    ParameterError naming the unknown ``what`` and the known names, or ``hint``."""
+    if isinstance(name, str) and name in table:
+        return table[name]
+    raise ParameterError(f"unknown {what} {name!r} ({hint or 'have: ' + ', '.join(sorted(table))})")

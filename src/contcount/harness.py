@@ -44,7 +44,7 @@ from .counters import (
     ZeroFailureWrapper,
     envelope_check,
 )
-from .errors import ParameterError, ValidationError
+from .errors import ParameterError, ValidationError, lookup
 from .games import GAMES, verify_trace
 from .noise import RandomSource
 from .strategies import make_strategy
@@ -86,13 +86,11 @@ class MechanismSpec:
     zero_noise: bool = False
 
     def __post_init__(self):
-        if self.mech not in _MECHANISMS:
-            raise ParameterError(f"unknown mechanism '{self.mech}'")
-        if isinstance(self.wraps, str):
+        lookup(_MECHANISMS, self.mech, "mechanism")
+        if not isinstance(self.wraps, (tuple, list)):
             raise ParameterError(f"wraps must be a sequence of wrapper names, got {self.wraps!r}")
         for wrap in self.wraps:
-            if wrap not in _WRAPPERS:
-                raise ParameterError(f"unknown wrapper '{wrap}'")
+            lookup(_WRAPPERS, wrap, "wrapper")
 
     def build(self, n: int, m: int, rng: RandomSource,
               update_bound: float = 1.0) -> CounterMechanism:
@@ -126,18 +124,13 @@ class ExperimentConfig:
     splits: int = 1                       # >1: discretized continuous investments
 
     def __post_init__(self):
-        if self.game not in GAMES:
-            raise ParameterError(f"unknown game '{self.game}' "
-                                 f"(have: {', '.join(sorted(GAMES))})")
-        _check_trials(self.trials)
+        rule = lookup(GAMES, self.game, "game")
+        if (isinstance(self.trials, bool) or not isinstance(self.trials, numbers.Integral)
+                or self.trials < 1):
+            raise ParameterError(f"trial count must be >= 1 and an integer, got {self.trials!r}")
         RandomSource(self.seed)           # refuses a seed that is not a 64-bit unsigned int
         make_strategy(self.strategy)      # refuses an unknown strategy spec
-        games.check_splits(GAMES[self.game], self.splits)
-
-
-def _check_trials(trials) -> None:
-    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
-        raise ParameterError(f"trial count must be >= 1 and an integer, got {trials!r}")
+        games.check_splits(rule, self.splits)
 
 
 @dataclass
@@ -471,14 +464,7 @@ def reproduce(name: str, seed: int = 0, **overrides) -> ScenarioReport:
 
 def _run_scenario(name: str, seed: int, overrides: dict, changes: dict) -> ScenarioReport:
     """reproduce, with the run seed and the ``changes`` fields set on the built config."""
-    if name not in _SCENARIOS:
-        raise ParameterError(f"unknown scenario '{name}' (see list-scenarios)")
-    claim, fn, _ = _SCENARIOS[name]
-    bad = f"bad parameters {overrides} for scenario '{name}'"
-    try:
-        _check_trials(overrides.get("trials", 1))
-    except ParameterError as exc:
-        raise ParameterError(f"{bad}: {exc}") from exc
+    claim, fn, _ = lookup(_SCENARIOS, name, "scenario", "see list-scenarios")
     params = inspect.signature(fn).parameters
     for key in overrides:
         if key not in params:
@@ -486,7 +472,7 @@ def _run_scenario(name: str, seed: int, overrides: dict, changes: dict) -> Scena
     try:
         config, checks = fn(**overrides)
     except (ArithmeticError, TypeError, ValueError) as exc:
-        raise ParameterError(f"{bad}: {exc}") from exc
+        raise ParameterError(f"bad parameters {overrides} for scenario '{name}': {exc}") from exc
     config = replace(config, seed=seed, **changes)
 
     def evaluate(*trial):

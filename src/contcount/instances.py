@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import ParameterError, ValidationError
+from .errors import ParameterError, ValidationError, lookup
 from .games import (
     CostSharingInstance,
     CutInstance,
@@ -301,11 +301,8 @@ def resolve_instance(rule: GameRule, spec, rng: RandomSource | None = None, **pa
         inst = (rule.instance_type.parse(_read_text(spec, "instance"))
                 if isinstance(spec, str) else spec)
     else:
-        table = PAPER_INSTANCES if prefix == "paper" else RANDOM_GENERATORS
-        if name not in table:
-            raise ParameterError(f"unknown {prefix} instance '{name}' "
-                                 f"(have: {', '.join(sorted(table))})")
-        make = table[name]
+        make = lookup(PAPER_INSTANCES if prefix == "paper" else RANDOM_GENERATORS, name,
+                      f"{prefix} instance")
         if prefix == "random":
             if rng is None:
                 raise ParameterError("random instances need a RandomSource")

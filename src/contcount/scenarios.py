@@ -70,7 +70,8 @@ def _illustrative(n: int = 100, eps: float = 0.01):
            "and welfare collapses from n*H to n",
            dict(fails="undominated", params={"n": 1}),        # no twin to fear
            dict(fails="undominated",                          # exact counts show the jackpots
-                config={"mechanism": MechanismSpec(mech="perfect")}))
+                config={"mechanism": MechanismSpec(mech="perfect")}),
+           dict(fails="sw", config={"strategy": "greedy"}))   # greedy takes every jackpot
 def _noinfo(n: int = 10, high: float = 100.0):
     config = ExperimentConfig(game="resource", instance=inst_lib.twin_temptation(n, high),
                               mechanism=MechanismSpec(mech="empty"),
@@ -83,7 +84,8 @@ def _noinfo(n: int = 10, high: float = 100.0):
            "even with slowly decaying values, empty counters admit undominated play "
            "with welfare H_n against an optimum of n^2",
            dict(fails="undominated",                          # exact counts show no twin
-                config={"mechanism": MechanismSpec(mech="perfect")}))
+                config={"mechanism": MechanismSpec(mech="perfect")}),
+           dict(fails="sw", config={"strategy": "greedy"}))   # all pile onto private resource 0
 def _noinfospecial(n: int = 25):
     config = ExperimentConfig(game="resource", instance=inst_lib.slow_decay_temptation(n),
                               mechanism=MechanismSpec(mech="empty"),
@@ -281,7 +283,8 @@ def _future_lb(w: float = 5.0, eps: float = 0.1):
 @_scenario("lemma:marketundom",
            "market sharing admits undominated play with welfare 1 while the all-private "
            "assignment is worth about n(log n - 1)",
-           dict(fails="own_over_shared", params={"eps": 0.0}))  # own market ties shared
+           dict(fails="own_over_shared", params={"eps": 0.0}),  # own market ties shared
+           dict(fails="sw", config={"strategy": "greedy"}))   # greedy serves most own markets
 def _marketundom(n: int = 16, eps: float = 0.01):
     instance = inst_lib.market_log_loss(n, eps)
     config = ExperimentConfig(game="future", instance=instance,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 
 from .counters import AccuracyEnvelope
-from .errors import ParameterError, ValidationError
+from .errors import ParameterError, ValidationError, lookup
 from .games import CUT, FUTURE_DEPENDENT, RESOURCE, SCHEDULING, GameRule
 
 
@@ -192,14 +192,13 @@ _SCRIPTS = {
 
 def scripted(name: str) -> Strategy:
     """Instantiate a registered scripted strategy by name."""
-    if name not in _SCRIPTS:
-        raise ParameterError(
-            f"unknown scripted strategy '{name}' (have: {', '.join(sorted(_SCRIPTS))})")
-    return _SCRIPTS[name]()
+    return lookup(_SCRIPTS, name, "scripted strategy")()
 
 
 def make_strategy(spec: str) -> Strategy:
     """Parse a CLI strategy spec: 'greedy', 'scripted:<name>', or 'belief:<offset>'."""
+    if not isinstance(spec, str):
+        raise ParameterError(f"unknown strategy spec {spec!r}")
     if spec == "greedy":
         return Greedy()
     if spec.startswith("scripted:"):

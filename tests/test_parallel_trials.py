@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from contcount import cli, harness
+from contcount import cli, harness, strategies
 from contcount.errors import ParameterError, SizeError, ValidationError
 from contcount.games import CostSharingInstance, CutInstance
 from contcount.harness import ExperimentConfig, MechanismSpec, results_to_csv, run_experiment
@@ -149,14 +149,29 @@ def test_an_oversized_fixed_optimum_is_refused_before_any_trial_or_fork(monkeypa
         run_experiment(config)
 
 
+MECHANISMS = "(have: empty, ftsum, perfect, treesum)"
+WRAPPERS = "(have: clamp, mono, under)"
+
+
 @pytest.mark.parametrize("fields, message", [
     (lambda: {"strategy": "nope"}, "unknown strategy spec 'nope'"),
+    (lambda: {"strategy": None}, "unknown strategy spec None"),
+    (lambda: {"strategy": 3}, "unknown strategy spec 3"),
     (lambda: {"strategy": "scripted:nope"}, "unknown scripted strategy 'nope'"),
-    (lambda: {"mechanism": MechanismSpec(mech="nope")}, "unknown mechanism 'nope'"),
-    (lambda: {"mechanism": MechanismSpec(wraps=("clamp", "nope"))}, "unknown wrapper 'nope'"),
+    (lambda: {"mechanism": MechanismSpec(mech="nope")}, f"unknown mechanism 'nope' {MECHANISMS}"),
+    (lambda: {"mechanism": MechanismSpec(mech=["x"])}, f"unknown mechanism ['x'] {MECHANISMS}"),
+    (lambda: {"mechanism": MechanismSpec(wraps=("clamp", "nope"))},
+     f"unknown wrapper 'nope' {WRAPPERS}"),
+    (lambda: {"mechanism": MechanismSpec(wraps=[["x"]])}, f"unknown wrapper ['x'] {WRAPPERS}"),
     (lambda: {"mechanism": MechanismSpec(wraps="mono")},
      "wraps must be a sequence of wrapper names, got 'mono'"),
-], ids=["strategy", "scripted", "mechanism", "wrapper", "wraps-string"])
+    (lambda: {"mechanism": MechanismSpec(wraps=None)},
+     "wraps must be a sequence of wrapper names, got None"),
+    # a one-shot iterable: checking its names would use it up before build reads it
+    (lambda: {"mechanism": MechanismSpec(mech="treesum", wraps=(w for w in ["clamp", "under"]))},
+     "wraps must be a sequence of wrapper names, got <generator"),
+], ids=["strategy", "strategy-none", "strategy-int", "scripted", "mechanism", "mechanism-list",
+        "wrapper", "wrapper-list", "wraps-string", "wraps-none", "wraps-generator"])
 def test_bad_names_are_refused_when_the_config_is_built(monkeypatch, fields, message):
     events = []
 
@@ -173,6 +188,18 @@ def test_bad_names_are_refused_when_the_config_is_built(monkeypatch, fields, mes
         run_experiment(config)
     assert str(err.value).startswith(message)
     assert events == []
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: ExperimentConfig(game=["resource"], instance="random:resource"),
+     "unknown game ['resource'] (have: costshare, cut, future, resource, scheduling)"),
+    (lambda: harness.reproduce(["x"]), "unknown scenario ['x'] (see list-scenarios)"),
+    (lambda: strategies.scripted(["x"]), "unknown scripted strategy ['x'] (have: "),
+], ids=["game", "scenario", "script"])
+def test_names_of_the_wrong_type_are_refused_as_unknown(make, message):
+    with pytest.raises(ParameterError) as err:
+        make()
+    assert str(err.value).startswith(message)
 
 
 # ---------------------------------------------------------------------------
