@@ -56,7 +56,7 @@ def main():
     show("perfect counter", PerfectCounter(N, M), stream)
     show("tree counter (eps=1)", TreeSum(N, M, EPS, RandomSource(SEED, 1)), stream)
     show("flag/tree counter (eps=1, alpha=2)",
-         FTSum(N, M, EPS, 2.0, 0.1, 4.0, RandomSource(SEED, 2)), stream)
+         FTSum(N, M, EPS, 2.0, 0.1, RandomSource(SEED, 2)), stream)
 
     print("\nzero-noise mode reproduces exact prefix sums bit for bit:")
     exact = TreeSum(N, M, EPS, RandomSource(SEED, 3, zero_noise=True))

@@ -35,7 +35,6 @@ def _add_mech_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", type=float, default=2.0,
                         help="multiplicative accuracy target (ftsum)")
     parser.add_argument("--gamma", type=float, default=0.1, help="accuracy failure budget")
-    parser.add_argument("--ctree", type=float, default=4.0, help="tree error constant")
     parser.add_argument("--clamp-alpha", type=float, default=None,
                         help="clamp wrapper target alpha (default: declared envelope)")
     parser.add_argument("--clamp-beta", type=float, default=None,
@@ -62,8 +61,7 @@ def _jsonable(obj):
 def _mech_spec(args) -> harness.MechanismSpec:
     return harness.MechanismSpec(
         mech=args.mech, eps=args.eps, alpha=args.alpha, gamma=args.gamma,
-        c_tree=args.ctree, wraps=tuple(args.wrap),
-        clamp_alpha=args.clamp_alpha, clamp_beta=args.clamp_beta,
+        wraps=tuple(args.wrap), clamp_alpha=args.clamp_alpha, clamp_beta=args.clamp_beta,
         zero_noise=args.zero_noise)
 
 

@@ -49,6 +49,10 @@ _NOISE_BLOCK = 1024
 # array-function dispatch, 0.29 against 0.43 us at width 32.
 _NARROW = 20
 _ONES = {}  # width -> the row of ones the dot sums against
+# TreeSum's error constant (the binary mechanism's; Dwork et al., Chan et al.
+# 2010) is implementation-chosen, not theory-given: it dominates the observed
+# tail at the acceptance-test parameters, and a smaller one makes envelopes false.
+C_TREE = 4.0
 
 
 @dataclass(frozen=True)
@@ -130,13 +134,11 @@ def tree_levels(n: int) -> int:
     return 1 if n <= 1 else math.ceil(math.log2(n)) + 1
 
 
-def treesum_error_bound(n: int, m: int, eps: float, gamma: float, c_tree: float = 4.0) -> float:
+def treesum_error_bound(n: int, m: int, eps: float, gamma: float, c_tree: float = C_TREE) -> float:
     """Declared all-steps additive error bound for TreeSum.
 
     c_tree * log2(n) * log2(n*m/gamma) / eps, holding with probability at
-    least 1 - gamma over all n*m estimates. c_tree is implementation-chosen
-    (default 4.0), not theory-given; it empirically dominates the observed
-    tail at the acceptance-test parameters.
+    least 1 - gamma over all n*m estimates at c_tree = C_TREE.
     """
     return c_tree * max(1.0, math.log2(n)) * math.log2(n * m / gamma) / eps
 
@@ -213,15 +215,13 @@ class TreeSum(CounterMechanism):
     """
 
     def __init__(self, n: int, m: int, eps: float, rng: RandomSource, *,
-                 gamma: float = 0.1, c_tree: float = 4.0, update_bound: float = 1.0):
+                 gamma: float = 0.1, update_bound: float = 1.0):
         budget = PrivacyBudget(float(eps))
         if not 0.0 < gamma < 1.0:
             raise ParameterError(f"gamma must lie in (0, 1), got {gamma}")
-        if not 0.0 < c_tree < math.inf:
-            raise ParameterError(f"c_tree must be finite and positive, got {c_tree}")
         super().__init__(n, m, budget, None, update_bound)
         # beta is defined once the base class has checked n and m
-        beta = treesum_error_bound(n, m, budget.epsilon, gamma, c_tree)
+        beta = treesum_error_bound(n, m, budget.epsilon, gamma)
         self.envelope = AccuracyEnvelope(1.0, beta, 0.0 if budget.epsilon == math.inf else gamma)
         self.rng = rng
         self.levels = tree_levels(self.horizon)
@@ -274,7 +274,7 @@ class TreeSum(CounterMechanism):
 
 
 def ftsum_flag_count(n: int, m: int, eps: float, alpha: float, gamma: float,
-                     c_tree: float) -> int:
+                     c_tree: float = C_TREE) -> int:
     """Phase-switch flag count k = ceil(log_alpha(alpha/(alpha-1) * c_tree * log2(nm/gamma)/eps)).
 
     Clamped to k >= 1 for degenerate parameters (tiny n or infinite eps).
@@ -324,23 +324,23 @@ class FTSum(CounterMechanism):
     2m(k+1)*eps' + eps/2 close exactly at eps. Threshold and comparison noise
     come in blocks from the flag substream, which FTSum alone draws from, so
     the unused tail of a block is never seen. The embedded tree is built first
-    and checks the parameters the two share (n, m, gamma, c_tree and the
-    update bound); FTSum itself checks only eps and alpha.
+    and checks the parameters the two share (n, m, gamma and the update
+    bound); FTSum itself checks only eps and alpha.
     """
 
     def __init__(self, n: int, m: int, eps: float, alpha: float, gamma: float,
-                 c_tree: float, rng: RandomSource, *, update_bound: float = 1.0):
+                 rng: RandomSource, *, update_bound: float = 1.0):
         budget = PrivacyBudget(eps)
         if not 1.0 < alpha < math.inf:
             raise ParameterError(f"alpha must be finite and > 1, got {alpha}")
-        self.tree = TreeSum(n, m, eps / 2.0, rng.substream(1), gamma=gamma, c_tree=c_tree,
+        self.tree = TreeSum(n, m, eps / 2.0, rng.substream(1), gamma=gamma,
                             update_bound=update_bound)
-        k = ftsum_flag_count(n, m, eps, alpha, gamma, c_tree)
+        k = ftsum_flag_count(n, m, eps, alpha, gamma)
         eps_prime = eps / (4.0 * m * (k + 1))
         spent = 2.0 * m * (k + 1) * eps_prime + eps / 2.0
         assert spent <= eps * (1.0 + 1e-12), "FTSum budget ledger exceeds eps"
         beta = (ftsum_phase_one_bound(n, m, k, eps_prime, gamma)
-                + treesum_error_bound(n, m, eps / 2.0, gamma / 2.0, c_tree))
+                + treesum_error_bound(n, m, eps / 2.0, gamma / 2.0))
         env_gamma = 0.0 if eps == math.inf else gamma
         super().__init__(n, m, budget, AccuracyEnvelope(alpha, beta, env_gamma), update_bound)
         self._true, self._owns_true = self.tree._true, False
@@ -551,6 +551,7 @@ __all__ = [
     "PrivacyBudget",
     "AccuracyEnvelope",
     "validate_update",
+    "C_TREE",
     "tree_levels",
     "treesum_error_bound",
     "ftsum_flag_count",

@@ -27,12 +27,14 @@ import stat
 import sys
 import threading
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
 from . import games, optimal
 from . import instances as inst_lib
 from .counters import (
+    C_TREE,
     AccuracyEnvelope,
     CounterMechanism,
     EmptyCounter,
@@ -52,10 +54,8 @@ from .strategies import make_strategy
 
 # mechanism name -> build(spec, n, m, rng, update_bound): the --mech choices
 _MECHANISMS = {
-    "treesum": lambda s, n, m, rng, b: TreeSum(n, m, s.eps, rng, gamma=s.gamma,
-                                               c_tree=s.c_tree, update_bound=b),
-    "ftsum": lambda s, n, m, rng, b: FTSum(n, m, s.eps, s.alpha, s.gamma, s.c_tree, rng,
-                                           update_bound=b),
+    "treesum": lambda s, n, m, rng, b: TreeSum(n, m, s.eps, rng, gamma=s.gamma, update_bound=b),
+    "ftsum": lambda s, n, m, rng, b: FTSum(n, m, s.eps, s.alpha, s.gamma, rng, update_bound=b),
     "perfect": lambda s, n, m, rng, b: PerfectCounter(n, m, b),
     "empty": lambda s, n, m, rng, b: EmptyCounter(n, m, b),
 }
@@ -79,11 +79,12 @@ class MechanismSpec:
     eps: float = 1.0
     alpha: float = 2.0
     gamma: float = 0.1
-    c_tree: float = 4.0
     wraps: tuple = ()                # _WRAPPERS names, innermost first
     clamp_alpha: float | None = None
     clamp_beta: float | None = None
     zero_noise: bool = False
+    # not a field, so no spec sets it; kept because perfbench/checks.py reads spec.c_tree
+    c_tree: ClassVar[float] = C_TREE
 
     def __post_init__(self):
         lookup(_MECHANISMS, self.mech, "mechanism")

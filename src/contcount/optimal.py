@@ -268,7 +268,7 @@ def opt_cost_sharing(inst: CostSharingInstance) -> OptResult:
     n, m = inst.n, inst.m
     if 2 ** m > COVER_BUDGET:
         raise SizeError(f"2^{m} set families exceed the brute-force budget")
-    player_masks = [sum(1 << s for s in acts) for acts in inst.action_sets]
+    player_masks = [sum(1 << s for s in set(acts)) for acts in inst.action_sets]
     best, sets = math.inf, None
     for family in range(1, 2 ** m):
         if any(mask & family == 0 for mask in player_masks):

@@ -13,6 +13,7 @@ import time
 import numpy as np
 
 from contcount.counters import (
+    C_TREE,
     AccuracyEnvelope,
     EmptyCounter,
     FTSum,
@@ -57,13 +58,13 @@ def test_01_treesum_exactness_oracle():
 
 def test_02_treesum_envelope_rate():
     start = time.perf_counter()
-    n, m, eps, gamma, c_tree = 1024, 2, 1.0, 0.1, 4.0
-    bound = c_tree * math.log2(n) * math.log2(n * m / gamma) / eps
+    n, m, eps, gamma = 1024, 2, 1.0, 0.1
+    bound = C_TREE * math.log2(n) * math.log2(n * m / gamma) / eps
     trials, hits = 500, 0
     gen = np.random.default_rng(7)
     stream = random_simplex_stream(gen, n, m)
     for trial in range(trials):
-        mech = TreeSum(n, m, eps, RandomSource(trial, 200), gamma=gamma, c_tree=c_tree)
+        mech = TreeSum(n, m, eps, RandomSource(trial, 200), gamma=gamma)
         worst = 0.0
         true = np.zeros(m)
         for a in stream:
@@ -82,7 +83,7 @@ def test_02_treesum_envelope_rate():
 def test_03_ftsum_structure():
     # zero-noise hand simulation, step for step
     n, alpha = 16, 2.0
-    mech = FTSum(n, 1, 1.0, alpha, 0.1, 4.0, RandomSource(0, zero_noise=True))
+    mech = FTSum(n, 1, 1.0, alpha, 0.1, RandomSource(0, zero_noise=True))
     log_n = math.log2(n)
     flag, tau, acc = 0, log_n, 0.0
     exact = 0.0
@@ -108,7 +109,7 @@ def test_03_ftsum_structure():
     for trial in range(1000):
         n_t = int(gen.integers(2, 65))
         m_t = int(gen.integers(1, 4))
-        ft = FTSum(n_t, m_t, 1.0, 2.0, 0.1, 4.0, RandomSource(trial, 300))
+        ft = FTSum(n_t, m_t, 1.0, 2.0, 0.1, RandomSource(trial, 300))
         prev = np.zeros(m_t)
         for a in random_simplex_stream(gen, n_t, m_t):
             phase_one = ft.in_phase_one()
@@ -124,14 +125,14 @@ def test_03_ftsum_structure():
 def test_04_ftsum_envelope_rate():
     start = time.perf_counter()
     n, m, eps, alpha, gamma = 1024, 1, 1.0, 2.0, 0.1
-    probe = FTSum(n, m, eps, alpha, gamma, 4.0, RandomSource(0, 400))
+    probe = FTSum(n, m, eps, alpha, gamma, RandomSource(0, 400))
     env = probe.envelope  # documented implementation constant for beta
     gen = np.random.default_rng(11)
     stream = random_simplex_stream(gen, n, m)
     true = np.cumsum(stream, axis=0)
     trials, hits = 500, 0
     for trial in range(trials):
-        mech = FTSum(n, m, eps, alpha, gamma, 4.0, RandomSource(trial, 400))
+        mech = FTSum(n, m, eps, alpha, gamma, RandomSource(trial, 400))
         inside, _ = envelope_check(true, [mech.update(a) for a in stream], env)
         hits += inside
     elapsed = time.perf_counter() - start

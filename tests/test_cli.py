@@ -255,18 +255,18 @@ def test_opt_file_named_like_a_prefix(tmp_path, capsys, monkeypatch, name):
     (["--instance", "no-such-dir/inst.txt"], "cannot read instance file"),
     (["--instance", "paper:noinfo", "--strategy", "belief:inf"], "must be finite"),
     (["--instance", "paper:noinfo", "--strategy", "belief:nan"], "must be finite"),
-    (["--instance", "paper:noinfo", "--mech", "ftsum", "--ctree", "inf"],
-     "c_tree must be finite"),
+    (["--instance", "paper:noinfo", "--mech", "ftsum", "--gamma", "1"],
+     "gamma must lie in (0, 1)"),
     (["--instance", "paper:noinfo", "--mech", "ftsum", "--alpha", "inf"],
      "alpha must be finite"),
     (["--instance", "paper:noinfo", "--mech", "treesum", "--wrap", "clamp",
       "--clamp-alpha", "inf"], "alpha must be finite"),
     (["--instance", "paper:noinfo", "--mech", "treesum", "--wrap", "clamp",
       "--clamp-beta", "inf"], "beta must be finite"),
-    (["--instance", "paper:noinfo", "--mech", "treesum", "--ctree", "0"],
-     "c_tree must be finite and positive"),
-    (["--instance", "paper:noinfo", "--mech", "treesum", "--ctree", "-1"],
-     "c_tree must be finite and positive"),
+    (["--instance", "paper:noinfo", "--mech", "treesum", "--gamma", "0"],
+     "gamma must lie in (0, 1)"),
+    (["--instance", "paper:noinfo", "--mech", "treesum", "--eps", "0"],
+     "epsilon must be positive"),
     (["--instance", "paper:noinfo", "--mech", "treesum", "--wrap", "clamp",
       "--clamp-alpha", "0"], "alpha must be finite and >= 1"),
     (["--instance", "paper:noinfo", "--inst", "high"], "--inst expects KEY=VALUE, got 'high'"),
@@ -276,6 +276,13 @@ def test_game_run_bad_parameters(capsys, argv, message):
     assert code == 1
     assert err.startswith("error:")
     assert message in err
+
+
+def test_game_run_has_no_tree_constant_flag(capsys):
+    code, out, err = run_cli(capsys, "game", "run", "--game", "resource",
+                             "--instance", "paper:noinfo", "--mech", "treesum", "--ctree", "1")
+    assert code == 1 and out == ""
+    assert "unrecognized arguments: --ctree 1" in err
 
 
 @pytest.mark.parametrize("game, instance, item, message", [
@@ -659,6 +666,7 @@ def test_bad_config_values_exit_one(tmp_path, capsys, line, message):
     ("command = opt", "unknown config key 'command'"),
     ("subcommand = run", "unknown config key 'subcommand'"),
     ("no equals sign", "config line without '='"),
+    ("ctree = 1", "unknown config key 'ctree'"),
 ])
 def test_bad_config_lines_exit_one(tmp_path, capsys, line, message):
     code, out, err = run_cli(capsys, "game", "run", "--config", write_config(tmp_path, line))
@@ -687,7 +695,7 @@ def _sample_value(action):
 def test_every_game_run_option_is_a_config_key(tmp_path):
     options = [a for a in _game_run_parser()._actions
                if a.option_strings and a.dest not in ("help", "config")]
-    assert len(options) >= 20
+    assert len(options) >= 19
     for action in options:
         flag = action.option_strings[-1]
         key = flag[2:].replace("-", "_")

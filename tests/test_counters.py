@@ -9,6 +9,7 @@ from contcount.counters import (
     _L1_TOL,
     _NARROW,
     _NOISE_BLOCK,
+    C_TREE,
     AccuracyEnvelope,
     EmptyCounter,
     FTSum,
@@ -166,7 +167,7 @@ def test_nan_update_refused_by_every_mechanism():
     chain = MonotoneWrapper(UnderestimatorWrapper(ZeroFailureWrapper(
         TreeSum(8, 2, 1.0, RandomSource(0)))))
     for mech in (TreeSum(8, 2, 1.0, RandomSource(0)),
-                 FTSum(8, 2, 1.0, 2.0, 0.1, 4.0, RandomSource(0)),
+                 FTSum(8, 2, 1.0, 2.0, 0.1, RandomSource(0)),
                  chain):
         with pytest.raises(ValidationError, match="finite"):
             mech.update([math.nan, 0.0])
@@ -330,7 +331,7 @@ def test_treesum_draws_one_noise_row_per_step():
 
 def test_huge_horizon_counters_take_updates():
     for mech in (TreeSum(10**12, 2, 1.0, RandomSource(0)),
-                 FTSum(10**12, 2, 1.0, 2.0, 0.1, 4.0, RandomSource(0))):
+                 FTSum(10**12, 2, 1.0, 2.0, 0.1, RandomSource(0))):
         for _ in range(3):
             y = mech.update([0.5, 0.5])
         assert mech.t == 3 and y.shape == (2,) and np.all(np.isfinite(y))
@@ -373,7 +374,7 @@ def test_treesum_parameter_and_state_errors():
 
 
 def test_treesum_declared_envelope():
-    ts = TreeSum(1024, 2, 1.0, RandomSource(0), gamma=0.1, c_tree=4.0)
+    ts = TreeSum(1024, 2, 1.0, RandomSource(0), gamma=0.1)
     expected = 4.0 * 10.0 * math.log2(1024 * 2 / 0.1)
     assert ts.envelope.alpha == 1.0
     assert ts.envelope.beta == pytest.approx(expected)
@@ -385,10 +386,12 @@ def test_treesum_declared_envelope():
 
 
 def test_ftsum_flag_count_and_budget_split():
-    # hand-evaluated: k = ceil(log2(2 * log2(10240))) = 5, eps' = 1/(4*1*6)
-    ft = FTSum(1024, 1, 1.0, 2.0, 0.1, 1.0, RandomSource(0))
-    assert ft.k == 5
-    assert ft.eps_prime == pytest.approx(1.0 / 24.0)
+    # hand-evaluated: k = ceil(log2(2 * c_tree * log2(10240))), 5 at c_tree = 1
+    assert ftsum_flag_count(1024, 1, 1.0, 2.0, 0.1, 1.0) == 5
+    # and ceil(log2(8 * 13.32...)) = 7 at C_TREE = 4, so eps' = 1/(4*1*8)
+    ft = FTSum(1024, 1, 1.0, 2.0, 0.1, RandomSource(0))
+    assert ft.k == ftsum_flag_count(1024, 1, 1.0, 2.0, 0.1, C_TREE) == 7
+    assert ft.eps_prime == pytest.approx(1.0 / 32.0)
     # budget ledger: flag phase plus embedded tree exactly exhaust eps
     spent = 2 * 1 * (ft.k + 1) * ft.eps_prime + 1.0 / 2.0
     assert spent == pytest.approx(1.0)
@@ -397,12 +400,12 @@ def test_ftsum_flag_count_and_budget_split():
 @pytest.mark.parametrize("n,m,eps,alpha,gamma", [
     (64, 2, 0.5, 1.5, 0.05), (256, 1, 2.0, 3.0, 0.2), (16, 4, 1.0, 2.0, 0.1)])
 def test_ftsum_budget_identity_generic(n, m, eps, alpha, gamma):
-    ft = FTSum(n, m, eps, alpha, gamma, 4.0, RandomSource(1))
+    ft = FTSum(n, m, eps, alpha, gamma, RandomSource(1))
     assert 2 * m * (ft.k + 1) * ft.eps_prime + eps / 2 <= eps * (1 + 1e-12)
 
 
 def test_ftsum_zero_noise_threshold():
-    ft = FTSum(1024, 3, 1.0, 2.0, 0.1, 4.0, RandomSource(0, zero_noise=True))
+    ft = FTSum(1024, 3, 1.0, 2.0, 0.1, RandomSource(0, zero_noise=True))
     assert np.all(ft.taus == math.log2(1024))
 
 
@@ -410,7 +413,7 @@ def test_ftsum_zero_noise_hand_simulation():
     # independent step-by-step simulation of the two-phase rule with all
     # Laplace draws forced to zero
     n, alpha = 16, 2.0
-    ft = FTSum(n, 1, 1.0, alpha, 0.1, 4.0, RandomSource(0, zero_noise=True))
+    ft = FTSum(n, 1, 1.0, alpha, 0.1, RandomSource(0, zero_noise=True))
     log_n = math.log2(n)
     flag, tau, acc = 0, log_n, 0.0
     tree_exact = 0.0
@@ -437,7 +440,7 @@ def test_ftsum_phase_one_release_values_and_monotonicity():
     gen = np.random.default_rng(2)
     for trial in range(30):
         n, m = 64, int(gen.integers(1, 4))
-        ft = FTSum(n, m, 1.0, 2.0, 0.1, 4.0, RandomSource(trial, 9))
+        ft = FTSum(n, m, 1.0, 2.0, 0.1, RandomSource(trial, 9))
         stream = random_simplex_stream(gen, n, m)
         allowed = {0.0} | {math.log2(n) * 2.0 ** j for j in range(ft.k + 1)}
         prev = np.zeros(m)
@@ -458,7 +461,7 @@ def test_ftsum_phase_two_releases_embedded_tree_output():
     # huge budget clamps the flag count to k = 1, so a unit stream burns both
     # flags inside the horizon and hands off to the embedded tree counter;
     # zero-noise mode makes the whole trace deterministic
-    ft = FTSum(8, 1, 100.0, 2.0, 0.1, 4.0, RandomSource(3, zero_noise=True))
+    ft = FTSum(8, 1, 100.0, 2.0, 0.1, RandomSource(3, zero_noise=True))
     assert ft.k == 1
     expected = [0.0, 0.0, 0.0, 3.0, 3.0, 3.0, 6.0, 8.0]
     got = []
@@ -472,7 +475,7 @@ def test_ftsum_phase_two_releases_embedded_tree_output():
     assert float(ft.current[0]) == float(ft.tree.current[0]) == 8.0
 
 
-def ftsum_reference(n, m, eps, alpha, gamma, c_tree, seed, stream_id, stream,
+def ftsum_reference(n, m, eps, alpha, gamma, seed, stream_id, stream,
                     zero_noise=False, update_bound=1.0):
     """Per-coordinate two-phase loop over every coordinate, drawing from the
     flag substream one scalar at a time in coordinate order; the reference
@@ -480,8 +483,8 @@ def ftsum_reference(n, m, eps, alpha, gamma, c_tree, seed, stream_id, stream,
     rng = RandomSource(seed, stream_id, zero_noise)
     flag_rng = rng.substream(0)
     tree = TreeSum(n, m, eps / 2.0, rng.substream(1),
-                   gamma=gamma, c_tree=c_tree, update_bound=update_bound)
-    k = ftsum_flag_count(n, m, eps, alpha, gamma, c_tree)
+                   gamma=gamma, update_bound=update_bound)
+    k = ftsum_flag_count(n, m, eps, alpha, gamma)
     scale = 2.0 * update_bound / (eps / (4.0 * m * (k + 1)))
     log_n = math.log2(n)
     draws = 0
@@ -519,7 +522,7 @@ def test_ftsum_matches_per_coordinate_reference_loop():
     # the long horizon the light coordinates alone make 2048 comparisons, so
     # the flag noise crosses at least two block refills. The in-phase list
     # must name exactly the coordinates whose flag is at most k after every step.
-    alpha, gamma, c_tree = 2.0, 0.1, 4.0
+    alpha, gamma = 2.0, 0.1
     for weights, bound in [([0.6, 0.3, 0.08, 0.02], 1.0),
                            ([1.0, 0.9, 0.8, 0.7, 0.05, 0.03, 0.02, 0.01], 1.0),
                            ([1.0, 0.9, 0.8, 0.7, 0.05, 0.03, 0.02, 0.01], 3.0)]:
@@ -532,8 +535,8 @@ def test_ftsum_matches_per_coordinate_reference_loop():
             gen = np.random.default_rng(3)
             stream = random_simplex_stream(gen, n, m) * np.array(weights) * bound
             expected, flags, k, draws = ftsum_reference(
-                n, m, eps, alpha, gamma, c_tree, seed, 4, stream, zero_noise, bound)
-            ft = FTSum(n, m, eps, alpha, gamma, c_tree, RandomSource(seed, 4, zero_noise),
+                n, m, eps, alpha, gamma, seed, 4, stream, zero_noise, bound)
+            ft = FTSum(n, m, eps, alpha, gamma, RandomSource(seed, 4, zero_noise),
                        update_bound=bound)
             got = []
             for a in stream:
@@ -547,13 +550,12 @@ def test_ftsum_matches_per_coordinate_reference_loop():
 
 
 def test_ftsum_parameter_errors():
-    # the embedded tree checks n, m, gamma, c_tree and the update bound
+    # the embedded tree checks n, m, gamma and the update bound
     for bad, message in [({"n": 0}, "n=0"), ({"m": 0}, "m=0"),
                          ({"alpha": 1.0}, "alpha"), ({"alpha": math.inf}, "alpha"),
                          ({"gamma": 0.0}, "gamma"), ({"gamma": 1.5}, "gamma"),
-                         ({"c_tree": 0.0}, "c_tree"), ({"c_tree": math.inf}, "c_tree"),
                          ({"update_bound": 0.0}, "update bound"), ({"eps": 0.0}, "epsilon")]:
-        params = {"n": 16, "m": 1, "eps": 1.0, "alpha": 2.0, "gamma": 0.1, "c_tree": 4.0,
+        params = {"n": 16, "m": 1, "eps": 1.0, "alpha": 2.0, "gamma": 0.1,
                   "rng": RandomSource(0), "update_bound": 1.0, **bad}
         with pytest.raises(ParameterError, match=message):
             FTSum(**params)
@@ -576,7 +578,7 @@ def test_ftsum_infinite_eps_equals_zero_noise(bound):
     stream = random_simplex_stream(np.random.default_rng(11), n, m) * bound
     runs = []
     for zero_noise in (False, True):
-        ft = FTSum(n, m, math.inf, 2.0, 0.1, 4.0, RandomSource(5, 1, zero_noise),
+        ft = FTSum(n, m, math.inf, 2.0, 0.1, RandomSource(5, 1, zero_noise),
                    update_bound=bound)
         runs.append(np.array([ft.update(a) for a in stream]))
         assert np.all(ft.flags > ft.k)
@@ -597,7 +599,7 @@ def test_degenerate_single_step_horizon():
     assert ts.levels == 1
     y = ts.update([0.5, 0.5])
     assert y.shape == (2,)
-    ft = FTSum(1, 1, 1.0, 2.0, 0.1, 4.0, RandomSource(1, 7))
+    ft = FTSum(1, 1, 1.0, 2.0, 0.1, RandomSource(1, 7))
     assert ft.k >= 1 and ft.log_n == 0.0
     ft.update([1.0])
     ok, _ = envelope_check([[1.0]], [[float(ft.current[0])]], ft.envelope)
@@ -864,7 +866,7 @@ def test_treesum_error_bound_shape():
 
 BUILDS = {
     "treesum": lambda n, m, b=1.0: TreeSum(n, m, 1.0, RandomSource(0), update_bound=b),
-    "ftsum": lambda n, m, b=1.0: FTSum(n, m, 1.0, 2.0, 0.1, 4.0, RandomSource(0),
+    "ftsum": lambda n, m, b=1.0: FTSum(n, m, 1.0, 2.0, 0.1, RandomSource(0),
                                        update_bound=b),
     "perfect": lambda n, m, b=1.0: PerfectCounter(n, m, b),
     "empty": lambda n, m, b=1.0: EmptyCounter(n, m, b),

@@ -25,7 +25,7 @@ from contcount.games import (
 from contcount import instances
 from contcount.harness import MechanismSpec
 from contcount.noise import RandomSource
-from contcount.strategies import Greedy, scripted
+from contcount.strategies import Greedy, Strategy, scripted
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +201,26 @@ def test_play_determinism():
     assert t1.actions == t2.actions
     assert t1.social_welfare == t2.social_welfare
     assert np.array_equal(t1.displayed, t2.displayed)
+
+
+class _OffList(Strategy):
+    """Picks a player's first action for ``good`` increments, then action 99."""
+
+    def __init__(self, good):
+        self.good = good
+
+    def choose_action(self, rule, inst, player, actions, displayed):
+        self.good -= 1
+        return actions[0] if self.good >= 0 else 99
+
+
+@pytest.mark.parametrize("splits, good", [(1, 0), (3, 2)])
+def test_play_refuses_an_action_outside_the_players_set(splits, good):
+    # the first increment, and the last of three after two good ones
+    inst = ResourceSharingInstance([ValueCurve([1.0]), ValueCurve([0.5])], [[0, 1]])
+    with pytest.raises(ValidationError,
+                       match=r"strategy chose action 99 outside player 0's actions \[0, 1\]"):
+        play(RESOURCE, inst, PerfectCounter(1, 2), _OffList(good), splits=splits)
 
 
 def test_bookkeeping_on_fuzzed_plays():

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from contcount.counters import (
+    C_TREE,
     AccuracyEnvelope,
     CounterMechanism,
+    FTSum,
     PerfectCounter,
     PrivacyBudget,
     TreeSum,
@@ -184,6 +186,17 @@ def test_warmup_counter_refuses_fractional_warmup():
         UniformWarmupCounter(inner, warmup=2.7, rng=RandomSource(0, 2))
 
 
+def test_no_spec_or_counter_sets_the_tree_constant():
+    # a smaller constant makes TreeSum's declared envelope false
+    assert MechanismSpec().c_tree == C_TREE == 4.0
+    with pytest.raises(TypeError):
+        MechanismSpec(mech="treesum", c_tree=1.0)
+    with pytest.raises(TypeError):
+        TreeSum(8, 1, 1.0, RandomSource(0), c_tree=1.0)
+    with pytest.raises(TypeError):
+        FTSum(8, 1, 1.0, 2.0, 0.1, 1.0, RandomSource(0))
+
+
 def test_scenario_reports_have_lines_and_measurements():
     report = reproduce("lemma:cut-cycle")
     assert report.passed
@@ -201,7 +214,7 @@ CONTROL_VALUES = {"thm:noinfo": [0.0, 0.0, 1000.0], "thm:lb-undom": [0.0, 1.05],
                   "prop:private-beats-perfect": [190.18999999999994],
                   "thm:cut-greedy-perfect": [math.inf], "lemma:cost-sharing-perfect": [0.5],
                   "thm:scheduling-greedy": [30.080933774509013], "thm:cut-private": [0.0],
-                  "lemma:perceived": [1.6]}
+                  "lemma:perceived": [1.6], "sec1.1:illustrative": [99.01]}
 # (scenario, control index) -> violations of the failing check, where not 1
 CONTROL_VIOLATIONS = {("thm:scheduling-greedy", 0): 41, ("thm:cut-private", 0): 100,
                       ("lemma:perceived", 0): 500}

@@ -263,6 +263,21 @@ def test_cost_sharing_exact():
         assert sorted(set(assignment)) == used
 
 
+def test_cost_sharing_duplicate_action_entries_match_brute_force():
+    # a set listed twice counts once: player 0's "0 3 0" must offer sets 0
+    # and 3, so the optimum is sets 0 and 2 at cost 2, not sets 2 and 3 at 6
+    inst = CostSharingInstance.parse("2 4\n1 9 1 5\n0 3 0\n2\n")
+    assert opt_cost_sharing(inst).value == brute_cost_sharing(inst) == 2.0
+    gen = np.random.default_rng(36)
+    for _ in range(100):
+        n, m = int(gen.integers(1, 5)), int(gen.integers(1, 6))
+        sets = [gen.integers(0, m, size=int(gen.integers(2, 5))).tolist() for _ in range(n)]
+        inst = CostSharingInstance(0.5 + 4.5 * gen.random(m), sets)
+        result = opt_cost_sharing(inst)
+        assert result.value == pytest.approx(brute_cost_sharing(inst), abs=1e-12)
+        assert COST_SHARING.value(inst, result.witness[1]) == result.value
+
+
 def test_future_dependent_exact():
     inst = instances.future_step(5.0, 0.1)
     result = opt_future_dependent(inst)
