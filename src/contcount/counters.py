@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, StateError, ValidationError
+from .errors import ParameterError, StateError, ValidationError, is_integer
 from .noise import RandomSource, laplace
 
 logger = logging.getLogger(__name__)
@@ -154,6 +154,8 @@ class CounterMechanism:
 
     def __init__(self, n: int, m: int, budget: PrivacyBudget,
                  envelope: AccuracyEnvelope, update_bound: float = 1.0):
+        if not (is_integer(n) and is_integer(m)):
+            raise ParameterError(f"n and m must be integers, got n={n!r}, m={m!r}")
         if n < 1 or m < 1:
             raise ParameterError(f"n must be >= 1 and m must be >= 1, got n={n}, m={m}")
         if not 0.0 < update_bound < math.inf:
@@ -520,7 +522,7 @@ class UniformWarmupCounter(_Wrapper):
     _unit_steps = True
 
     def __init__(self, inner: CounterMechanism, warmup: int, rng: RandomSource):
-        if not isinstance(warmup, (int, np.integer)) or isinstance(warmup, bool) or warmup < 0:
+        if not is_integer(warmup) or warmup < 0:
             raise ParameterError(f"warmup must be an integer >= 0, got {warmup!r}")
         self.warmup = int(warmup)
         self._rng = rng

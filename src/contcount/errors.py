@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+import numbers
+
 
 class ContcountError(Exception):
     """Base class for all package errors."""
@@ -27,3 +29,8 @@ def lookup(table: dict, name, what: str, hint: str = ""):
     if isinstance(name, str) and name in table:
         return table[name]
     raise ParameterError(f"unknown {what} {name!r} ({hint or 'have: ' + ', '.join(sorted(table))})")
+
+
+def is_integer(value) -> bool:
+    """True for an int or a numpy integer, False for a bool and anything else."""
+    return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)

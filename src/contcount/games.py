@@ -38,13 +38,12 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .counters import CounterMechanism
-from .errors import ParameterError, ValidationError
+from .errors import ParameterError, ValidationError, is_integer
 
 _MONOTONE_TOL = 1e-12
 _all = np.logical_and.reduce  # ndarray.all() without numpy's Python wrapper
@@ -108,17 +107,19 @@ def _malformed(kind: str, text: str):
         raise ValidationError(f"malformed {kind} instance: {exc}") from exc
 
 
-def _check_action_sets(action_sets: list, m: int, noun: str) -> None:
-    """Raise ParameterError unless there is a player and each picks from a
-    nonempty list of indices into the m ``noun``s."""
-    if not action_sets:
+def _action_sets(action_sets: list, m: int, noun: str) -> list:
+    """Each player's actions as a sorted list of distinct ints; raise
+    ParameterError unless there is a player and each picks from a nonempty
+    list of integer indices into the m ``noun``s."""
+    if len(action_sets) == 0:
         raise ParameterError("need at least one player")
     for i, acts in enumerate(action_sets):
-        if not acts:
+        if len(acts) == 0:
             raise ParameterError(f"player {i} has an empty action set")
-        for r in acts:
-            if not 0 <= r < m:
-                raise ParameterError(f"player {i} references unknown {noun} {r}")
+        for r in acts:  # an int entry, the common case, costs no call
+            if type(r) is not int and not is_integer(r) or not 0 <= r < m:
+                raise ParameterError(f"player {i} references unknown {noun} {r!r}")
+    return [sorted(set(map(int, acts))) for acts in action_sets]
 
 
 @dataclass
@@ -129,7 +130,7 @@ class ResourceSharingInstance:
     action_sets: list
 
     def __post_init__(self):
-        _check_action_sets(self.action_sets, len(self.curves), "resource")
+        self.action_sets = _action_sets(self.action_sets, len(self.curves), "resource")
 
     @classmethod
     def parse(cls, text: str) -> ResourceSharingInstance:
@@ -159,10 +160,15 @@ class CutInstance:
     edges: list
 
     def __post_init__(self):
+        if not is_integer(self.n):
+            raise ParameterError(f"node count must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ParameterError("need at least one player")
         seen = set()
-        for u, v in self.edges:
+        for edge in self.edges:
+            u, v = edge if hasattr(edge, "__len__") and len(edge) == 2 else (None, None)
+            if not (is_integer(u) and is_integer(v)):
+                raise ParameterError(f"edge {edge!r} is not a pair of integer node indices")
             if u == v:
                 raise ParameterError(f"self-loop at node {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
@@ -248,7 +254,7 @@ class CostSharingInstance:
             raise ParameterError("set costs must be finite")
         if np.any(self.set_costs <= 0):
             raise ParameterError("set costs must be positive")
-        _check_action_sets(self.action_sets, self.set_costs.size, "set")
+        self.action_sets = _action_sets(self.action_sets, self.set_costs.size, "set")
 
     @classmethod
     def parse(cls, text: str) -> CostSharingInstance:
@@ -337,8 +343,9 @@ class GameRule:
         return 1.0
 
     def actions(self, inst, player) -> list:
-        """The player's actions in tie-break order."""
-        return sorted(inst.action_sets[player])
+        """The player's actions in tie-break order: the instance's own sorted
+        list, which a strategy must not modify."""
+        return inst.action_sets[player]
 
     def view(self, counts, player):
         """The player's slice of a counter vector."""
@@ -499,7 +506,7 @@ GAMES = {rule.name: rule for rule in (RESOURCE, FUTURE_DEPENDENT, CUT, SCHEDULIN
 def check_splits(rule: GameRule, splits) -> None:
     """Refuse a ``splits`` that ``play`` cannot take: not an integer >= 1, or
     above 1 outside the resource game."""
-    if isinstance(splits, bool) or not isinstance(splits, numbers.Integral):
+    if not is_integer(splits):
         raise ParameterError(f"splits must be an integer, got {splits!r}")
     if splits < 1:
         raise ParameterError(f"splits must be >= 1, got {splits}")

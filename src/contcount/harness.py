@@ -19,7 +19,6 @@ from __future__ import annotations
 import inspect
 import io
 import math
-import numbers
 import os
 import pickle
 import signal
@@ -46,7 +45,7 @@ from .counters import (
     ZeroFailureWrapper,
     envelope_check,
 )
-from .errors import ParameterError, ValidationError, lookup
+from .errors import ParameterError, ValidationError, is_integer, lookup
 from .games import GAMES, verify_trace
 from .noise import RandomSource
 from .strategies import make_strategy
@@ -126,8 +125,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         rule = lookup(GAMES, self.game, "game")
-        if (isinstance(self.trials, bool) or not isinstance(self.trials, numbers.Integral)
-                or self.trials < 1):
+        if not is_integer(self.trials) or self.trials < 1:
             raise ParameterError(f"trial count must be >= 1 and an integer, got {self.trials!r}")
         RandomSource(self.seed)           # refuses a seed that is not a 64-bit unsigned int
         make_strategy(self.strategy)      # refuses an unknown strategy spec

@@ -194,15 +194,13 @@ def _sizes(rng: RandomSource, n_low: int, n_max, m_max=None) -> tuple:
 
 
 def _random_subsets(rng: RandomSource, n: int, m: int) -> list:
-    """n sorted nonempty subsets of range(m). Player i draws a size k uniform
-    on 1..m and takes the indices of the k smallest keys in row i of one
-    (n, m) block of uniform keys, so every k-subset is equally likely."""
+    """n nonempty subsets of range(m), each in no particular order (the
+    instance sorts its action sets). Player i draws a size k uniform on 1..m
+    and takes the indices of the k smallest keys in row i of one (n, m)
+    block of uniform keys, so every k-subset is equally likely."""
     sizes = rng.integers(1, m + 1, size=n)
     order = np.argsort(rng.uniform(size=(n, m)), axis=1, kind="stable")
-    # indices past a player's size become m, which sorts behind the subset
-    taken = np.where(np.arange(m) < sizes[:, None], order, m)
-    taken.sort(axis=1)
-    return [row[:k] for row, k in zip(taken.tolist(), sizes.tolist())]
+    return [row[:k] for row, k in zip(order.tolist(), sizes.tolist())]
 
 
 def random_resource_sharing(rng: RandomSource, n_max: int = 50,

@@ -17,11 +17,10 @@ attack surface for deployed DP systems, are not mitigated here.
 from __future__ import annotations
 
 import functools
-import numbers
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, is_integer
 
 _MASK64 = (1 << 64) - 1
 _CHUNK = 4096          # entries per chunk of the in-place Laplace transform
@@ -45,8 +44,7 @@ class RandomSource:
 
     def __init__(self, seed: int, stream_id: int = 0, zero_noise: bool = False):
         for name, value in (("seed", seed), ("stream_id", stream_id)):
-            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                    or not 0 <= value <= _MASK64):
+            if not is_integer(value) or not 0 <= value <= _MASK64:
                 raise ParameterError(f"{name} must be a 64-bit unsigned integer, got {value!r}")
         self.seed = int(seed)
         self.stream_id = int(stream_id)

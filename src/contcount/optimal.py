@@ -79,7 +79,7 @@ def opt_resource_sharing(inst: ResourceSharingInstance) -> OptResult:
     n, m = inst.n, inst.m
     allowed_by = [[] for _ in range(m)]
     for i, acts in enumerate(inst.action_sets):
-        for r in set(acts):
+        for r in acts:
             allowed_by[r].append(i)
     # copy k of resource r for k < len(allowed_by[r]); a stable sort of the
     # (r, k)-ordered candidates by -value is the (-value, r, k) order
@@ -268,7 +268,7 @@ def opt_cost_sharing(inst: CostSharingInstance) -> OptResult:
     n, m = inst.n, inst.m
     if 2 ** m > COVER_BUDGET:
         raise SizeError(f"2^{m} set families exceed the brute-force budget")
-    player_masks = [sum(1 << s for s in set(acts)) for acts in inst.action_sets]
+    player_masks = [sum(1 << s for s in acts) for acts in inst.action_sets]
     best, sets = math.inf, None
     for family in range(1, 2 ** m):
         if any(mask & family == 0 for mask in player_masks):
@@ -280,7 +280,7 @@ def opt_cost_sharing(inst: CostSharingInstance) -> OptResult:
     assignment = []
     for acts in inst.action_sets:
         options = [s for s in acts if s in sets]
-        assignment.append(min(options, key=lambda s: (inst.set_costs[s], s)))
+        assignment.append(min(options, key=lambda s: inst.set_costs[s]))
     # drop sets nobody uses; covering families never need them
     used = sorted(set(assignment))
     return OptResult(cost_sharing_total(inst, assignment), (used, assignment), "brute-force")

@@ -167,6 +167,24 @@ def test_opt_command(tmp_path, capsys):
     assert "method = matching" in out
 
 
+def test_opt_future_with_repeated_action_entries(tmp_path, capsys):
+    inst = tmp_path / "inst.txt"
+    inst.write_text("8 2\n4 4 4 3 2 2 2 2\n3 2 1 1 1 1 1 1\n" + "0 1 0 1 0 1 0 1\n" * 8)
+    code, out, _ = run_cli(capsys, "opt", "--game", "future", "--instance", str(inst))
+    assert code == 0
+    assert out.splitlines()[0] == "value = 17.0"
+
+
+@pytest.mark.parametrize("game, text", [("resource", "1 2\n1.0\n1.0\n0 1.0\n"),
+                                        ("costshare", "1 2\n1.5 2.5\n0.5\n")])
+def test_opt_non_integer_action_entry_exits_one(tmp_path, capsys, game, text):
+    inst = tmp_path / "inst.txt"
+    inst.write_text(text)
+    code, out, err = run_cli(capsys, "opt", "--game", game, "--instance", str(inst))
+    assert code == 1 and out == ""
+    assert err.startswith("error:")
+
+
 def test_opt_malformed_cut_file(tmp_path, capsys):
     inst = tmp_path / "graph.txt"
     inst.write_text("3\n0 1 2\n")

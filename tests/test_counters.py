@@ -882,6 +882,22 @@ def test_horizon_and_dimension_share_one_check(build, n, m):
 
 
 @pytest.mark.parametrize("build", list(BUILDS.values()), ids=list(BUILDS))
+@pytest.mark.parametrize("n, m", [(2.5, 1), (True, 1), (3, 1.5), (4, False), (4.0, 2)])
+def test_horizon_and_dimension_must_be_integers(build, n, m):
+    # TreeSum(2.5, ...) ran with horizon 2 but declared its beta at n = 2.5
+    with pytest.raises(ParameterError) as err:
+        build(n, m)
+    assert str(err.value) == f"n and m must be integers, got n={n!r}, m={m!r}"
+
+
+@pytest.mark.parametrize("build", list(BUILDS.values()), ids=list(BUILDS))
+def test_horizon_and_dimension_may_be_numpy_integers(build):
+    mech = build(np.int64(4), np.int32(2))
+    assert (mech.horizon, mech.dim) == (4, 2)
+    assert type(mech.horizon) is int and type(mech.dim) is int
+
+
+@pytest.mark.parametrize("build", list(BUILDS.values()), ids=list(BUILDS))
 @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf, 0.0, -1.0])
 def test_update_bound_must_be_finite_and_positive(build, bound):
     # a NaN bound used to release NaN, an infinite one -inf

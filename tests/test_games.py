@@ -117,10 +117,20 @@ def test_instance_validation():
         CutInstance(3, [(0, 0)])
     with pytest.raises(ParameterError):
         CutInstance(3, [(0, 1), (1, 0)])
+    # a node count or an endpoint that is not an integer
+    for n, edges in [(True, []), (3.0, [(0, 1)]), (3, [(0, 1, 2)]), (3, [(0.0, 1)]),
+                     (3, [(0, True)]), (3, [1])]:
+        with pytest.raises(ParameterError, match="node count|integer node indices"):
+            CutInstance(n, edges)
     with pytest.raises(ParameterError):
         SchedulingInstance(np.array([[-1.0]]))
     with pytest.raises(ParameterError):
         CostSharingInstance(np.array([0.0]), [[0]])
+
+
+def test_cut_instance_keeps_numpy_integer_nodes():
+    inst = CutInstance(np.int64(3), [(np.int32(0), np.int64(2)), np.array([1, 2])])
+    assert inst.n == 3 and inst.neighbors(0) == [2] and inst.neighbors(1) == [2]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -395,6 +405,8 @@ def test_parse_resource_sharing_roundtrip():
     assert inst.n == 2 and inst.m == 2
     assert inst.action_sets == [[0, 1], [1]]
     assert inst.curves[0].value_at(1) == 0.5
+    # a line may list its indices in any order and repeat one
+    assert ResourceSharingInstance.parse("1 3\n1\n1\n1\n2 0 2\n").action_sets == [[0, 2]]
     with pytest.raises(ValidationError):
         ResourceSharingInstance.parse("2 2\n1.0 0.5\n")
 
@@ -427,10 +439,23 @@ def test_parse_rejects_lines_beyond_the_header(parse, text, kind):
 @pytest.mark.parametrize("sets, message", [
     ([], "need at least one player"),
     ([[0], []], "player 1 has an empty action set"),
-    ([[0, 2]], "player 0 references unknown {noun} 2")])
+    ([[0, 2]], "player 0 references unknown {noun} 2"),
+    ([[0], [1.0]], "player 1 references unknown {noun} 1.0"),
+    ([[0.5]], "player 0 references unknown {noun} 0.5"),
+    ([[0, True]], "player 0 references unknown {noun} True"),
+    ([["a"]], "player 0 references unknown {noun} 'a'")])
 def test_action_sets_are_checked_alike(make, noun, sets, message):
     with pytest.raises(ParameterError, match=message.format(noun=noun)):
         make(sets)
+
+
+@pytest.mark.parametrize("make", [
+    lambda sets: ResourceSharingInstance([ValueCurve([1.0])] * 3, sets),
+    lambda sets: CostSharingInstance([1.0, 2.0, 3.0], sets)], ids=["resource", "costshare"])
+def test_action_sets_are_sorted_distinct_ints(make):
+    inst = make([[2, 0, 2], [np.int64(1), 0], np.array([2, 1])])
+    assert inst.action_sets == [[0, 2], [0, 1], [1, 2]]
+    assert all(type(r) is int for acts in inst.action_sets for r in acts)
 
 
 def test_parse_stream():

@@ -79,8 +79,13 @@ def test_random_subsets_are_sorted_distinct_nonempty_and_in_range(n, m):
         assert len(subsets) == n
         for s in subsets:
             assert s and all(type(r) is int for r in s)
-            assert s == sorted(set(s))
-            assert 0 <= s[0] and s[-1] < m
+            assert len(set(s)) == len(s)
+            assert 0 <= min(s) and max(s) < m
+        # the helper's subsets come unordered; the instances sort them
+        for make in (instances.random_resource_sharing, instances.random_market_sharing,
+                     instances.random_cost_sharing):
+            inst = make(RandomSource(seed, 9), n_max=max(n, 4), m_max=max(m, 2))
+            assert all(acts == sorted(set(acts)) for acts in inst.action_sets)
 
 
 def test_random_subset_sizes_and_memberships_are_uniform():

@@ -295,6 +295,16 @@ def test_future_dependent_exact():
         assert result.value == pytest.approx(brute_future(inst), abs=1e-12)
 
 
+def test_future_dependent_repeated_action_entries_match_brute_force():
+    # each of 8 players lists "0 1" four times: 2^8 distinct assignments, not 8^8
+    inst = ResourceSharingInstance.parse(
+        "8 2\n4 4 4 3 2 2 2 2\n3 2 1 1 1 1 1 1\n" + "0 1 0 1 0 1 0 1\n" * 8)
+    result = opt_future_dependent(inst)
+    brute = max(FUTURE_DEPENDENT.value(inst, a) for a in itertools.product([0, 1], repeat=8))
+    assert result.value == brute == 17.0
+    assert FUTURE_DEPENDENT.value(inst, result.witness) == result.value
+
+
 def test_market_undom_closed_form_matches_brute_force():
     for n in (4, 5):
         inst = instances.market_log_loss(n, 0.01)
